@@ -73,7 +73,7 @@ def reduced_kmeans(X, g, p, restarts=10, seed=0, max_iter=100, tol=1e-6,
         iterations = 0
         for _ in range(max_iter):
             iterations += 1
-            Q = _procrustes_loadings(X.T @ _expand(assign, S, g))
+            Q = _procrustes_loadings(X.T @ S[assign])
             scores = X @ Q
             centers = np.vstack([scores[assign == k].mean(axis=0) for k in range(g)])
             assign, centers, _, _ = mixture.lloyd(scores, centers,
@@ -96,17 +96,12 @@ def reduced_kmeans(X, g, p, restarts=10, seed=0, max_iter=100, tol=1e-6,
     return best
 
 
-def _expand(assign, S, g):
-    return S[assign]
-
-
 def _rkm_objective(X, assign, S, Q):
     resid = X - S[assign] @ Q.T
     return float(np.sum(resid * resid))
 
 
 def _rkm_bundle(X, Q, partition, S):
-    scores = X @ Q
-    B, R = np.linalg.qr(scores)
+    B, _ = np.linalg.qr(X @ Q)
     B = fix_signs(B)
     return EmbeddingBundle(B=B, Q=Q, M=S[partition.assignments])

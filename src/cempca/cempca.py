@@ -162,10 +162,7 @@ def _seed_partition(B, g, restart, seed):
     rng = mixture.restart_rng(seed, restart)
     style = restart % 3
     if style == 0:
-        assign = rng.integers(0, g, n)
-        for k, i in enumerate(rng.permutation(n)[:g]):
-            assign[i] = k
-        return Partition(assignments=assign, g=g)
+        return Partition(assignments=mixture.random_partition(n, g, rng), g=g)
     if style == 1:
         km = mixture.kmeans(B, g, restarts=1, seed=mixture.child_seed(seed, restart))
         return km.partition
@@ -175,9 +172,8 @@ def _seed_partition(B, g, restart, seed):
     return km.partition
 
 
-def _fit_single(X, cfg, p, seed, restart, trace_steps):
-    B, _ = pca_embed(X, p)
-    Q = update_Q(X, B)
+def _fit_single(X, B, Q, cfg, seed, restart, trace_steps):
+    """One restart from the principal embedding B and its loadings Q."""
     part = _seed_partition(B, cfg.g, restart, seed)
     params = mixture.m_step(B, part.one_hot(), cfg.model)
     part, params, _, _ = mixture.cem_refine(
@@ -246,11 +242,15 @@ def fit_cempca(X_raw, cfg, seed=0, trace_steps=False):
     p = cfg.p if cfg.p is not None else min(10, d)
     if not 1 <= p <= min(n - 1, d):
         raise InvalidInputError(f"p must be in [1, {min(n - 1, d)}], got {p}")
+    # The principal embedding and its loadings depend only on X and p, so
+    # every restart starts from the same pair.
+    B, _ = pca_embed(X, p)
+    Q = update_Q(X, B)
     best = None
     last_error = None
     for r in range(cfg.restarts):
         try:
-            result = _fit_single(X, cfg, p, seed, r, trace_steps)
+            result = _fit_single(X, B, Q, cfg, seed, r, trace_steps)
         except (DegenerateUpdateError, SingularMatrixError, EmptyClusterError,
                 NumericalError) as exc:
             last_error = exc

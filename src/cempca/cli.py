@@ -78,11 +78,14 @@ def _load_fit_data(args):
 
 
 def _resolved_config(args, method):
+    max_iter = args.max_iter
+    if max_iter is None:
+        max_iter = CempcaConfig.max_iter if method == "cempca" else 100
     cfg = {
         "g": args.g,
         "seed": args.seed,
         "restarts": args.restarts,
-        "max_iter": args.max_iter,
+        "max_iter": max_iter,
         "tol": args.tol,
         "standardize": args.standardize,
     }
@@ -106,6 +109,9 @@ def run_method(method, dataset, config, seed):
     max_iter = config.get("max_iter", 100)
     tol = config.get("tol", 1e-6)
     p = config.get("p")
+    model = config.get("cov", "full")
+    if model == "diag":
+        model = "diagonal"
 
     if method == "cempca":
         cfg = CempcaConfig(g=g, p=p,
@@ -113,9 +119,9 @@ def run_method(method, dataset, config, seed):
                            neighbors=config.get("neighbors", 15),
                            smoothing=config.get("smooth", 2),
                            restarts=restarts,
-                           max_iter=config.get("max_iter", 40),
+                           max_iter=config.get("max_iter", CempcaConfig.max_iter),
                            tol=tol,
-                           model=config.get("cov", "full"),
+                           model=model,
                            standardize=stdize,
                            use_graph_as_features=config.get("graph_as_features", False))
         result = fit_cempca(X, cfg, seed=seed)
@@ -123,10 +129,10 @@ def run_method(method, dataset, config, seed):
         Xf = standardize(X) if stdize else np.asarray(X, dtype=float)
         if method == "em-gmm":
             result = em_gmm(Xf, g, max_iter=max_iter, tol=tol, restarts=restarts,
-                            seed=seed, model=config.get("cov", "full"))
+                            seed=seed, model=model)
         elif method == "cem":
             result = cem(Xf, g, max_iter=max_iter, tol=tol, restarts=restarts,
-                         seed=seed, model=config.get("cov", "full"))
+                         seed=seed, model=model)
         elif method == "kmeans":
             result = kmeans(Xf, g, max_iter=max_iter, tol=tol, restarts=restarts,
                             seed=seed)
@@ -323,7 +329,8 @@ def _write_benchmark_csv(path, outcomes):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["dataset", "method", "seed", "status", "nmi", "ari",
-                         "acc", "iterations", "wall_time", "objective_final"])
+                         "acc", "iterations", "wall_time", "objective_final",
+                         "error"])
         for cell in outcomes:
             if cell["status"] == "ok":
                 rec = cell["record"]
@@ -333,10 +340,11 @@ def _write_benchmark_csv(path, outcomes):
                                  _fmt(m.get("nmi")), _fmt(m.get("ari")),
                                  _fmt(m.get("acc")), rec.iterations,
                                  f"{rec.wall_time:.6f}",
-                                 repr(rec.objective_final)])
+                                 repr(rec.objective_final), ""])
             else:
                 writer.writerow([cell["dataset"], cell["method"], cell["seed"],
-                                 "failed", "", "", "", "", "", ""])
+                                 "failed", "", "", "", "", "", "",
+                                 cell["error"]])
 
 
 def _fmt(value):
@@ -416,7 +424,8 @@ def build_parser():
     fit.add_argument("--smooth", type=int, default=2)
     fit.add_argument("--restarts", type=int, default=20)
     fit.add_argument("--seed", type=int, default=0)
-    fit.add_argument("--max-iter", type=int, default=100)
+    fit.add_argument("--max-iter", type=int, default=None,
+                     help="iteration cap (default: 40 for cempca, 100 otherwise)")
     fit.add_argument("--tol", type=float, default=1e-6)
     fit.add_argument("--cov", default="full",
                      choices=("full", "diag", "spherical", "spherical-tied"))
@@ -446,8 +455,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "cov", None) == "diag":
-        args.cov = "diagonal"
     try:
         return args.func(args)
     except _NUMERICAL_ERRORS as exc:

@@ -2,6 +2,7 @@
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -19,7 +20,14 @@ _COV_EPS = 1e-6
 
 @dataclass
 class MixtureParams:
-    """Weights, means, and per-cluster covariances of a Gaussian mixture."""
+    """Weights, means, and per-cluster covariances of a Gaussian mixture.
+
+    The arrays are treated as immutable once the parameters are scored:
+    the first density evaluation factors every covariance and caches the
+    result on the instance, outside repr and ==. To change a value, build a
+    new instance (dataclasses.replace does, and starts with no cache)
+    rather than writing into the arrays.
+    """
 
     weights: np.ndarray          # (g,)
     means: np.ndarray            # (g, p)
@@ -33,6 +41,19 @@ class MixtureParams:
     @property
     def p(self):
         return self.means.shape[1]
+
+    @cached_property
+    def _factors(self):
+        """(log weights, inverse Cholesky factors, log determinants), per component."""
+        try:
+            L = np.linalg.cholesky(self.covariances)
+        except np.linalg.LinAlgError:
+            raise SingularMatrixError("covariance is not positive-definite") from None
+        eye = np.eye(self.p)
+        inv_chol = np.stack([scipy.linalg.solve_triangular(L[k], eye, lower=True)
+                             for k in range(self.g)])
+        logdet = 2.0 * np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)
+        return np.log(self.weights), inv_chol, logdet
 
 
 @dataclass
@@ -95,34 +116,42 @@ def _converged(prev, cur, tol):
 
 
 def log_gaussian(x, mean, cov):
-    """Log density of x under a Gaussian with the given mean and SPD covariance."""
+    """Log density of x under a Gaussian with the given mean and SPD covariance.
+
+    Factors the covariance on every call; it is the single-point reference
+    for the cached mixture kernel behind log_joint.
+    """
     x = np.asarray(x, dtype=float)
-    return float(log_gaussian_rows(x[None, :], mean, cov)[0])
-
-
-def log_gaussian_rows(X, mean, cov):
-    """Row-wise Gaussian log density, computed through a Cholesky factor."""
-    X = np.asarray(X, dtype=float)
     cov = np.asarray(cov, dtype=float)
-    p = X.shape[1]
     try:
         L = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
         raise SingularMatrixError("covariance is not positive-definite") from None
-    diff = (X - np.asarray(mean, dtype=float)).T
-    sol = scipy.linalg.solve_triangular(L, diff, lower=True)
-    maha = np.sum(sol * sol, axis=0)
+    sol = scipy.linalg.solve_triangular(L, x - np.asarray(mean, dtype=float), lower=True)
     logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
-    return -0.5 * (p * _LOG_2PI + logdet + maha)
+    return float(-0.5 * (x.size * _LOG_2PI + logdet + sol @ sol))
+
+
+def _component_log_joint(X, params, k):
+    """log pi_k + log phi_k(x_i) for every row of X, from the cached factors.
+
+    A row far outside a near-singular component overflows to a -inf score
+    (zero density) rather than warning; e_step reports such rows.
+    """
+    log_w, inv_chol, logdet = params._factors
+    with np.errstate(over="ignore"):
+        sol = (X - params.means[k]) @ inv_chol[k].T
+        maha = np.einsum("ij,ij->i", sol, sol)
+    return log_w[k] - 0.5 * (params.p * _LOG_2PI + logdet[k] + maha)
 
 
 def log_joint(X, params):
     """Matrix of log pi_k + log phi_k(x_i), one column per component."""
     X = np.asarray(X, dtype=float)
-    cols = [np.log(params.weights[k])
-            + log_gaussian_rows(X, params.means[k], params.covariances[k])
-            for k in range(params.g)]
-    return np.stack(cols, axis=1)
+    lp = np.empty((X.shape[0], params.g))
+    for k in range(params.g):
+        lp[:, k] = _component_log_joint(X, params, k)
+    return lp
 
 
 def e_step(X, params):
@@ -188,9 +217,20 @@ def m_step(X, weights, model="full"):
 
 
 def complete_log_likelihood(X, partition, params):
-    """Sum over rows of log pi_{z_i} + log phi_{z_i}(x_i)."""
-    lp = log_joint(X, params)
-    return float(lp[np.arange(lp.shape[0]), partition.assignments].sum())
+    """Sum over rows of log pi_{z_i} + log phi_{z_i}(x_i).
+
+    Each row is scored only under its own cluster.
+    """
+    X = np.asarray(X, dtype=float)
+    assign = partition.assignments
+    own = np.empty(X.shape[0])
+    for k in range(params.g):
+        rows = assign == k
+        own[rows] = _component_log_joint(X[rows], params, k)
+    # Summing in row order keeps the value independent of the cluster
+    # labels, so restarts that reach one partition under different labels
+    # tie exactly and the lowest restart index wins.
+    return float(own.sum())
 
 
 def log_likelihood(X, params):
@@ -217,11 +257,18 @@ def _seed_centers(X, g, rng, init):
                 centers[k] = X[rng.integers(n)]
         return centers
     if init == "random-partition":
-        assign = rng.integers(0, g, n)
-        for k, i in enumerate(rng.permutation(n)[:g]):
-            assign[i] = k
+        assign = random_partition(n, g, rng)
         return np.vstack([X[assign == k].mean(axis=0) for k in range(g)])
     raise InvalidInputError(f"unknown init {init!r}")
+
+
+def random_partition(n, g, rng):
+    """Uniform random labels for n rows, with g distinct rows forced to 0..g-1
+    so that no cluster starts empty."""
+    assign = rng.integers(0, g, n)
+    for k, i in enumerate(rng.permutation(n)[:g]):
+        assign[i] = k
+    return assign
 
 
 def lloyd(X, centers, max_iter=100, tol=1e-6):
@@ -374,15 +421,19 @@ def cem_refine(X, partition, params, max_iter=100, tol=1e-6, model="full"):
     The trace is non-decreasing up to the covariance regularization slack.
     """
     X = np.asarray(X, dtype=float)
-    trace = [complete_log_likelihood(X, partition, params)]
+    rows = np.arange(X.shape[0])
+    # One score matrix per parameter set: it gives the trace entry for the
+    # partition it was fitted to and the C-step of the next iteration.
+    lp = log_joint(X, params)
+    trace = [float(lp[rows, partition.assignments].sum())]
     iterations = 0
     for _ in range(max_iter):
         iterations += 1
-        lp = log_joint(X, params)
         assign = _repair_empty(np.argmax(lp, axis=1), lp, partition.g)
         new_part = Partition(assignments=assign, g=partition.g)
         params = m_step(X, new_part.one_hot(), model)
-        trace.append(complete_log_likelihood(X, new_part, params))
+        lp = log_joint(X, params)
+        trace.append(float(lp[rows, assign].sum()))
         unchanged = np.array_equal(new_part.assignments, partition.assignments)
         partition = new_part
         if unchanged or _converged(trace[-2], trace[-1], tol):

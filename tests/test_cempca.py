@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from cempca import cempca as core
+from cempca import mixture
 from cempca.cempca import (CempcaConfig, EmbeddingBundle, fit_cempca,
                            objective, pca_embed, prepare_features, update_B,
                            update_M, update_Q)
@@ -171,6 +173,21 @@ def test_objective_vanishing_first_terms():
     assert np.isclose(val, -complete_log_likelihood(B, part, params), atol=1e-9)
 
 
+def test_objective_scores_rows_only_under_their_own_cluster(monkeypatch):
+    rng = np.random.default_rng(15)
+    B, _ = np.linalg.qr(rng.standard_normal((12, 2)))
+    part = Partition(assignments=np.arange(12) % 3, g=3)
+    params = m_step(B, part.one_hot())
+    bundle = EmbeddingBundle(B=B, Q=rng.standard_normal((4, 2)), M=B.copy())
+    expected = objective(B @ bundle.Q.T, bundle, part, params, 0.5)
+
+    def no_full_scoring(X, params):
+        raise AssertionError("objective built the full score matrix")
+
+    monkeypatch.setattr(mixture, "log_joint", no_full_scoring)
+    assert objective(B @ bundle.Q.T, bundle, part, params, 0.5) == expected
+
+
 def test_objective_delta_zero_ignores_gap():
     rng = np.random.default_rng(12)
     B, _ = np.linalg.qr(rng.standard_normal((8, 2)))
@@ -212,6 +229,18 @@ def test_fit_single_cluster_runs_and_monotone():
     tr = res.objective_trace
     assert np.all(res.partition.assignments == 0)
     assert all(tr[i + 1] <= tr[i] + 1e-8 for i in range(len(tr) - 1))
+
+
+@pytest.mark.parametrize("restarts", [1, 4, 9])
+def test_fit_embeds_once_for_all_restarts(monkeypatch, restarts):
+    rng = np.random.default_rng(16)
+    X = rng.standard_normal((50, 4))
+    calls = []
+    real = core.pca_embed
+    monkeypatch.setattr(core, "pca_embed",
+                        lambda X, p: calls.append(p) or real(X, p))
+    fit_cempca(X, CempcaConfig(g=2, p=3, restarts=restarts, smoothing=0), seed=0)
+    assert calls == [3]
 
 
 def test_fit_orthonormal_embedding():

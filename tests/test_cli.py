@@ -223,3 +223,72 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         run(["fit", "kmeans", "x.csv", "--g", 2, "--bogus-flag"])
     assert err.value.code == 2
+
+
+def test_fit_max_iter_default_follows_library(tmp_path, monkeypatch):
+    from cempca import cli
+    from cempca.cempca import CempcaConfig
+
+    data = tmp_path / "d.csv"
+    run(["generate", "--shape", "tetra", "--n", 60, "--seed", 2, "--out", data])
+    seen = []
+    real = cli.fit_cempca
+    monkeypatch.setattr(cli, "fit_cempca",
+                        lambda X, cfg, seed: seen.append(cfg.max_iter) or real(X, cfg, seed=seed))
+    caps = {}
+    for method in ("cempca", "cem"):
+        out = tmp_path / f"{method}.json"
+        assert run(["fit", method, data, "--g", 4, "--restarts", 1, "--smooth", 0,
+                    "--out", out]) == 0
+        caps[method] = json.loads(out.read_text())["config"]["max_iter"]
+    assert seen == [CempcaConfig.max_iter] == [caps["cempca"]] == [40]
+    assert caps["cem"] == 100
+
+
+def _read_results(out_dir):
+    import csv
+
+    with open(out_dir / "results.csv", newline="") as fh:
+        reader = csv.DictReader(fh)
+        return reader.fieldnames, {row["method"]: row for row in reader}
+
+
+def test_benchmark_suite_accepts_diag_spelling(tmp_path):
+    from cempca.cli import run_method
+    from cempca.data import gen_fcps
+
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({
+        "seed": 3,
+        "datasets": [{"name": "tetra", "shape": "tetra", "n": 100, "seed": 2}],
+        "methods": [{"name": "cem-diag", "method": "cem",
+                     "params": {"restarts": 2, "cov": "diag"}}],
+    }))
+    out_dir = tmp_path / "results"
+    assert run(["benchmark", suite, out_dir]) == 0
+    _, rows = _read_results(out_dir)
+    cell = rows["cem-diag"]
+    assert cell["status"] == "ok"
+    ds = gen_fcps("tetra", 100, seed=2)
+    record, _ = run_method("cem", ds, {"g": 4, "restarts": 2, "cov": "diagonal"},
+                           int(cell["seed"]))
+    assert float(cell["nmi"]) == record.metrics["nmi"]
+
+
+def test_benchmark_failed_cell_records_error(tmp_path):
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({
+        "seed": 1,
+        "datasets": [{"name": "tetra", "shape": "tetra", "n": 100, "seed": 2}],
+        "methods": [{"name": "kmeans", "method": "kmeans", "params": {"restarts": 2}},
+                    {"name": "too-wide", "method": "kmeans-pca",
+                     "params": {"restarts": 2, "p": 50}}],
+    }))
+    out_dir = tmp_path / "results"
+    assert run(["benchmark", suite, out_dir]) == 0
+    header, rows = _read_results(out_dir)
+    assert header[-1] == "error"
+    assert rows["kmeans"]["status"] == "ok" and rows["kmeans"]["error"] == ""
+    failed = rows["too-wide"]
+    assert failed["status"] == "failed"
+    assert failed["error"] == "p_used must be in [1, 3], got 50"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cempca import mixture
 from cempca.errors import EmptyClusterError, InvalidInputError
 from cempca.metrics import ari
 from cempca.mixture import (MixtureParams, Partition, c_step, cem, cem_refine,
@@ -337,3 +338,17 @@ def test_fits_deterministic():
         a, b = runner(), runner()
         assert np.array_equal(a.partition.assignments, b.partition.assignments)
         assert a.objective_trace == b.objective_trace
+
+
+@pytest.mark.parametrize("seed,max_iter", [(21, 100), (22, 100), (23, 1), (24, 3)])
+def test_cem_refine_scores_each_parameter_set_once(monkeypatch, seed, max_iter):
+    rng = np.random.default_rng(seed)
+    X, _ = _blobs(rng, 30, [(0.0, 0.0), (3.0, 0.0), (0.0, 3.0)])
+    part = Partition(assignments=mixture.random_partition(len(X), 3, rng), g=3)
+    params = m_step(X, part.one_hot())
+    calls = []
+    real = mixture.log_joint
+    monkeypatch.setattr(mixture, "log_joint",
+                        lambda X, params: calls.append(1) or real(X, params))
+    _, _, trace, iterations = cem_refine(X, part, params, max_iter=max_iter)
+    assert len(calls) == iterations + 1 == len(trace)
