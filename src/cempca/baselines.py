@@ -1,6 +1,7 @@
 """Sequential and joint reference methods: K-means on principal components,
 and the clustered low-rank factorization baseline."""
 
+import operator
 import time
 from dataclasses import replace
 
@@ -13,13 +14,8 @@ from .linalg import fix_signs, thin_svd
 from .mixture import FitResult, Partition
 
 
-def kmeans_pca(X, g, p_used, weighted=True, restarts=10, seed=0,
-               max_iter=100, tol=1e-6):
-    """K-means on the leading principal-component scores.
-
-    Scores are singular-value weighted by default; weighted=False clusters
-    the unit-scale orthonormal basis columns instead (ablation).
-    """
+def kmeans_pca(X, g, p_used, restarts=10, seed=0, max_iter=100, tol=1e-6):
+    """K-means on the leading principal-component scores (singular-value weighted)."""
     X = np.asarray(X, dtype=float)
     n, d = X.shape
     if not 1 <= p_used <= min(n - 1, d):
@@ -27,7 +23,7 @@ def kmeans_pca(X, g, p_used, weighted=True, restarts=10, seed=0,
     Xc = X - X.mean(axis=0)
     U, s, _ = thin_svd(Xc)
     B = U[:, :p_used]
-    scores = B * s[:p_used] if weighted else B
+    scores = B * s[:p_used]
     km = mixture.kmeans(scores, g, max_iter=max_iter, tol=tol,
                         restarts=restarts, seed=seed)
     bundle = EmbeddingBundle(B=B, Q=Xc.T @ B, M=scores)
@@ -51,23 +47,21 @@ def reduced_kmeans(X, g, p, restarts=10, seed=0, max_iter=100, tol=1e-6,
     """
     X = np.asarray(X, dtype=float)
     n, d = X.shape
-    if n < g:
-        raise InvalidInputError(f"need at least g={g} rows, got {n}")
+    mixture._check_fit_args(X, g)
     if not 1 <= p <= min(n - 1, d):
         raise InvalidInputError(f"p must be in [1, {min(n - 1, d)}], got {p}")
     start = time.perf_counter()
     _, _, V0 = thin_svd(X - X.mean(axis=0))
-    best = None
-    for r in range(restarts):
-        Q = V0[:, :p]
-        scores = X @ Q
+    Q0 = V0[:, :p]
+    scores0 = X @ Q0
+
+    def fit_one(r):
         # seed exactly like kmeans restart r so the p = d case reproduces
         # the plain K-means partition for equal seeds
-        rng = mixture.restart_rng(seed, r)
-        centers = mixture._seed_centers(scores, g, rng, "plusplus")
-        assign, centers, _, _ = mixture.lloyd(scores, centers,
-                                              max_iter=max_iter, tol=tol)
-        S = centers
+        centers = mixture._seed_centers(scores0, g, mixture.restart_rng(seed, r),
+                                        "plusplus")
+        assign, S, _, _ = mixture.lloyd(scores0, centers, max_iter=max_iter, tol=tol)
+        Q = Q0
         trace = [_rkm_objective(X, assign, S, Q)]
         history = [] if record_history else None
         iterations = 0
@@ -76,24 +70,20 @@ def reduced_kmeans(X, g, p, restarts=10, seed=0, max_iter=100, tol=1e-6,
             Q = _procrustes_loadings(X.T @ S[assign])
             scores = X @ Q
             centers = np.vstack([scores[assign == k].mean(axis=0) for k in range(g)])
-            assign, centers, _, _ = mixture.lloyd(scores, centers,
-                                                  max_iter=max_iter, tol=tol)
-            S = centers
+            assign, S, _, _ = mixture.lloyd(scores, centers, max_iter=max_iter, tol=tol)
             trace.append(_rkm_objective(X, assign, S, Q))
             if record_history:
                 history.append({"Q": Q.copy(), "S": S.copy(),
                                 "assignments": assign.copy()})
             if mixture._converged(trace[-2], trace[-1], tol):
                 break
-        if best is None or trace[-1] < best.objective_trace[-1]:
-            part = Partition(assignments=assign, g=g)
-            bundle = _rkm_bundle(X, Q, part, S)
-            best = FitResult(partition=part, params=None, objective_trace=trace,
-                             iterations=iterations, seed=int(seed),
-                             restart_index=r, wall_time=0.0, bundle=bundle,
-                             step_trace=history)
-    best.wall_time = time.perf_counter() - start
-    return best
+        part = Partition(assignments=assign, g=g)
+        return FitResult(partition=part, params=None, objective_trace=trace,
+                         iterations=iterations, seed=int(seed), restart_index=r,
+                         wall_time=0.0, bundle=_rkm_bundle(X, Q, part, S),
+                         step_trace=history)
+
+    return mixture.best_of_restarts(fit_one, restarts, operator.lt, start)
 
 
 def _rkm_objective(X, assign, S, Q):

@@ -11,6 +11,7 @@ mixture parameters with hard-assignment EM on M, recomputes B as the polar
 factor of X Q + delta M, and sets Q = X^T B.
 """
 
+import operator
 import time
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -19,8 +20,7 @@ import numpy as np
 
 from . import mixture
 from .data import knn_graph, smooth, standardize
-from .errors import (DegenerateUpdateError, EmptyClusterError,
-                     InvalidInputError, NumericalError, SingularMatrixError)
+from .errors import DegenerateUpdateError, InvalidInputError
 from .linalg import spd_solve, thin_svd
 from .mixture import FitResult, Partition
 
@@ -41,7 +41,6 @@ class CempcaConfig:
     p defaults to min(10, d) when left unset. neighbors and smoothing
     control the nearest-neighbor graph used to replace X by W^m X before
     fitting; smoothing=0 skips the graph entirely.
-    use_graph_as_features swaps the data matrix for the graph weights W.
     """
 
     g: int
@@ -54,8 +53,6 @@ class CempcaConfig:
     tol: float = 1e-6
     model: str = "full"
     standardize: bool = True
-    use_graph_as_features: bool = False
-    cem_max_iter: int = 100
 
 
 def pca_embed(X, p):
@@ -143,9 +140,7 @@ def prepare_features(X, cfg):
     X = np.asarray(X, dtype=float)
     if cfg.standardize:
         X = standardize(X)
-    if cfg.use_graph_as_features:
-        X = knn_graph(X, cfg.neighbors).W.toarray()
-    elif cfg.smoothing > 0:
+    if cfg.smoothing > 0:
         X = smooth(X, knn_graph(X, cfg.neighbors), cfg.smoothing)
     return X - X.mean(axis=0)
 
@@ -176,8 +171,8 @@ def _fit_single(X, B, Q, cfg, seed, restart, trace_steps):
     """One restart from the principal embedding B and its loadings Q."""
     part = _seed_partition(B, cfg.g, restart, seed)
     params = mixture.m_step(B, part.one_hot(), cfg.model)
-    part, params, _, _ = mixture.cem_refine(
-        B, part, params, max_iter=cfg.cem_max_iter, tol=cfg.tol, model=cfg.model)
+    part, params, _, _ = mixture.cem_refine(B, part, params, tol=cfg.tol,
+                                            model=cfg.model)
     bundle = EmbeddingBundle(B=B, Q=Q, M=B.copy())
     trace = [objective(X, bundle, part, params, cfg.delta)]
     steps = [] if trace_steps else None
@@ -198,8 +193,7 @@ def _fit_single(X, B, Q, cfg, seed, restart, trace_steps):
         # exact minimizer of the joint objective; the candidate state is
         # kept only when it does not increase that objective.
         cand_part, cand_params, _, _ = mixture.cem_refine(
-            bundle.B, part, params, max_iter=cfg.cem_max_iter, tol=cfg.tol,
-            model=cfg.model)
+            bundle.B, part, params, tol=cfg.tol, model=cfg.model)
         cand = objective(X, bundle, cand_part, cand_params, cfg.delta)
         if cand <= current:
             part, params = cand_part, cand_params
@@ -228,36 +222,19 @@ def fit_cempca(X_raw, cfg, seed=0, trace_steps=False):
     initializes B and Q from the principal embedding, seeds the mixture by
     a partition that varies per restart, then sweeps the four block updates
     until the objective stalls. Restarts that hit a degenerate update are
-    skipped; the fit fails only if every restart does.
+    skipped and listed in failed_restarts; the fit fails only if every
+    restart does.
     """
     if cfg.delta < 0:
         raise InvalidInputError("delta must be >= 0")
-    if cfg.restarts < 1:
-        raise InvalidInputError("restarts must be >= 1")
     start = time.perf_counter()
     X = prepare_features(X_raw, cfg)
-    n, d = X.shape
-    if n < cfg.g:
-        raise InvalidInputError(f"need at least g={cfg.g} rows, got {n}")
-    p = cfg.p if cfg.p is not None else min(10, d)
-    if not 1 <= p <= min(n - 1, d):
-        raise InvalidInputError(f"p must be in [1, {min(n - 1, d)}], got {p}")
+    mixture._check_fit_args(X, cfg.g)
+    p = cfg.p if cfg.p is not None else min(10, X.shape[1])
     # The principal embedding and its loadings depend only on X and p, so
     # every restart starts from the same pair.
     B, _ = pca_embed(X, p)
     Q = update_Q(X, B)
-    best = None
-    last_error = None
-    for r in range(cfg.restarts):
-        try:
-            result = _fit_single(X, B, Q, cfg, seed, r, trace_steps)
-        except (DegenerateUpdateError, SingularMatrixError, EmptyClusterError,
-                NumericalError) as exc:
-            last_error = exc
-            continue
-        if best is None or result.objective_trace[-1] < best.objective_trace[-1]:
-            best = result
-    if best is None:
-        raise NumericalError(f"all {cfg.restarts} restarts failed: {last_error}")
-    best.wall_time = time.perf_counter() - start
-    return best
+    return mixture.best_of_restarts(
+        lambda r: _fit_single(X, B, Q, cfg, seed, r, trace_steps),
+        cfg.restarts, operator.lt, start)

@@ -1,7 +1,7 @@
 """Command-line surface: dataset generation, fitting, evaluation, benchmarks.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical failure.
-The CEMPCA_THREADS environment variable caps benchmark concurrency.
+A benchmark runs its cells one after another, in suite order.
 """
 
 import argparse
@@ -10,7 +10,6 @@ import dataclasses
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -48,6 +47,7 @@ class RunRecord:
     iterations: int
     wall_time: float
     objective_final: float
+    failed_restarts: int
 
 
 def _generate_dataset(shape, n, seed):
@@ -93,8 +93,7 @@ def _resolved_config(args, method):
         cfg["p"] = args.p
     if method == "cempca":
         cfg.update(delta=args.delta, neighbors=args.neighbors,
-                   smooth=args.smooth, cov=args.cov,
-                   graph_as_features=args.graph_as_features)
+                   smooth=args.smooth, cov=args.cov)
     if method in ("em-gmm", "cem"):
         cfg["cov"] = args.cov
     return cfg
@@ -115,15 +114,14 @@ def run_method(method, dataset, config, seed):
 
     if method == "cempca":
         cfg = CempcaConfig(g=g, p=p,
-                           delta=config.get("delta", 1e-6),
-                           neighbors=config.get("neighbors", 15),
-                           smoothing=config.get("smooth", 2),
+                           delta=config.get("delta", CempcaConfig.delta),
+                           neighbors=config.get("neighbors", CempcaConfig.neighbors),
+                           smoothing=config.get("smooth", CempcaConfig.smoothing),
                            restarts=restarts,
                            max_iter=config.get("max_iter", CempcaConfig.max_iter),
                            tol=tol,
                            model=model,
-                           standardize=stdize,
-                           use_graph_as_features=config.get("graph_as_features", False))
+                           standardize=stdize)
         result = fit_cempca(X, cfg, seed=seed)
     else:
         Xf = standardize(X) if stdize else np.asarray(X, dtype=float)
@@ -156,7 +154,8 @@ def run_method(method, dataset, config, seed):
     record = RunRecord(method=method, dataset=dataset.name, config=dict(config),
                        seed=seed, metrics=scores, iterations=result.iterations,
                        wall_time=result.wall_time,
-                       objective_final=float(result.objective_trace[-1]))
+                       objective_final=float(result.objective_trace[-1]),
+                       failed_restarts=len(result.failed_restarts))
     return record, result
 
 
@@ -247,14 +246,6 @@ def cmd_evaluate(args):
     return 0
 
 
-def _thread_count():
-    value = os.environ.get("CEMPCA_THREADS", "1")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 1
-
-
 def _suite_cell_seed(base_seed, i, j):
     return int(np.random.SeedSequence(entropy=int(base_seed),
                                       spawn_key=(int(i), int(j))).generate_state(1)[0])
@@ -307,12 +298,7 @@ def cmd_benchmark(args):
             cells.append((ds, entry.get("name", entry["method"]), entry["method"],
                           params, _suite_cell_seed(base_seed, i, j)))
 
-    workers = _thread_count()
-    if workers > 1 and cells:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_benchmark_cell, cells))
-    else:
-        outcomes = [_benchmark_cell(cell) for cell in cells]
+    outcomes = [_benchmark_cell(cell) for cell in cells]
 
     os.makedirs(args.out_dir, exist_ok=True)
     csv_path = os.path.join(args.out_dir, "results.csv")
@@ -330,7 +316,7 @@ def _write_benchmark_csv(path, outcomes):
         writer = csv.writer(fh)
         writer.writerow(["dataset", "method", "seed", "status", "nmi", "ari",
                          "acc", "iterations", "wall_time", "objective_final",
-                         "error"])
+                         "failed_restarts", "error"])
         for cell in outcomes:
             if cell["status"] == "ok":
                 rec = cell["record"]
@@ -340,10 +326,11 @@ def _write_benchmark_csv(path, outcomes):
                                  _fmt(m.get("nmi")), _fmt(m.get("ari")),
                                  _fmt(m.get("acc")), rec.iterations,
                                  f"{rec.wall_time:.6f}",
-                                 repr(rec.objective_final), ""])
+                                 repr(rec.objective_final), rec.failed_restarts,
+                                 ""])
             else:
                 writer.writerow([cell["dataset"], cell["method"], cell["seed"],
-                                 "failed", "", "", "", "", "", "",
+                                 "failed", "", "", "", "", "", "", "",
                                  cell["error"]])
 
 
@@ -419,9 +406,9 @@ def build_parser():
     fit.add_argument("data", help="CSV file; a 'label' column is used for metrics")
     fit.add_argument("--g", type=int, required=True)
     fit.add_argument("--p", type=int, default=None)
-    fit.add_argument("--delta", type=float, default=1e-6)
-    fit.add_argument("--neighbors", type=int, default=15)
-    fit.add_argument("--smooth", type=int, default=2)
+    fit.add_argument("--delta", type=float, default=CempcaConfig.delta)
+    fit.add_argument("--neighbors", type=int, default=CempcaConfig.neighbors)
+    fit.add_argument("--smooth", type=int, default=CempcaConfig.smoothing)
     fit.add_argument("--restarts", type=int, default=20)
     fit.add_argument("--seed", type=int, default=0)
     fit.add_argument("--max-iter", type=int, default=None,
@@ -431,7 +418,6 @@ def build_parser():
                      choices=("full", "diag", "spherical", "spherical-tied"))
     fit.add_argument("--standardize", default=True,
                      action=argparse.BooleanOptionalAction)
-    fit.add_argument("--graph-as-features", action="store_true")
     fit.add_argument("--emit-embedding", metavar="PATH", default=None,
                      help="also write B and M coordinates to this CSV")
     fit.add_argument("--label-column", default=None,

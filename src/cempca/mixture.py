@@ -1,7 +1,8 @@
 """Gaussian mixture machinery: densities, E/C/M steps, EM, CEM, and K-means."""
 
+import operator
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
@@ -9,8 +10,8 @@ import numpy as np
 import scipy.linalg
 from scipy.special import logsumexp
 
-from .errors import (EmptyClusterError, InvalidInputError, NumericalError,
-                     SingularMatrixError)
+from .errors import (DegenerateUpdateError, EmptyClusterError,
+                     InvalidInputError, NumericalError, SingularMatrixError)
 
 COV_MODELS = ("full", "diagonal", "spherical", "spherical-tied")
 
@@ -83,7 +84,8 @@ class FitResult:
     objective_trace holds the per-iteration objective of the method that
     produced it: within-cluster sum of squares for K-means, log-likelihood
     for the mixture fits, and the three-term joint objective for the
-    alternating embedding fit (non-increasing there).
+    alternating embedding fit (non-increasing there). failed_restarts lists
+    the restarts that were skipped, as (restart index, "ErrorType: message").
     """
 
     partition: Partition
@@ -95,6 +97,7 @@ class FitResult:
     wall_time: float
     bundle: "object" = None      # EmbeddingBundle when the method produces one
     step_trace: Optional[list] = None
+    failed_restarts: list = field(default_factory=list)
 
 
 def derive_seed(seed, restart):
@@ -109,6 +112,41 @@ def restart_rng(seed, restart):
 def child_seed(seed, restart):
     """Integer seed for a nested fit inside restart `restart`."""
     return int(derive_seed(seed, restart).generate_state(1)[0])
+
+
+# Errors that skip one restart rather than fail the whole fit.
+RESTART_ERRORS = (DegenerateUpdateError, EmptyClusterError, NumericalError,
+                  SingularMatrixError)
+
+
+def best_of_restarts(fit_one, restarts, better, start):
+    """Run fit_one(r) for each restart r and keep the best FitResult.
+
+    better(a, b) compares final objectives (operator.lt to minimize,
+    operator.gt to maximize); a restart replaces the kept one only when it
+    is strictly better, so ties go to the lowest restart index. A restart
+    that raises one of RESTART_ERRORS is skipped and recorded in
+    failed_restarts; if every restart fails, NumericalError is raised from
+    the last error. wall_time is measured from `start`.
+    """
+    if restarts < 1:
+        raise InvalidInputError("restarts must be >= 1")
+    best = None
+    failed = []
+    for r in range(restarts):
+        try:
+            result = fit_one(r)
+        except RESTART_ERRORS as exc:
+            failed.append((r, f"{type(exc).__name__}: {exc}"))
+            last_error = exc
+            continue
+        if best is None or better(result.objective_trace[-1], best.objective_trace[-1]):
+            best = result
+    if best is None:
+        raise NumericalError(f"all {restarts} restarts failed: {failed[-1][1]}") from last_error
+    best.failed_restarts = failed
+    best.wall_time = time.perf_counter() - start
+    return best
 
 
 def _converged(prev, cur, tol):
@@ -330,25 +368,18 @@ def _kmeans_params(X, partition, wcss):
 def kmeans(X, g, max_iter=100, tol=1e-6, restarts=1, seed=0, init="plusplus"):
     """Lloyd's algorithm, best of `restarts` runs by within-cluster sum of squares."""
     X = np.asarray(X, dtype=float)
-    n = X.shape[0]
-    if g < 1:
-        raise InvalidInputError("g must be >= 1")
-    if n < g:
-        raise InvalidInputError(f"need at least g={g} rows, got {n}")
+    _check_fit_args(X, g)
     start = time.perf_counter()
-    best = None
-    for r in range(restarts):
-        rng = restart_rng(seed, r)
-        centers = _seed_centers(X, g, rng, init)
+
+    def fit_one(r):
+        centers = _seed_centers(X, g, restart_rng(seed, r), init)
         assign, centers, trace, iters = lloyd(X, centers, max_iter=max_iter, tol=tol)
-        if best is None or trace[-1] < best.objective_trace[-1]:
-            part = Partition(assignments=assign, g=g)
-            best = FitResult(partition=part,
-                             params=_kmeans_params(X, part, trace[-1]),
-                             objective_trace=trace, iterations=iters,
-                             seed=int(seed), restart_index=r, wall_time=0.0)
-    best.wall_time = time.perf_counter() - start
-    return best
+        part = Partition(assignments=assign, g=g)
+        return FitResult(partition=part, params=_kmeans_params(X, part, trace[-1]),
+                         objective_trace=trace, iterations=iters, seed=int(seed),
+                         restart_index=r, wall_time=0.0)
+
+    return best_of_restarts(fit_one, restarts, operator.lt, start)
 
 
 # ---------------------------------------------------------------------------
@@ -364,33 +395,24 @@ def em_gmm(X, g, max_iter=100, tol=1e-6, restarts=1, seed=0, model="full"):
     X = np.asarray(X, dtype=float)
     _check_fit_args(X, g)
     start = time.perf_counter()
-    best = None
-    last_error = None
-    for r in range(restarts):
+
+    def fit_one(r):
         km = kmeans(X, g, max_iter=max_iter, seed=child_seed(seed, r))
-        try:
-            params = m_step(X, km.partition.one_hot(), model)
-            trace = [log_likelihood(X, params)]
-            iterations = 0
-            for _ in range(max_iter):
-                iterations += 1
-                resp = e_step(X, params)
-                params = m_step(X, resp, model)
-                trace.append(log_likelihood(X, params))
-                if _converged(trace[-2], trace[-1], tol):
-                    break
-            partition = c_step(e_step(X, params))
-        except (EmptyClusterError, SingularMatrixError, NumericalError) as exc:
-            last_error = exc
-            continue
-        if best is None or trace[-1] > best.objective_trace[-1]:
-            best = FitResult(partition=partition, params=params,
-                             objective_trace=trace, iterations=iterations,
-                             seed=int(seed), restart_index=r, wall_time=0.0)
-    if best is None:
-        raise NumericalError(f"all {restarts} restarts failed: {last_error}")
-    best.wall_time = time.perf_counter() - start
-    return best
+        params = m_step(X, km.partition.one_hot(), model)
+        trace = [log_likelihood(X, params)]
+        iterations = 0
+        for _ in range(max_iter):
+            iterations += 1
+            resp = e_step(X, params)
+            params = m_step(X, resp, model)
+            trace.append(log_likelihood(X, params))
+            if _converged(trace[-2], trace[-1], tol):
+                break
+        return FitResult(partition=c_step(e_step(X, params)), params=params,
+                         objective_trace=trace, iterations=iterations,
+                         seed=int(seed), restart_index=r, wall_time=0.0)
+
+    return best_of_restarts(fit_one, restarts, operator.gt, start)
 
 
 def _repair_empty(assign, lp, g):
@@ -451,25 +473,17 @@ def cem(X, g, max_iter=100, tol=1e-6, restarts=1, seed=0, model="full"):
     X = np.asarray(X, dtype=float)
     _check_fit_args(X, g)
     start = time.perf_counter()
-    best = None
-    last_error = None
-    for r in range(restarts):
+
+    def fit_one(r):
         km = kmeans(X, g, max_iter=max_iter, seed=child_seed(seed, r))
-        try:
-            params = m_step(X, km.partition.one_hot(), model)
-            partition, params, trace, iterations = cem_refine(
-                X, km.partition, params, max_iter=max_iter, tol=tol, model=model)
-        except (EmptyClusterError, SingularMatrixError, NumericalError) as exc:
-            last_error = exc
-            continue
-        if best is None or trace[-1] > best.objective_trace[-1]:
-            best = FitResult(partition=partition, params=params,
-                             objective_trace=trace, iterations=iterations,
-                             seed=int(seed), restart_index=r, wall_time=0.0)
-    if best is None:
-        raise NumericalError(f"all {restarts} restarts failed: {last_error}")
-    best.wall_time = time.perf_counter() - start
-    return best
+        params = m_step(X, km.partition.one_hot(), model)
+        partition, params, trace, iterations = cem_refine(
+            X, km.partition, params, max_iter=max_iter, tol=tol, model=model)
+        return FitResult(partition=partition, params=params,
+                         objective_trace=trace, iterations=iterations,
+                         seed=int(seed), restart_index=r, wall_time=0.0)
+
+    return best_of_restarts(fit_one, restarts, operator.gt, start)
 
 
 def _check_fit_args(X, g):

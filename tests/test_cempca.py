@@ -6,7 +6,8 @@ from cempca import mixture
 from cempca.cempca import (CempcaConfig, EmbeddingBundle, fit_cempca,
                            objective, pca_embed, prepare_features, update_B,
                            update_M, update_Q)
-from cempca.errors import DegenerateUpdateError, InvalidInputError
+from cempca.errors import (DegenerateUpdateError, InvalidInputError,
+                           NumericalError)
 from cempca.linalg import thin_svd
 from cempca.metrics import ari
 from cempca.mixture import (MixtureParams, Partition, complete_log_likelihood,
@@ -243,6 +244,43 @@ def test_fit_embeds_once_for_all_restarts(monkeypatch, restarts):
     assert calls == [3]
 
 
+def _failing_update_B(monkeypatch, failures):
+    """Make the first `failures` calls of update_B raise, as a degenerate
+    polar factor would; restart r makes its first call before restart r+1."""
+    calls = []
+    real = core.update_B
+
+    def update_B(X, Q, M, delta):
+        calls.append(1)
+        if len(calls) <= failures:
+            raise DegenerateUpdateError("X Q + delta M is rank-deficient")
+        return real(X, Q, M, delta)
+
+    monkeypatch.setattr(core, "update_B", update_B)
+
+
+def test_fit_skips_and_records_a_degenerate_restart(monkeypatch):
+    rng = np.random.default_rng(17)
+    X = rng.standard_normal((50, 4))
+    cfg = CempcaConfig(g=2, p=3, restarts=3, smoothing=0)
+    _failing_update_B(monkeypatch, 1)
+    res = fit_cempca(X, cfg, seed=0)
+    assert res.failed_restarts == [
+        (0, "DegenerateUpdateError: X Q + delta M is rank-deficient")]
+    assert res.restart_index != 0
+    monkeypatch.undo()
+    assert fit_cempca(X, cfg, seed=0).failed_restarts == []
+
+
+def test_fit_fails_when_every_restart_fails(monkeypatch):
+    rng = np.random.default_rng(18)
+    X = rng.standard_normal((50, 4))
+    _failing_update_B(monkeypatch, 2)
+    with pytest.raises(NumericalError, match="all 2 restarts failed") as err:
+        fit_cempca(X, CempcaConfig(g=2, p=3, restarts=2, smoothing=0), seed=0)
+    assert isinstance(err.value.__cause__, DegenerateUpdateError)
+
+
 def test_fit_orthonormal_embedding():
     rng = np.random.default_rng(15)
     X = rng.standard_normal((30, 4))
@@ -308,17 +346,6 @@ def test_fit_atom_replica_all_metrics():
     assert nmi_score(ds.labels, pred) >= 0.95
     assert ari_score(ds.labels, pred) >= 0.95
     assert accuracy(ds.labels, pred) >= 0.95
-
-
-def test_fit_graph_as_features_runs():
-    rng = np.random.default_rng(20)
-    X = np.vstack([rng.standard_normal((25, 3)),
-                   rng.standard_normal((25, 3)) + 8.0])
-    cfg = CempcaConfig(g=2, p=2, restarts=2, neighbors=5,
-                       use_graph_as_features=True)
-    res = fit_cempca(X, cfg, seed=0)
-    assert res.bundle.B.shape == (50, 2)
-    assert res.bundle.Q.shape == (50, 2)  # features are the n x n graph
 
 
 def test_fit_rejects_bad_config():

@@ -292,3 +292,58 @@ def test_benchmark_failed_cell_records_error(tmp_path):
     failed = rows["too-wide"]
     assert failed["status"] == "failed"
     assert failed["error"] == "p_used must be in [1, 3], got 50"
+
+
+def test_fit_cempca_defaults_come_from_config(tmp_path, monkeypatch):
+    from cempca import cli
+    from cempca.cempca import CempcaConfig
+
+    data = tmp_path / "d.csv"
+    run(["generate", "--shape", "tetra", "--n", 60, "--seed", 2, "--out", data])
+    seen = []
+
+    class Stop(Exception):
+        pass
+
+    def capture(X, cfg, seed):
+        seen.append(cfg)
+        raise Stop
+
+    monkeypatch.setattr(cli, "fit_cempca", capture)
+    with pytest.raises(Stop):
+        run(["fit", "cempca", data, "--g", 4])
+    assert seen == [CempcaConfig(g=4)]
+
+
+def test_benchmark_csv_counts_failed_restarts(tmp_path, monkeypatch):
+    from cempca import cempca as core
+    from cempca.errors import DegenerateUpdateError
+
+    real = core.update_B
+    calls = []
+
+    def update_B(X, Q, M, delta):
+        calls.append(1)
+        if len(calls) == 1:
+            raise DegenerateUpdateError("X Q + delta M is rank-deficient")
+        return real(X, Q, M, delta)
+
+    monkeypatch.setattr(core, "update_B", update_B)
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({
+        "seed": 1,
+        "datasets": [{"name": "tetra", "shape": "tetra", "n": 100, "seed": 2}],
+        "methods": [{"name": "cempca", "method": "cempca",
+                     "params": {"restarts": 3, "smooth": 0}},
+                    {"name": "kmeans", "method": "kmeans", "params": {"restarts": 2}},
+                    {"name": "too-wide", "method": "kmeans-pca",
+                     "params": {"restarts": 2, "p": 50}}],
+    }))
+    out_dir = tmp_path / "results"
+    assert run(["benchmark", suite, out_dir]) == 0
+    header, rows = _read_results(out_dir)
+    assert header[-2:] == ["failed_restarts", "error"]
+    assert rows["cempca"]["status"] == "ok"
+    assert rows["cempca"]["failed_restarts"] == "1"
+    assert rows["kmeans"]["failed_restarts"] == "0"
+    assert rows["too-wide"]["failed_restarts"] == ""

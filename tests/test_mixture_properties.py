@@ -1,6 +1,8 @@
 """Property tests for the cached-factor mixture kernel against the
-single-point log_gaussian reference."""
+single-point log_gaussian reference, and for the restart engine."""
 
+import operator
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -9,8 +11,11 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from cempca.errors import SingularMatrixError  # noqa: E402
-from cempca.mixture import (COV_MODELS, MixtureParams, Partition,  # noqa: E402
+from cempca.errors import (DegenerateUpdateError,  # noqa: E402
+                           EmptyClusterError, InvalidInputError,
+                           NumericalError, SingularMatrixError)
+from cempca.mixture import (COV_MODELS, FitResult, MixtureParams,  # noqa: E402
+                            Partition, best_of_restarts,
                             complete_log_likelihood, e_step, log_gaussian,
                             log_joint)
 
@@ -111,3 +116,57 @@ def test_factor_cache_outside_repr_and_fields():
     assert repr(params) == text
     assert [f.name for f in MixtureParams.__dataclass_fields__.values()] == [
         "weights", "means", "covariances", "model"]
+
+
+# One of each error type that skips a restart, built from the restart index.
+SKIPPABLE = (lambda r: DegenerateUpdateError(f"degenerate at restart {r}"),
+             EmptyClusterError,
+             lambda r: NumericalError(f"overflow at restart {r}"),
+             lambda r: SingularMatrixError(f"singular at restart {r}"))
+
+
+def _restart_result(value, r):
+    return FitResult(partition=Partition(assignments=np.zeros(1, dtype=int), g=1),
+                     params=None, objective_trace=[float(value)], iterations=1,
+                     seed=0, restart_index=r, wall_time=0.0)
+
+
+@SETTINGS
+@given(runs=st.lists(st.tuples(st.integers(-2, 2), st.booleans()), min_size=1,
+                     max_size=10),
+       better=st.sampled_from([operator.lt, operator.gt]))
+def test_best_of_restarts_keeps_first_strict_optimum(runs, better):
+    raised = []
+
+    def fit_one(r):
+        value, fails = runs[r]
+        if fails:
+            raised.append(SKIPPABLE[r % len(SKIPPABLE)](r))
+            raise raised[-1]
+        return _restart_result(value, r)
+
+    start = time.perf_counter()
+    ok = [r for r, (_, fails) in enumerate(runs) if not fails]
+    if not ok:
+        with pytest.raises(NumericalError, match=f"all {len(runs)} restarts failed") as err:
+            best_of_restarts(fit_one, len(runs), better, start)
+        assert err.value.__cause__ is raised[-1]
+        return
+    result = best_of_restarts(fit_one, len(runs), better, start)
+    target = (min if better is operator.lt else max)(runs[r][0] for r in ok)
+    assert result.restart_index == next(r for r in ok if runs[r][0] == target)
+    assert result.failed_restarts == [
+        (r, f"{type(exc).__name__}: {exc}")
+        for r, exc in zip([r for r, (_, fails) in enumerate(runs) if fails], raised)]
+    assert result.wall_time >= 0.0
+
+
+def test_best_of_restarts_lets_other_errors_through():
+    def fit_one(r):
+        raise InvalidInputError("bad argument")
+
+    with pytest.raises(InvalidInputError, match="bad argument"):
+        best_of_restarts(fit_one, 3, operator.lt, time.perf_counter())
+    with pytest.raises(InvalidInputError, match="restarts must be >= 1"):
+        best_of_restarts(lambda r: _restart_result(0, r), 0, operator.lt,
+                         time.perf_counter())
