@@ -1,5 +1,11 @@
 """Command-line surface: dataset generation, fitting, evaluation, benchmarks.
 
+SETTINGS is the one statement of which settings each method reads, under the
+names `cempca fit` flags and suite params use, and of their defaults;
+run_method resolves every fit against it and rejects keys it does not list.
+_load_data is the one CSV loader: a column headed `label` holds the labels
+unless another column is named.
+
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical failure.
 A benchmark runs its cells one after another, in suite order.
 """
@@ -17,13 +23,24 @@ from .baselines import kmeans_pca, reduced_kmeans
 from .cempca import CempcaConfig, fit_cempca
 from .data import (FCPS_SHAPES, gen_chang, gen_fcps, load_csv, save_csv,
                    standardize)
-from .errors import (CempcaError, DataError, DegenerateUpdateError,
-                     EmptyClusterError, InvalidInputError, NumericalError,
-                     SingularMatrixError)
+from .errors import NUMERICAL_ERRORS, CempcaError, DataError, InvalidInputError
 from .metrics import accuracy, ari, nmi
 from .mixture import cem, em_gmm, kmeans
 
-METHODS = ("cempca", "em-gmm", "cem", "kmeans", "kmeans-pca", "reduced-kmeans")
+# Method -> {setting: default}. p=None means the smaller of 10 and d.
+_MIXTURE = {"restarts": 20, "max_iter": 100, "tol": 1e-6, "standardize": True}
+SETTINGS = {
+    "cempca": {"p": CempcaConfig.p, "delta": CempcaConfig.delta,
+               "neighbors": CempcaConfig.neighbors, "smooth": CempcaConfig.smoothing,
+               "restarts": CempcaConfig.restarts, "max_iter": CempcaConfig.max_iter,
+               "tol": CempcaConfig.tol, "cov": CempcaConfig.model,
+               "standardize": CempcaConfig.standardize},
+    "em-gmm": {**_MIXTURE, "cov": "full"},
+    "cem": {**_MIXTURE, "cov": "full"},
+    "kmeans": _MIXTURE,
+    "kmeans-pca": {**_MIXTURE, "p": None},
+    "reduced-kmeans": {**_MIXTURE, "p": None},
+}
 GENERATOR_SHAPES = ("chang",) + FCPS_SHAPES
 
 EXIT_USAGE = 2
@@ -31,8 +48,6 @@ EXIT_DATA = 3
 EXIT_NUMERICAL = 4
 
 _DATA_ERRORS = (DataError, InvalidInputError)
-_NUMERICAL_ERRORS = (SingularMatrixError, DegenerateUpdateError,
-                     EmptyClusterError, NumericalError)
 
 
 @dataclasses.dataclass
@@ -56,94 +71,73 @@ def _generate_dataset(shape, n, seed):
     return gen_fcps(shape, n=n, seed=seed)
 
 
-def _auto_label_column(path, has_header):
-    if not has_header:
-        return None
+def _load_data(path, label_column=None, has_header=True):
+    """Load a CSV dataset whose `label` column, if any, holds the labels.
+
+    label_column names another column, by header name or zero-based index
+    (an int or a string of digits). has_header=None takes the first row as
+    a header when any of its cells is not a number.
+    """
     try:
         with open(path, newline="") as fh:
-            header = next(csv.reader(fh), [])
+            first = [c.strip() for c in next(csv.reader(fh), [])]
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
-    return "label" if "label" in [c.strip() for c in header] else None
+    if has_header is None:
+        has_header = not all(_is_number(c) for c in first)
+    if label_column is None and has_header and "label" in first:
+        label_column = "label"
+    elif isinstance(label_column, str) and label_column.lstrip("-").isdigit():
+        label_column = int(label_column)
+    return load_csv(path, label_column=label_column, has_header=has_header)
 
 
-def _load_fit_data(args):
-    has_header = not args.no_header
-    label = args.label_column
-    if label is None:
-        label = _auto_label_column(args.data, has_header)
-    elif label.lstrip("-").isdigit():
-        label = int(label)
-    return load_csv(args.data, label_column=label, has_header=has_header)
-
-
-def _resolved_config(args, method):
-    max_iter = args.max_iter
-    if max_iter is None:
-        max_iter = CempcaConfig.max_iter if method == "cempca" else 100
-    cfg = {
-        "g": args.g,
-        "seed": args.seed,
-        "restarts": args.restarts,
-        "max_iter": max_iter,
-        "tol": args.tol,
-        "standardize": args.standardize,
-    }
-    if method in ("cempca", "kmeans-pca", "reduced-kmeans"):
-        cfg["p"] = args.p
-    if method == "cempca":
-        cfg.update(delta=args.delta, neighbors=args.neighbors,
-                   smooth=args.smooth, cov=args.cov)
-    if method in ("em-gmm", "cem"):
-        cfg["cov"] = args.cov
-    return cfg
+def _is_number(cell):
+    try:
+        float(cell)
+        return True
+    except ValueError:
+        return False
 
 
 def run_method(method, dataset, config, seed):
-    """Fit one method on one dataset; returns (RunRecord, FitResult)."""
-    X = dataset.X
-    stdize = config.get("standardize", True)
-    g = config["g"]
-    restarts = config.get("restarts", 20)
-    max_iter = config.get("max_iter", 100)
-    tol = config.get("tol", 1e-6)
-    p = config.get("p")
-    model = config.get("cov", "full")
-    if model == "diag":
-        model = "diagonal"
+    """Fit one method on one dataset; returns (RunRecord, FitResult).
+
+    config holds "g" and any of the method's SETTINGS; the rest take their
+    defaults, and a key the method does not read raises InvalidInputError.
+    """
+    if method not in SETTINGS:
+        raise InvalidInputError(f"unknown method {method!r}")
+    given = dict(config)
+    g = given.pop("g")
+    unknown = sorted(set(given) - set(SETTINGS[method]))
+    if unknown:
+        raise InvalidInputError(f"method {method!r} does not read "
+                                + ", ".join(map(repr, unknown)))
+    s = {**SETTINGS[method], **given}
+    model = "diagonal" if s.get("cov") == "diag" else s.get("cov")
 
     if method == "cempca":
-        cfg = CempcaConfig(g=g, p=p,
-                           delta=config.get("delta", CempcaConfig.delta),
-                           neighbors=config.get("neighbors", CempcaConfig.neighbors),
-                           smoothing=config.get("smooth", CempcaConfig.smoothing),
-                           restarts=restarts,
-                           max_iter=config.get("max_iter", CempcaConfig.max_iter),
-                           tol=tol,
-                           model=model,
-                           standardize=stdize)
-        result = fit_cempca(X, cfg, seed=seed)
+        cfg = CempcaConfig(g=g, p=s["p"], delta=s["delta"], neighbors=s["neighbors"],
+                           smoothing=s["smooth"], restarts=s["restarts"],
+                           max_iter=s["max_iter"], tol=s["tol"], model=model,
+                           standardize=s["standardize"])
+        result = fit_cempca(dataset.X, cfg, seed=seed)
     else:
-        Xf = standardize(X) if stdize else np.asarray(X, dtype=float)
+        X = dataset.X
+        Xf = standardize(X) if s["standardize"] else np.asarray(X, dtype=float)
+        common = dict(max_iter=s["max_iter"], tol=s["tol"], restarts=s["restarts"],
+                      seed=seed)
         if method == "em-gmm":
-            result = em_gmm(Xf, g, max_iter=max_iter, tol=tol, restarts=restarts,
-                            seed=seed, model=model)
+            result = em_gmm(Xf, g, model=model, **common)
         elif method == "cem":
-            result = cem(Xf, g, max_iter=max_iter, tol=tol, restarts=restarts,
-                         seed=seed, model=model)
+            result = cem(Xf, g, model=model, **common)
         elif method == "kmeans":
-            result = kmeans(Xf, g, max_iter=max_iter, tol=tol, restarts=restarts,
-                            seed=seed)
-        elif method == "kmeans-pca":
-            p_used = p if p is not None else min(10, Xf.shape[1])
-            result = kmeans_pca(Xf, g, p_used, restarts=restarts, seed=seed,
-                                max_iter=max_iter, tol=tol)
-        elif method == "reduced-kmeans":
-            p_used = p if p is not None else min(10, Xf.shape[1])
-            result = reduced_kmeans(Xf, g, p_used, restarts=restarts, seed=seed,
-                                    max_iter=max_iter, tol=tol)
+            result = kmeans(Xf, g, **common)
         else:
-            raise InvalidInputError(f"unknown method {method!r}")
+            p = s["p"] if s["p"] is not None else min(10, Xf.shape[1])
+            fit = kmeans_pca if method == "kmeans-pca" else reduced_kmeans
+            result = fit(Xf, g, p, **common)
 
     scores = {}
     if dataset.labels is not None:
@@ -151,7 +145,8 @@ def run_method(method, dataset, config, seed):
         scores = {"acc": accuracy(dataset.labels, pred),
                   "nmi": nmi(dataset.labels, pred),
                   "ari": ari(dataset.labels, pred)}
-    record = RunRecord(method=method, dataset=dataset.name, config=dict(config),
+    record = RunRecord(method=method, dataset=dataset.name,
+                       config={"g": g, "seed": seed, **s},
                        seed=seed, metrics=scores, iterations=result.iterations,
                        wall_time=result.wall_time,
                        objective_final=float(result.objective_trace[-1]),
@@ -179,9 +174,11 @@ def cmd_generate(args):
 
 
 def cmd_fit(args):
-    dataset = _load_fit_data(args)
-    config = _resolved_config(args, args.method)
-    record, result = run_method(args.method, dataset, config, args.seed)
+    dataset = _load_data(args.data, args.label_column, not args.no_header)
+    config = {key: getattr(args, key) for key in SETTINGS[args.method]
+              if getattr(args, key) is not None}
+    record, result = run_method(args.method, dataset, {"g": args.g, **config},
+                                args.seed)
     if args.emit_embedding:
         if result.bundle is None:
             print(f"method {args.method} produces no embedding", file=sys.stderr)
@@ -208,30 +205,14 @@ def _read_labels(path):
         if "assignments" not in payload:
             raise DataError(f"{path} has no 'assignments' field")
         return np.asarray(payload["assignments"], dtype=int)
-    try:
-        with open(path, newline="") as fh:
-            first = next(csv.reader(fh), [])
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from None
-    header = [c.strip() for c in first]
-    has_header = any(not _is_number(c) for c in header)
-    if has_header and "label" in header:
-        ds = load_csv(path, label_column="label", has_header=True)
+    ds = _load_data(path, has_header=None)
+    if ds.labels is not None:
         return ds.labels
-    ds = load_csv(path, label_column=None, has_header=has_header)
     if ds.d != 1:
         raise DataError(f"{path} has {ds.d} columns; expected a single label "
                         "column or a 'label' header")
     seen = {}
     return np.asarray([seen.setdefault(v, len(seen)) for v in ds.X[:, 0]], dtype=int)
-
-
-def _is_number(cell):
-    try:
-        float(cell)
-        return True
-    except ValueError:
-        return False
 
 
 def cmd_evaluate(args):
@@ -253,10 +234,8 @@ def _suite_cell_seed(base_seed, i, j):
 
 def _benchmark_cell(cell):
     dataset, method_name, method, params, seed = cell
-    config = dict(params)
-    config.setdefault("g", dataset.n_classes or config.get("g"))
     try:
-        record, _ = run_method(method, dataset, config, seed)
+        record, _ = run_method(method, dataset, params, seed)
         return {"dataset": dataset.name, "method": method_name, "seed": seed,
                 "status": "ok", "record": record}
     except CempcaError as exc:
@@ -277,17 +256,15 @@ def cmd_benchmark(args):
     datasets = []
     for entry in suite.get("datasets", []):
         if "path" in entry:
-            ds = load_csv(entry["path"],
-                          label_column=entry.get("label_column", "label"))
+            ds = _load_data(entry["path"], entry.get("label_column"))
         else:
             ds = _generate_dataset(entry["shape"], entry.get("n"),
                                    entry.get("seed", 0))
         ds.name = entry.get("name", ds.name)
-        if "g" in entry:
-            entry_g = entry["g"]
-        else:
-            entry_g = ds.n_classes
-        datasets.append((ds, entry_g))
+        if ds.labels is None and "g" not in entry:
+            raise InvalidInputError(f"dataset {ds.name!r} has no labels, "
+                                    'so its entry must give "g"')
+        datasets.append((ds, entry.get("g", ds.n_classes)))
     methods = suite.get("methods", [])
 
     cells = []
@@ -402,22 +379,22 @@ def build_parser():
     gen.set_defaults(func=cmd_generate)
 
     fit = sub.add_parser("fit", help="fit one method on a CSV dataset")
-    fit.add_argument("method", choices=METHODS)
+    fit.add_argument("method", choices=SETTINGS)
     fit.add_argument("data", help="CSV file; a 'label' column is used for metrics")
     fit.add_argument("--g", type=int, required=True)
-    fit.add_argument("--p", type=int, default=None)
-    fit.add_argument("--delta", type=float, default=CempcaConfig.delta)
-    fit.add_argument("--neighbors", type=int, default=CempcaConfig.neighbors)
-    fit.add_argument("--smooth", type=int, default=CempcaConfig.smoothing)
-    fit.add_argument("--restarts", type=int, default=20)
+    # the method settings default to None: run_method fills in SETTINGS
+    fit.add_argument("--p", type=int)
+    fit.add_argument("--delta", type=float)
+    fit.add_argument("--neighbors", type=int)
+    fit.add_argument("--smooth", type=int)
+    fit.add_argument("--restarts", type=int)
     fit.add_argument("--seed", type=int, default=0)
-    fit.add_argument("--max-iter", type=int, default=None,
-                     help="iteration cap (default: 40 for cempca, 100 otherwise)")
-    fit.add_argument("--tol", type=float, default=1e-6)
-    fit.add_argument("--cov", default="full",
-                     choices=("full", "diag", "spherical", "spherical-tied"))
-    fit.add_argument("--standardize", default=True,
-                     action=argparse.BooleanOptionalAction)
+    fit.add_argument("--max-iter", type=int,
+                     help=f"iteration cap (default: {SETTINGS['cempca']['max_iter']} "
+                          f"for cempca, {SETTINGS['kmeans']['max_iter']} otherwise)")
+    fit.add_argument("--tol", type=float)
+    fit.add_argument("--cov", choices=("full", "diag", "spherical", "spherical-tied"))
+    fit.add_argument("--standardize", action=argparse.BooleanOptionalAction)
     fit.add_argument("--emit-embedding", metavar="PATH", default=None,
                      help="also write B and M coordinates to this CSV")
     fit.add_argument("--label-column", default=None,
@@ -443,7 +420,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _NUMERICAL_ERRORS as exc:
+    except NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except _DATA_ERRORS as exc:

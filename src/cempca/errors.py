@@ -42,3 +42,8 @@ class DegenerateUpdateError(CempcaError):
 
 class NumericalError(CempcaError):
     """A computation left the representable range (overflow, all-zero densities)."""
+
+
+# Numerical failures: a restart that raises one is skipped, and the CLI exits 4.
+NUMERICAL_ERRORS = (DegenerateUpdateError, EmptyClusterError, NumericalError,
+                    SingularMatrixError)

@@ -10,8 +10,8 @@ import numpy as np
 import scipy.linalg
 from scipy.special import logsumexp
 
-from .errors import (DegenerateUpdateError, EmptyClusterError,
-                     InvalidInputError, NumericalError, SingularMatrixError)
+from .errors import (NUMERICAL_ERRORS, EmptyClusterError, InvalidInputError,
+                     NumericalError, SingularMatrixError)
 
 COV_MODELS = ("full", "diagonal", "spherical", "spherical-tied")
 
@@ -114,18 +114,13 @@ def child_seed(seed, restart):
     return int(derive_seed(seed, restart).generate_state(1)[0])
 
 
-# Errors that skip one restart rather than fail the whole fit.
-RESTART_ERRORS = (DegenerateUpdateError, EmptyClusterError, NumericalError,
-                  SingularMatrixError)
-
-
 def best_of_restarts(fit_one, restarts, better, start):
     """Run fit_one(r) for each restart r and keep the best FitResult.
 
     better(a, b) compares final objectives (operator.lt to minimize,
     operator.gt to maximize); a restart replaces the kept one only when it
     is strictly better, so ties go to the lowest restart index. A restart
-    that raises one of RESTART_ERRORS is skipped and recorded in
+    that raises one of NUMERICAL_ERRORS is skipped and recorded in
     failed_restarts; if every restart fails, NumericalError is raised from
     the last error. wall_time is measured from `start`.
     """
@@ -136,7 +131,7 @@ def best_of_restarts(fit_one, restarts, better, start):
     for r in range(restarts):
         try:
             result = fit_one(r)
-        except RESTART_ERRORS as exc:
+        except NUMERICAL_ERRORS as exc:
             failed.append((r, f"{type(exc).__name__}: {exc}"))
             last_error = exc
             continue

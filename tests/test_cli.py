@@ -347,3 +347,133 @@ def test_benchmark_csv_counts_failed_restarts(tmp_path, monkeypatch):
     assert rows["cempca"]["failed_restarts"] == "1"
     assert rows["kmeans"]["failed_restarts"] == "0"
     assert rows["too-wide"]["failed_restarts"] == ""
+
+
+def _write_unlabeled(path, n=40):
+    path.write_text("x0,x1\n" + "".join(f"{(i * 7) % 11 + 0.1 * i},{i % 3}\n"
+                                        for i in range(n)))
+
+
+def test_benchmark_unlabeled_csv_runs_with_g(tmp_path):
+    data = tmp_path / "plain.csv"
+    _write_unlabeled(data)
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({
+        "seed": 1,
+        "datasets": [{"name": "plain", "path": str(data), "g": 2}],
+        "methods": [{"name": "kmeans", "method": "kmeans", "params": {"restarts": 2}}],
+    }))
+    out_dir = tmp_path / "results"
+    assert run(["benchmark", suite, out_dir]) == 0
+    _, rows = _read_results(out_dir)
+    assert rows["kmeans"]["status"] == "ok"
+    assert rows["kmeans"]["nmi"] == ""
+
+
+def test_benchmark_unlabeled_csv_without_g_is_a_data_error(tmp_path, capsys):
+    data = tmp_path / "plain.csv"
+    _write_unlabeled(data)
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({
+        "datasets": [{"name": "plain", "path": str(data)}],
+        "methods": [{"name": "kmeans", "method": "kmeans", "params": {"restarts": 2}}],
+    }))
+    out_dir = tmp_path / "results"
+    assert run(["benchmark", suite, out_dir]) == 3
+    err = capsys.readouterr().err
+    assert "'plain'" in err and '"g"' in err
+    assert not out_dir.exists()
+
+
+def test_run_method_rejects_settings_the_method_does_not_read(tmp_path):
+    from cempca.cli import run_method
+    from cempca.data import gen_fcps
+    from cempca.errors import InvalidInputError
+
+    ds = gen_fcps("tetra", 60, seed=2)
+    for method, key in (("cempca", "smoothing"), ("cempca", "model"),
+                        ("kmeans", "cov"), ("kmeans", "p"), ("cem", "max_iters"),
+                        ("em-gmm", "seed")):
+        with pytest.raises(InvalidInputError, match=repr(key)):
+            run_method(method, ds, {"g": 4, key: 0}, 1)
+
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({
+        "seed": 1,
+        "datasets": [{"name": "tetra", "shape": "tetra", "n": 60, "seed": 2}],
+        "methods": [{"name": "typo", "method": "cem",
+                     "params": {"restarts": 2, "max_iters": 5}},
+                    {"name": "kmeans", "method": "kmeans", "params": {"restarts": 2}}],
+    }))
+    out_dir = tmp_path / "results"
+    assert run(["benchmark", suite, out_dir]) == 0
+    _, rows = _read_results(out_dir)
+    assert rows["typo"]["status"] == "failed"
+    assert "'max_iters'" in rows["typo"]["error"]
+    assert rows["kmeans"]["status"] == "ok"
+
+
+def test_fit_defaults_match_table_and_library(tmp_path):
+    import dataclasses
+    import inspect
+
+    from cempca.baselines import kmeans_pca, reduced_kmeans
+    from cempca.cempca import CempcaConfig
+    from cempca.cli import SETTINGS
+    from cempca.mixture import cem, em_gmm, kmeans
+
+    data = tmp_path / "d.csv"
+    run(["generate", "--shape", "tetra", "--n", 40, "--seed", 2, "--out", data])
+    for method, defaults in SETTINGS.items():
+        out = tmp_path / f"{method}.json"
+        assert run(["fit", method, data, "--g", 4, "--out", out]) == 0
+        config = json.loads(out.read_text())["config"]
+        assert config == {**defaults, "g": 4, "seed": 0}, method
+
+    library = {f.name: f.default for f in dataclasses.fields(CempcaConfig) if f.name != "g"}
+    spelled = {"smooth": "smoothing", "cov": "model"}
+    assert {spelled.get(k, k): v for k, v in SETTINGS["cempca"].items()} == library
+    functions = {"kmeans": kmeans, "em-gmm": em_gmm, "cem": cem,
+                 "kmeans-pca": kmeans_pca, "reduced-kmeans": reduced_kmeans}
+    assert set(functions) | {"cempca"} == set(SETTINGS)
+    for method, fn in functions.items():
+        params = inspect.signature(fn).parameters
+        for key in ("max_iter", "tol"):
+            assert SETTINGS[method][key] == params[key].default, (method, key)
+        if "cov" in SETTINGS[method]:
+            assert SETTINGS[method]["cov"] == params["model"].default, method
+
+
+def _evaluate(argv, capsys):
+    code = run(["evaluate", *argv])
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_evaluate_headerless_single_column_of_floats(tmp_path, capsys):
+    pred = tmp_path / "pred.csv"
+    pred.write_text("2.0\n2.0\n0.5\n0.5\n1.0\n")
+    truth = tmp_path / "truth.csv"
+    truth.write_text("label\n0\n0\n1\n1\n2\n")
+    code, out, _ = _evaluate([pred, truth], capsys)
+    assert code == 0
+    assert json.loads(out) == {"acc": 1.0, "ari": 1.0, "nmi": 1.0}
+
+
+def test_evaluate_single_column_header_not_named_label(tmp_path, capsys):
+    pred = tmp_path / "pred.csv"
+    pred.write_text("cluster\n1\n1\n0\n0\n")
+    truth = tmp_path / "truth.csv"
+    truth.write_text("label\n0\n1\n0\n1\n")
+    code, out, _ = _evaluate([pred, truth], capsys)
+    assert code == 0
+    assert json.loads(out)["acc"] == 0.5
+
+
+def test_evaluate_two_columns_without_label_is_a_data_error(tmp_path, capsys):
+    pred = tmp_path / "pred.csv"
+    pred.write_text("a,b\n0,1\n1,0\n")
+    code, out, err = _evaluate([pred, pred], capsys)
+    assert code == 3 and out == ""
+    assert err == (f"data error: {pred} has 2 columns; expected a single label "
+                   "column or a 'label' header\n")
