@@ -36,14 +36,14 @@ def _procrustes_loadings(G):
     return U @ V.T
 
 
-def reduced_kmeans(X, g, p, restarts=10, seed=0, max_iter=100, tol=1e-6,
-                   record_history=False):
+def reduced_kmeans(X, g, p, restarts=10, seed=0, max_iter=100, tol=1e-6):
     """Alternating fit of the clustered factorization || X - Z S Q^T ||^2.
 
     Given the partition and centroids, Q is the polar factor of X^T (Z S);
     given Q, warm-started Lloyd rounds on the scores X Q refit Z and S.
     Both half-steps minimize their block, so the objective never increases.
-    Best of `restarts` runs by final objective.
+    Best of `restarts` runs by final objective. step_trace holds one
+    {"Q", "S", "assignments"} entry per iteration.
     """
     X = np.asarray(X, dtype=float)
     n, d = X.shape
@@ -58,12 +58,11 @@ def reduced_kmeans(X, g, p, restarts=10, seed=0, max_iter=100, tol=1e-6,
     def fit_one(r):
         # seed exactly like kmeans restart r so the p = d case reproduces
         # the plain K-means partition for equal seeds
-        centers = mixture._seed_centers(scores0, g, mixture.restart_rng(seed, r),
-                                        "plusplus")
+        centers = mixture._seed_centers(scores0, g, mixture.restart_rng(seed, r))
         assign, S, _, _ = mixture.lloyd(scores0, centers, max_iter=max_iter, tol=tol)
         Q = Q0
         trace = [_rkm_objective(X, assign, S, Q)]
-        history = [] if record_history else None
+        history = []
         iterations = 0
         for _ in range(max_iter):
             iterations += 1
@@ -72,9 +71,7 @@ def reduced_kmeans(X, g, p, restarts=10, seed=0, max_iter=100, tol=1e-6,
             centers = np.vstack([scores[assign == k].mean(axis=0) for k in range(g)])
             assign, S, _, _ = mixture.lloyd(scores, centers, max_iter=max_iter, tol=tol)
             trace.append(_rkm_objective(X, assign, S, Q))
-            if record_history:
-                history.append({"Q": Q.copy(), "S": S.copy(),
-                                "assignments": assign.copy()})
+            history.append({"Q": Q, "S": S, "assignments": assign})
             if mixture._converged(trace[-2], trace[-1], tol):
                 break
         part = Partition(assignments=assign, g=g)

@@ -158,32 +158,27 @@ def _seed_partition(B, g, restart, seed):
     style = restart % 3
     if style == 0:
         return Partition(assignments=mixture.random_partition(n, g, rng), g=g)
-    if style == 1:
-        km = mixture.kmeans(B, g, restarts=1, seed=mixture.child_seed(seed, restart))
-        return km.partition
-    column = p - 1 - ((restart // 3) % p)
-    km = mixture.kmeans(B[:, [column]], g, restarts=1,
-                        seed=mixture.child_seed(seed, restart))
-    return km.partition
+    if style == 2:
+        B = B[:, [p - 1 - ((restart // 3) % p)]]
+    return mixture.kmeans(B, g, restarts=1,
+                          seed=mixture.child_seed(seed, restart)).partition
 
 
-def _fit_single(X, B, Q, cfg, seed, restart, trace_steps):
+def _fit_single(X, B, Q, cfg, seed, restart):
     """One restart from the principal embedding B and its loadings Q."""
     part = _seed_partition(B, cfg.g, restart, seed)
     params = mixture.m_step(B, part.one_hot(), cfg.model)
-    part, params, _, _ = mixture.cem_refine(B, part, params, tol=cfg.tol,
-                                            model=cfg.model)
+    part, params, _, _ = mixture.cem_refine(B, part, params, tol=cfg.tol)
     bundle = EmbeddingBundle(B=B, Q=Q, M=B.copy())
     trace = [objective(X, bundle, part, params, cfg.delta)]
-    steps = [] if trace_steps else None
+    steps = []
     iterations = 0
     for _ in range(cfg.max_iter):
         iterations += 1
         M = update_M(bundle.B, part, params, cfg.delta)
         bundle = replace(bundle, M=M)
         current = objective(X, bundle, part, params, cfg.delta)
-        if trace_steps:
-            steps.append(("M", current))
+        steps.append(("M", current))
         # The mixture step clusters the embedding rows, continuing the
         # warm state from initialization. Refitting on M instead would be
         # degenerate at small delta: the closed-form M sits numerically on
@@ -193,20 +188,17 @@ def _fit_single(X, B, Q, cfg, seed, restart, trace_steps):
         # exact minimizer of the joint objective; the candidate state is
         # kept only when it does not increase that objective.
         cand_part, cand_params, _, _ = mixture.cem_refine(
-            bundle.B, part, params, tol=cfg.tol, model=cfg.model)
+            bundle.B, part, params, tol=cfg.tol)
         cand = objective(X, bundle, cand_part, cand_params, cfg.delta)
         if cand <= current:
-            part, params = cand_part, cand_params
-        if trace_steps:
-            steps.append(("cem", objective(X, bundle, part, params, cfg.delta)))
+            part, params, current = cand_part, cand_params, cand
+        steps.append(("cem", current))
         B = update_B(X, bundle.Q, M, cfg.delta)
         bundle = replace(bundle, B=B)
-        if trace_steps:
-            steps.append(("B", objective(X, bundle, part, params, cfg.delta)))
+        steps.append(("B", objective(X, bundle, part, params, cfg.delta)))
         bundle = replace(bundle, Q=update_Q(X, B))
         value = objective(X, bundle, part, params, cfg.delta)
-        if trace_steps:
-            steps.append(("Q", value))
+        steps.append(("Q", value))
         trace.append(value)
         if mixture._converged(trace[-2], trace[-1], cfg.tol):
             break
@@ -215,15 +207,16 @@ def _fit_single(X, B, Q, cfg, seed, restart, trace_steps):
                      wall_time=0.0, bundle=bundle, step_trace=steps)
 
 
-def fit_cempca(X_raw, cfg, seed=0, trace_steps=False):
+def fit_cempca(X_raw, cfg, seed=0):
     """Run the alternating joint fit; keep the restart with the lowest objective.
 
     The pipeline standardizes and graph-smooths the input per the config,
     initializes B and Q from the principal embedding, seeds the mixture by
     a partition that varies per restart, then sweeps the four block updates
-    until the objective stalls. Restarts that hit a degenerate update are
-    skipped and listed in failed_restarts; the fit fails only if every
-    restart does.
+    until the objective stalls. step_trace holds the objective after every
+    block update, as ("M" | "cem" | "B" | "Q", value), four per sweep.
+    Restarts that hit a degenerate update are skipped and listed in
+    failed_restarts; the fit fails only if every restart does.
     """
     if cfg.delta < 0:
         raise InvalidInputError("delta must be >= 0")
@@ -236,5 +229,5 @@ def fit_cempca(X_raw, cfg, seed=0, trace_steps=False):
     B, _ = pca_embed(X, p)
     Q = update_Q(X, B)
     return mixture.best_of_restarts(
-        lambda r: _fit_single(X, B, Q, cfg, seed, r, trace_steps),
+        lambda r: _fit_single(X, B, Q, cfg, seed, r),
         cfg.restarts, operator.lt, start)

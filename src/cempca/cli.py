@@ -175,7 +175,10 @@ def cmd_generate(args):
 
 def cmd_fit(args):
     dataset = _load_data(args.data, args.label_column, not args.no_header)
-    config = {key: getattr(args, key) for key in SETTINGS[args.method]
+    # every setting flag given goes on, so run_method rejects one the
+    # method does not read
+    flags = {key for settings in SETTINGS.values() for key in settings}
+    config = {key: getattr(args, key) for key in flags
               if getattr(args, key) is not None}
     record, result = run_method(args.method, dataset, {"g": args.g, **config},
                                 args.seed)
@@ -206,13 +209,13 @@ def _read_labels(path):
             raise DataError(f"{path} has no 'assignments' field")
         return np.asarray(payload["assignments"], dtype=int)
     ds = _load_data(path, has_header=None)
-    if ds.labels is not None:
-        return ds.labels
-    if ds.d != 1:
-        raise DataError(f"{path} has {ds.d} columns; expected a single label "
-                        "column or a 'label' header")
-    seen = {}
-    return np.asarray([seen.setdefault(v, len(seen)) for v in ds.X[:, 0]], dtype=int)
+    if ds.labels is None:
+        if ds.d != 1:
+            raise DataError(f"{path} has {ds.d} columns; expected a single label "
+                            "column or a 'label' header")
+        # the one column holds the labels, encoded like a `label` column
+        ds = _load_data(path, label_column=0, has_header=None)
+    return ds.labels
 
 
 def cmd_evaluate(args):

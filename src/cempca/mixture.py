@@ -84,8 +84,10 @@ class FitResult:
     objective_trace holds the per-iteration objective of the method that
     produced it: within-cluster sum of squares for K-means, log-likelihood
     for the mixture fits, and the three-term joint objective for the
-    alternating embedding fit (non-increasing there). failed_restarts lists
-    the restarts that were skipped, as (restart index, "ErrorType: message").
+    alternating embedding fit (non-increasing there). step_trace is set by
+    fit_cempca (the objective after every block update) and reduced_kmeans
+    (the iterates); failed_restarts lists the restarts that were skipped, as
+    (restart index, "ErrorType: message").
     """
 
     partition: Partition
@@ -275,24 +277,21 @@ def log_likelihood(X, params):
 # K-means
 
 
-def _seed_centers(X, g, rng, init):
+def _seed_centers(X, g, rng):
+    """k-means++ centers: each drawn with probability proportional to its
+    squared distance from the nearest center chosen so far."""
     n = X.shape[0]
-    if init == "plusplus":
-        centers = np.empty((g, X.shape[1]))
-        centers[0] = X[rng.integers(n)]
-        for k in range(1, g):
-            d2 = np.min(((X[:, None, :] - centers[None, :k, :]) ** 2).sum(axis=2),
-                        axis=1)
-            total = d2.sum()
-            if total > 0:
-                centers[k] = X[rng.choice(n, p=d2 / total)]
-            else:
-                centers[k] = X[rng.integers(n)]
-        return centers
-    if init == "random-partition":
-        assign = random_partition(n, g, rng)
-        return np.vstack([X[assign == k].mean(axis=0) for k in range(g)])
-    raise InvalidInputError(f"unknown init {init!r}")
+    centers = np.empty((g, X.shape[1]))
+    centers[0] = X[rng.integers(n)]
+    for k in range(1, g):
+        d2 = np.min(((X[:, None, :] - centers[None, :k, :]) ** 2).sum(axis=2),
+                    axis=1)
+        total = d2.sum()
+        if total > 0:
+            centers[k] = X[rng.choice(n, p=d2 / total)]
+        else:
+            centers[k] = X[rng.integers(n)]
+    return centers
 
 
 def random_partition(n, g, rng):
@@ -339,7 +338,6 @@ def lloyd(X, centers, max_iter=100, tol=1e-6):
         if prev_assign is not None and np.array_equal(assign, prev_assign):
             break
         if len(trace) >= 2 and _converged(trace[-2], trace[-1], tol):
-            prev_assign = assign
             break
         prev_assign = assign
     wcss = float(((X - centers[assign]) ** 2).sum())
@@ -347,30 +345,30 @@ def lloyd(X, centers, max_iter=100, tol=1e-6):
     return assign, centers, trace, iterations
 
 
-def _kmeans_params(X, partition, wcss):
+def _kmeans_params(X, partition, centers, wcss):
     n, p = X.shape
     counts = partition.counts()
-    means = np.vstack([X[partition.assignments == k].mean(axis=0)
-                       for k in range(partition.g)])
     lam = wcss / (n * p)
     if lam <= 0.0:
         lam = max(float(np.mean(np.var(X, axis=0))), 1e-12) * _COV_EPS
     covs = np.repeat((lam * np.eye(p))[None, :, :], partition.g, axis=0)
-    return MixtureParams(weights=counts / n, means=means, covariances=covs,
+    return MixtureParams(weights=counts / n, means=centers, covariances=covs,
                          model="spherical-tied")
 
 
-def kmeans(X, g, max_iter=100, tol=1e-6, restarts=1, seed=0, init="plusplus"):
-    """Lloyd's algorithm, best of `restarts` runs by within-cluster sum of squares."""
+def kmeans(X, g, max_iter=100, tol=1e-6, restarts=1, seed=0):
+    """Lloyd's algorithm from k-means++ centers, best of `restarts` runs by
+    within-cluster sum of squares."""
     X = np.asarray(X, dtype=float)
     _check_fit_args(X, g)
     start = time.perf_counter()
 
     def fit_one(r):
-        centers = _seed_centers(X, g, restart_rng(seed, r), init)
+        centers = _seed_centers(X, g, restart_rng(seed, r))
         assign, centers, trace, iters = lloyd(X, centers, max_iter=max_iter, tol=tol)
         part = Partition(assignments=assign, g=g)
-        return FitResult(partition=part, params=_kmeans_params(X, part, trace[-1]),
+        return FitResult(partition=part,
+                         params=_kmeans_params(X, part, centers, trace[-1]),
                          objective_trace=trace, iterations=iters, seed=int(seed),
                          restart_index=r, wall_time=0.0)
 
@@ -431,9 +429,10 @@ def _repair_empty(assign, lp, g):
     return assign
 
 
-def cem_refine(X, partition, params, max_iter=100, tol=1e-6, model="full"):
+def cem_refine(X, partition, params, max_iter=100, tol=1e-6):
     """Run E/C/M rounds from a warm state until the partition stabilizes.
 
+    Every M-step refits the covariance model of the given params (params.model).
     Returns (partition, params, complete-log-likelihood trace, iterations).
     The trace is non-decreasing up to the covariance regularization slack.
     """
@@ -448,7 +447,7 @@ def cem_refine(X, partition, params, max_iter=100, tol=1e-6, model="full"):
         iterations += 1
         assign = _repair_empty(np.argmax(lp, axis=1), lp, partition.g)
         new_part = Partition(assignments=assign, g=partition.g)
-        params = m_step(X, new_part.one_hot(), model)
+        params = m_step(X, new_part.one_hot(), params.model)
         lp = log_joint(X, params)
         trace.append(float(lp[rows, assign].sum()))
         unchanged = np.array_equal(new_part.assignments, partition.assignments)
@@ -473,7 +472,7 @@ def cem(X, g, max_iter=100, tol=1e-6, restarts=1, seed=0, model="full"):
         km = kmeans(X, g, max_iter=max_iter, seed=child_seed(seed, r))
         params = m_step(X, km.partition.one_hot(), model)
         partition, params, trace, iterations = cem_refine(
-            X, km.partition, params, max_iter=max_iter, tol=tol, model=model)
+            X, km.partition, params, max_iter=max_iter, tol=tol)
         return FitResult(partition=partition, params=params,
                          objective_trace=trace, iterations=iterations,
                          seed=int(seed), restart_index=r, wall_time=0.0)

@@ -67,7 +67,7 @@ def test_criterion_3_block_monotonicity():
         X = rng.standard_normal((n, d))
         fit = fit_cempca(X, CempcaConfig(g=g, p=p, delta=delta, restarts=1,
                                          smoothing=0),
-                         seed=t, trace_steps=True)
+                         seed=t)
         values = [fit.objective_trace[0]] + [v for _, v in fit.step_trace]
         worst = max(worst, max(values[i + 1] - values[i]
                                for i in range(len(values) - 1)))
@@ -219,8 +219,7 @@ def test_criterion_8_factorization_identity():
         g = int(rng.integers(2, 4))
         p = int(rng.integers(1, d))
         X = rng.standard_normal((n, d))
-        fit = reduced_kmeans(X, g, p, restarts=1, seed=int(rng.integers(1000)),
-                             record_history=True)
+        fit = reduced_kmeans(X, g, p, restarts=1, seed=int(rng.integers(1000)))
         for entry in fit.step_trace:
             Q, S, assign = entry["Q"], entry["S"], entry["assignments"]
             lhs = np.linalg.norm(X - S[assign] @ Q.T) ** 2

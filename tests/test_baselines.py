@@ -112,7 +112,7 @@ def test_reduced_kmeans_brute_force_small_instance():
 def test_reduced_kmeans_identity_at_each_iterate():
     rng = np.random.default_rng(7)
     X = rng.standard_normal((30, 5))
-    fit = reduced_kmeans(X, 3, 2, restarts=2, seed=2, record_history=True)
+    fit = reduced_kmeans(X, 3, 2, restarts=2, seed=2)
     assert fit.step_trace
     for entry in fit.step_trace:
         Q, S, assign = entry["Q"], entry["S"], entry["assignments"]

@@ -329,10 +329,19 @@ def test_fit_block_monotonicity_with_step_trace():
         X = rng.standard_normal((n, d))
         cfg = CempcaConfig(g=g, p=min(3, d), restarts=2, smoothing=0,
                            delta=float(10 ** rng.uniform(-6, -5)))
-        res = fit_cempca(X, cfg, seed=t, trace_steps=True)
+        res = fit_cempca(X, cfg, seed=t)
         values = [res.objective_trace[0]] + [v for _, v in res.step_trace]
         for i in range(len(values) - 1):
             assert values[i + 1] <= values[i] + 1e-8
+
+
+def test_default_fit_records_every_block_step():
+    rng = np.random.default_rng(23)
+    X = rng.standard_normal((60, 5))
+    res = fit_cempca(X, CempcaConfig(g=3, p=3, restarts=2, smoothing=0), seed=4)
+    names = [name for name, _ in res.step_trace]
+    assert names == ["M", "cem", "B", "Q"] * res.iterations
+    assert [v for _, v in res.step_trace[3::4]] == res.objective_trace[1:]
 
 
 def test_fit_atom_replica_all_metrics():

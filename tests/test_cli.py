@@ -236,9 +236,9 @@ def test_fit_max_iter_default_follows_library(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "fit_cempca",
                         lambda X, cfg, seed: seen.append(cfg.max_iter) or real(X, cfg, seed=seed))
     caps = {}
-    for method in ("cempca", "cem"):
+    for method, extra in (("cempca", ["--smooth", 0]), ("cem", [])):
         out = tmp_path / f"{method}.json"
-        assert run(["fit", method, data, "--g", 4, "--restarts", 1, "--smooth", 0,
+        assert run(["fit", method, data, "--g", 4, "--restarts", 1, *extra,
                     "--out", out]) == 0
         caps[method] = json.loads(out.read_text())["config"]["max_iter"]
     assert seen == [CempcaConfig.max_iter] == [caps["cempca"]] == [40]
@@ -444,6 +444,17 @@ def test_fit_defaults_match_table_and_library(tmp_path):
             assert SETTINGS[method]["cov"] == params["model"].default, method
 
 
+def test_fit_rejects_a_flag_the_method_does_not_read(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    run(["generate", "--shape", "tetra", "--n", 40, "--seed", 1, "--out", data])
+    capsys.readouterr()
+    out = tmp_path / "fit.json"
+    code = run(["fit", "kmeans", data, "--g", 4, "--delta", 5, "--out", out])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == "" and not out.exists()
+    assert captured.err == "data error: method 'kmeans' does not read 'delta'\n"
+
+
 def _evaluate(argv, capsys):
     code = run(["evaluate", *argv])
     out = capsys.readouterr()
@@ -477,3 +488,18 @@ def test_evaluate_two_columns_without_label_is_a_data_error(tmp_path, capsys):
     assert code == 3 and out == ""
     assert err == (f"data error: {pred} has 2 columns; expected a single label "
                    "column or a 'label' header\n")
+
+
+def test_evaluate_single_column_encoded_like_a_label_column(tmp_path, capsys):
+    truth = tmp_path / "truth.csv"
+    truth.write_text("0\n0\n1\n1\n")
+    bare = tmp_path / "bare.csv"
+    bare.write_text("1\n1.0\n2\n2\n")
+    headed = tmp_path / "headed.csv"
+    headed.write_text("label\n1\n1.0\n2\n2\n")
+    scores = []
+    for pred in (bare, headed):
+        code, out, _ = _evaluate([pred, truth], capsys)
+        assert code == 0
+        scores.append(json.loads(out))
+    assert scores[0] == scores[1]

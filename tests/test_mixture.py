@@ -262,6 +262,17 @@ def test_cem_refine_fixed_point():
     assert np.array_equal(part.assignments, fit.partition.assignments)
 
 
+@pytest.mark.parametrize("model", mixture.COV_MODELS)
+def test_cem_refine_keeps_the_covariance_model_of_its_params(model):
+    rng = np.random.default_rng(15)
+    X, _ = _blobs(rng, 30, [(0.0, 0.0), (4.0, 0.0), (0.0, 4.0)])
+    part = Partition(assignments=mixture.random_partition(len(X), 3, rng), g=3)
+    part, params, _, _ = cem_refine(X, part, m_step(X, part.one_hot(), model))
+    assert params.model == model
+    expected = m_step(X, part.one_hot(), model)
+    assert np.array_equal(params.covariances, expected.covariances)
+
+
 def test_cem_complete_loglik_monotone():
     rng = np.random.default_rng(14)
     for t in range(20):
@@ -320,13 +331,6 @@ def test_kmeans_wcss_monotone_and_restarts():
     fit = kmeans(X, 3, restarts=4, seed=2)
     trace = fit.objective_trace
     assert all(trace[i + 1] <= trace[i] + 1e-8 for i in range(len(trace) - 1))
-
-
-def test_kmeans_random_partition_init():
-    rng = np.random.default_rng(19)
-    X = rng.standard_normal((30, 2))
-    fit = kmeans(X, 3, restarts=2, seed=0, init="random-partition")
-    assert len(np.unique(fit.partition.assignments)) == 3
 
 
 def test_fits_deterministic():
