@@ -11,7 +11,7 @@ from .data import (FCPS_SHAPES, LabeledDataset, NeighborGraph, gen_chang,
 from .errors import (CempcaError, DataError, DegenerateUpdateError,
                      EmptyClusterError, InvalidInputError, NumericalError,
                      ParseError, SingularMatrixError)
-from .linalg import spd_solve, sym_eig, thin_svd
+from .linalg import spd_solve, thin_svd
 from .metrics import ContingencyTable, accuracy, ari, contingency, hungarian, nmi
 from .mixture import (FitResult, MixtureParams, Partition, c_step, cem,
                       cem_refine, complete_log_likelihood, e_step, em_gmm,
@@ -27,6 +27,6 @@ __all__ = [
     "em_gmm", "fit_cempca", "gen_chang", "gen_fcps", "hungarian", "kmeans",
     "kmeans_pca", "knn_graph", "load_csv", "log_gaussian", "log_likelihood",
     "m_step", "nmi", "objective", "pca_embed", "reduced_kmeans", "save_csv",
-    "smooth", "spd_solve", "standardize", "sym_eig", "thin_svd", "update_B",
-    "update_M", "update_Q",
+    "smooth", "spd_solve", "standardize", "thin_svd", "update_B", "update_M",
+    "update_Q",
 ]

@@ -14,16 +14,16 @@ from .linalg import fix_signs, thin_svd
 from .mixture import FitResult, Partition
 
 
-def kmeans_pca(X, g, p_used, restarts=10, seed=0, max_iter=100, tol=1e-6):
+def kmeans_pca(X, g, p, restarts=10, seed=0, max_iter=100, tol=1e-6):
     """K-means on the leading principal-component scores (singular-value weighted)."""
     X = np.asarray(X, dtype=float)
     n, d = X.shape
-    if not 1 <= p_used <= min(n - 1, d):
-        raise InvalidInputError(f"p_used must be in [1, {min(n - 1, d)}], got {p_used}")
+    if not 1 <= p <= min(n - 1, d):
+        raise InvalidInputError(f"p must be in [1, {min(n - 1, d)}], got {p}")
     Xc = X - X.mean(axis=0)
     U, s, _ = thin_svd(Xc)
-    B = U[:, :p_used]
-    scores = B * s[:p_used]
+    B = U[:, :p]
+    scores = B * s[:p]
     km = mixture.kmeans(scores, g, max_iter=max_iter, tol=tol,
                         restarts=restarts, seed=seed)
     bundle = EmbeddingBundle(B=B, Q=Xc.T @ B, M=scores)

@@ -3,8 +3,7 @@
 SETTINGS is the one statement of which settings each method reads, under the
 names `cempca fit` flags and suite params use, and of their defaults;
 run_method resolves every fit against it and rejects keys it does not list.
-_load_data is the one CSV loader: a column headed `label` holds the labels
-unless another column is named.
+data.load_csv is the one CSV reader and _read_json the one JSON reader.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical failure.
 A benchmark runs its cells one after another, in suite order.
@@ -69,35 +68,6 @@ def _generate_dataset(shape, n, seed):
     if shape == "chang":
         return gen_chang(n=n if n is not None else 1000, seed=seed)
     return gen_fcps(shape, n=n, seed=seed)
-
-
-def _load_data(path, label_column=None, has_header=True):
-    """Load a CSV dataset whose `label` column, if any, holds the labels.
-
-    label_column names another column, by header name or zero-based index
-    (an int or a string of digits). has_header=None takes the first row as
-    a header when any of its cells is not a number.
-    """
-    try:
-        with open(path, newline="") as fh:
-            first = [c.strip() for c in next(csv.reader(fh), [])]
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from None
-    if has_header is None:
-        has_header = not all(_is_number(c) for c in first)
-    if label_column is None and has_header and "label" in first:
-        label_column = "label"
-    elif isinstance(label_column, str) and label_column.lstrip("-").isdigit():
-        label_column = int(label_column)
-    return load_csv(path, label_column=label_column, has_header=has_header)
-
-
-def _is_number(cell):
-    try:
-        float(cell)
-        return True
-    except ValueError:
-        return False
 
 
 def run_method(method, dataset, config, seed):
@@ -174,7 +144,7 @@ def cmd_generate(args):
 
 
 def cmd_fit(args):
-    dataset = _load_data(args.data, args.label_column, not args.no_header)
+    dataset = load_csv(args.data, args.label_column, not args.no_header)
     # every setting flag given goes on, so run_method rejects one the
     # method does not read
     flags = {key for settings in SETTINGS.values() for key in settings}
@@ -198,23 +168,32 @@ def cmd_fit(args):
     return 0
 
 
+def _read_json(path):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path} is not valid JSON: {exc}") from None
+
+
 def _read_labels(path):
     if str(path).endswith(".json"):
-        try:
-            with open(path) as fh:
-                payload = json.load(fh)
-        except OSError as exc:
-            raise DataError(f"cannot read {path}: {exc}") from None
-        if "assignments" not in payload:
+        payload = _read_json(path)
+        if not isinstance(payload, dict) or "assignments" not in payload:
             raise DataError(f"{path} has no 'assignments' field")
         return np.asarray(payload["assignments"], dtype=int)
-    ds = _load_data(path, has_header=None)
-    if ds.labels is None:
-        if ds.d != 1:
-            raise DataError(f"{path} has {ds.d} columns; expected a single label "
-                            "column or a 'label' header")
-        # the one column holds the labels, encoded like a `label` column
-        ds = _load_data(path, label_column=0, has_header=None)
+    # the label column is picked before any cell is parsed as a number: the
+    # `label` column, or else the only column
+    try:
+        return load_csv(path, label_column="label", has_header=None).labels
+    except InvalidInputError:
+        pass  # no `label` header
+    ds = load_csv(path, label_column=0, has_header=None)
+    if ds.d != 0:
+        raise DataError(f"{path} has {ds.d + 1} columns; expected a single label "
+                        "column or a 'label' header")
     return ds.labels
 
 
@@ -247,19 +226,19 @@ def _benchmark_cell(cell):
 
 
 def cmd_benchmark(args):
-    try:
-        with open(args.suite) as fh:
-            suite = json.load(fh)
-    except OSError as exc:
-        raise DataError(f"cannot read {args.suite}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{args.suite} is not valid JSON: {exc}") from None
-
+    suite = _read_json(args.suite)
     base_seed = int(suite.get("seed", 0))
+    methods = suite.get("methods", [])
+    for entry in methods:
+        if "method" not in entry:
+            raise InvalidInputError(f'method entry {entry} gives no "method"')
     datasets = []
     for entry in suite.get("datasets", []):
         if "path" in entry:
-            ds = _load_data(entry["path"], entry.get("label_column"))
+            ds = load_csv(entry["path"], entry.get("label_column"))
+        elif "shape" not in entry:
+            raise InvalidInputError(
+                f'dataset entry {entry} gives neither "path" nor "shape"')
         else:
             ds = _generate_dataset(entry["shape"], entry.get("n"),
                                    entry.get("seed", 0))
@@ -268,7 +247,6 @@ def cmd_benchmark(args):
             raise InvalidInputError(f"dataset {ds.name!r} has no labels, "
                                     'so its entry must give "g"')
         datasets.append((ds, entry.get("g", ds.n_classes)))
-    methods = suite.get("methods", [])
 
     cells = []
     for i, (ds, g) in enumerate(datasets):

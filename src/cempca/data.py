@@ -49,11 +49,13 @@ class NeighborGraph:
 
 
 def load_csv(path, label_column=None, has_header=True):
-    """Load a numeric CSV dataset.
+    """Load a numeric CSV dataset; this is the one CSV reader.
 
-    label_column selects a column by zero-based index or, when the file
-    has a header, by name. That column is removed from the features and
-    re-encoded as integer labels in order of first appearance.
+    With no label_column, a column headed `label` holds the labels.
+    label_column names another column, by header name or by zero-based
+    index (an int or a string of digits). The label column is removed from
+    the features and encoded by _encode_labels. has_header=None takes the
+    first row as a header when any of its cells is not a number.
     """
     try:
         with open(path, newline="") as fh:
@@ -63,6 +65,8 @@ def load_csv(path, label_column=None, has_header=True):
     if not raw:
         raise ParseError(f"{path} is empty")
 
+    if has_header is None:
+        has_header = not all(_is_number(c) for c in raw[0])
     header = None
     offset = 1
     if has_header:
@@ -71,6 +75,10 @@ def load_csv(path, label_column=None, has_header=True):
         offset = 2
         if not raw:
             raise ParseError(f"{path} has a header but no data rows")
+        if label_column is None and "label" in header:
+            label_column = "label"
+    if isinstance(label_column, str) and label_column.lstrip("-").isdigit():
+        label_column = int(label_column)
 
     ncol = len(raw[0])
     label_idx = None
@@ -109,6 +117,14 @@ def load_csv(path, label_column=None, has_header=True):
     if label_idx is not None:
         labels = _encode_labels(label_values)
     return LabeledDataset(X=X, labels=labels, name=str(path))
+
+
+def _is_number(cell):
+    try:
+        float(cell)
+        return True
+    except ValueError:
+        return False
 
 
 def _encode_labels(values):

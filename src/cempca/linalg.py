@@ -78,15 +78,3 @@ def spd_solve(A, Y):
     logdet = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
     return Z, logdet
 
-
-def sym_eig(A):
-    """Eigendecomposition of a symmetric matrix.
-
-    Returns (eigenvalues, eigenvectors) with eigenvalues in non-increasing
-    order and sign-fixed orthonormal eigenvector columns.
-    """
-    A = _as_matrix(A, "A")
-    _require_symmetric(A, "A")
-    w, V = np.linalg.eigh(A)
-    order = np.argsort(-w, kind="stable")
-    return w[order], fix_signs(V[:, order])

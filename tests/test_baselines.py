@@ -42,6 +42,15 @@ def test_kmeans_pca_returns_bundle():
     assert np.allclose(fit.bundle.B.T @ fit.bundle.B, np.eye(3), atol=1e-10)
 
 
+def test_kmeans_pca_takes_p_by_keyword():
+    rng = np.random.default_rng(2)
+    X = rng.standard_normal((20, 5))
+    fit = kmeans_pca(X, 2, p=3, restarts=2, seed=0)
+    assert fit.bundle.B.shape == (20, 3)
+    with pytest.raises(InvalidInputError, match=r"^p must be in \[1, 5\], got 6$"):
+        kmeans_pca(X, 2, p=6)
+
+
 def test_kmeans_pca_rejects_large_p():
     with pytest.raises(InvalidInputError):
         kmeans_pca(np.zeros((6, 3)), 2, 5)

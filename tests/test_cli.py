@@ -291,7 +291,7 @@ def test_benchmark_failed_cell_records_error(tmp_path):
     assert rows["kmeans"]["status"] == "ok" and rows["kmeans"]["error"] == ""
     failed = rows["too-wide"]
     assert failed["status"] == "failed"
-    assert failed["error"] == "p_used must be in [1, 3], got 50"
+    assert failed["error"] == "p must be in [1, 3], got 50"
 
 
 def test_fit_cempca_defaults_come_from_config(tmp_path, monkeypatch):
@@ -503,3 +503,53 @@ def test_evaluate_single_column_encoded_like_a_label_column(tmp_path, capsys):
         assert code == 0
         scores.append(json.loads(out))
     assert scores[0] == scores[1]
+
+
+def test_evaluate_text_labels_under_a_header_score_like_integers(tmp_path, capsys):
+    truth = tmp_path / "truth.csv"
+    truth.write_text("0\n0\n1\n1\n2\n")
+    text = tmp_path / "text.csv"
+    text.write_text("cluster\nb\nb\na\nc\nc\n")
+    ints = tmp_path / "ints.csv"
+    ints.write_text("cluster\n0\n0\n1\n2\n2\n")
+    scores = []
+    for pred in (text, ints):
+        code, out, _ = _evaluate([pred, truth], capsys)
+        assert code == 0
+        scores.append(json.loads(out))
+    assert scores[0] == scores[1] and scores[0]["acc"] == 0.8
+
+
+def test_evaluate_fit_json_that_is_not_a_fit_is_a_data_error(tmp_path, capsys):
+    truth = tmp_path / "truth.csv"
+    truth.write_text("label\n0\n1\n")
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    code, out, err = _evaluate([bad, truth], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith(f"data error: {bad} is not valid JSON: ")
+    scalar = tmp_path / "scalar.json"
+    scalar.write_text("3")
+    code, out, err = _evaluate([scalar, truth], capsys)
+    assert code == 3 and out == ""
+    assert err == f"data error: {scalar} has no 'assignments' field\n"
+
+
+def test_benchmark_entry_without_a_required_key_is_a_data_error(tmp_path, capsys):
+    tetra = {"name": "t", "shape": "tetra", "n": 60}
+    kmeans = {"name": "k", "method": "kmeans", "params": {"restarts": 2}}
+    cases = [
+        ([tetra], [{"name": "k"}],
+         """method entry {'name': 'k'} gives no "method\""""),
+        ([{"name": "t", "n": 60}], [kmeans],
+         """dataset entry {'name': 't', 'n': 60} gives neither "path" nor "shape\""""),
+    ]
+    for datasets, methods, message in cases:
+        suite = tmp_path / "suite.json"
+        suite.write_text(json.dumps({"datasets": datasets, "methods": methods}))
+        out_dir = tmp_path / "results"
+        code = run(["benchmark", suite, out_dir])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == f"data error: {message}\n"
+        assert not out_dir.exists()

@@ -32,6 +32,32 @@ def test_load_csv_label_by_name(tmp_path):
     assert ds.X.shape == (3, 1)
 
 
+
+def test_load_csv_takes_a_label_header_as_labels(tmp_path):
+    path = tmp_path / "toy.csv"
+    path.write_text("x,label,y\n1,red,2\n3,blue,4\n5,red,6\n")
+    ds = load_csv(path)
+    assert np.array_equal(ds.labels, [0, 1, 0])
+    assert np.array_equal(ds.X, [[1, 2], [3, 4], [5, 6]])
+
+
+def test_load_csv_detects_a_header(tmp_path):
+    text = tmp_path / "text.csv"
+    text.write_text("x,y\n1,2\n3,4\n")
+    numeric = tmp_path / "numeric.csv"
+    numeric.write_text("1,2\n3,4\n")
+    for path in (text, numeric):
+        ds = load_csv(path, has_header=None)
+        assert np.array_equal(ds.X, [[1, 2], [3, 4]]) and ds.labels is None
+
+
+def test_load_csv_label_column_digit_string_is_an_index(tmp_path):
+    path = tmp_path / "toy.csv"
+    path.write_text("1,a,2\n3,b,4\n5,a,6\n")
+    ds = load_csv(path, label_column="1", has_header=False)
+    assert np.array_equal(ds.labels, [0, 1, 0])
+    assert np.array_equal(ds.X, [[1, 2], [3, 4], [5, 6]])
+
 def test_csv_round_trip(tmp_path):
     rng = np.random.default_rng(5)
     original = LabeledDataset(X=rng.standard_normal((10, 4)),

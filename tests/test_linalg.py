@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cempca.errors import InvalidInputError, SingularMatrixError
-from cempca.linalg import spd_solve, sym_eig, thin_svd
+from cempca.linalg import spd_solve, thin_svd
 
 
 def test_thin_svd_identity():
@@ -92,29 +92,3 @@ def test_spd_solve_rejects_asymmetric():
     with pytest.raises(InvalidInputError):
         spd_solve(np.array([[1.0, 0.5], [0.0, 1.0]]), np.ones((2, 1)))
 
-
-def test_sym_eig_diagonal():
-    w, V = sym_eig(np.diag([4.0, 1.0]))
-    assert np.allclose(w, [4.0, 1.0], atol=1e-12)
-
-
-def test_sym_eig_identity():
-    w, V = sym_eig(np.eye(3))
-    assert np.allclose(w, 1.0, atol=1e-12)
-    assert np.allclose(V.T @ V, np.eye(3), atol=1e-10)
-
-
-def test_sym_eig_residual_oracle():
-    rng = np.random.default_rng(4)
-    A = rng.standard_normal((7, 7))
-    A = 0.5 * (A + A.T)
-    w, V = sym_eig(A)
-    for i in range(7):
-        assert np.linalg.norm(A @ V[:, i] - w[i] * V[:, i]) <= 1e-9
-    assert np.allclose(V.T @ V, np.eye(7), atol=1e-10)
-    assert np.all(np.diff(w) <= 1e-12)
-
-
-def test_sym_eig_rejects_asymmetric():
-    with pytest.raises(InvalidInputError):
-        sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
