@@ -6,7 +6,9 @@ run_method resolves every fit against it and rejects keys it does not list.
 data.load_csv is the one CSV reader and _read_json the one JSON reader.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical failure.
-A benchmark runs its cells one after another, in suite order.
+A benchmark checks its whole suite, then runs its cells in suite order; each
+cell is one row keyed by RESULT_COLUMNS, and results.csv and results.txt are
+both written from those rows.
 """
 
 import argparse
@@ -41,6 +43,9 @@ SETTINGS = {
     "reduced-kmeans": {**_MIXTURE, "p": None},
 }
 GENERATOR_SHAPES = ("chang",) + FCPS_SHAPES
+RESULT_COLUMNS = ("dataset", "method", "seed", "status", "nmi", "ari", "acc",
+                  "iterations", "wall_time", "objective_final", "failed_restarts",
+                  "error")
 
 EXIT_USAGE = 2
 EXIT_DATA = 3
@@ -74,7 +79,8 @@ def run_method(method, dataset, config, seed):
     """Fit one method on one dataset; returns (RunRecord, FitResult).
 
     config holds "g" and any of the method's SETTINGS; the rest take their
-    defaults, and a key the method does not read raises InvalidInputError.
+    defaults. A key the method does not read, or a value whose type is not
+    its default's (g and p are ints, p may be None), raises InvalidInputError.
     """
     if method not in SETTINGS:
         raise InvalidInputError(f"unknown method {method!r}")
@@ -84,6 +90,10 @@ def run_method(method, dataset, config, seed):
     if unknown:
         raise InvalidInputError(f"method {method!r} does not read "
                                 + ", ".join(map(repr, unknown)))
+    for key, value in {"g": g, **given}.items():
+        default = SETTINGS[method].get(key, 0)  # g is an int
+        if value is not None or default is not None:
+            _checked(key, value, int if default is None else type(default))
     s = {**SETTINGS[method], **given}
     model = "diagonal" if s.get("cov") == "diag" else s.get("cov")
 
@@ -172,7 +182,7 @@ def _read_json(path):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise DataError(f"{path} is not valid JSON: {exc}") from None
@@ -183,7 +193,10 @@ def _read_labels(path):
         payload = _read_json(path)
         if not isinstance(payload, dict) or "assignments" not in payload:
             raise DataError(f"{path} has no 'assignments' field")
-        return np.asarray(payload["assignments"], dtype=int)
+        labels = payload["assignments"]
+        if not isinstance(labels, list) or any(type(a) is not int for a in labels):
+            raise DataError(f"{path}: 'assignments' must be a list of integers")
+        return np.asarray(labels, dtype=int)
     # the label column is picked before any cell is parsed as a number: the
     # `label` column, or else the only column
     try:
@@ -214,135 +227,117 @@ def _suite_cell_seed(base_seed, i, j):
                                       spawn_key=(int(i), int(j))).generate_state(1)[0])
 
 
-def _benchmark_cell(cell):
-    dataset, method_name, method, params, seed = cell
+def _checked(name, value, kind):
+    """value, if it is a `kind`: an int passes for a float, a bool only for a bool."""
+    if isinstance(value, bool) != (kind is bool) or not isinstance(
+            value, (int, float) if kind is float else kind):
+        raise InvalidInputError(f"{name} must be {kind.__name__}, got {value!r}")
+    return value
+
+
+def _field(entry, key, kind, where, default=None):
+    """entry[key], checked to be a `kind`, or default when key is absent."""
+    if key not in entry:
+        return default
+    return _checked(f'"{key}" in {where}', entry[key], kind)
+
+
+def _result_row(dataset, g, name, entry, seed):
+    """Run one suite cell; returns its results.csv row, keyed by RESULT_COLUMNS."""
+    row = {"dataset": dataset.name, "method": name, "seed": seed}
     try:
-        record, _ = run_method(method, dataset, params, seed)
-        return {"dataset": dataset.name, "method": method_name, "seed": seed,
-                "status": "ok", "record": record}
+        record, _ = run_method(entry["method"], dataset,
+                               {"g": g, **entry.get("params", {})}, seed)
     except CempcaError as exc:
-        return {"dataset": dataset.name, "method": method_name, "seed": seed,
-                "status": "failed", "error": str(exc)}
+        return {**row, "status": "failed", "error": str(exc)}
+    scores = {key: repr(float(value)) for key, value in record.metrics.items()}
+    return {**row, **scores, "status": "ok", "iterations": record.iterations,
+            "wall_time": f"{record.wall_time:.6f}",
+            "objective_final": repr(record.objective_final),
+            "failed_restarts": record.failed_restarts}
 
 
 def cmd_benchmark(args):
-    suite = _read_json(args.suite)
-    base_seed = int(suite.get("seed", 0))
-    methods = suite.get("methods", [])
+    suite = _checked(f"the suite in {args.suite}", _read_json(args.suite), dict)
+    base_seed = _field(suite, "seed", int, "the suite", 0)
+    methods, dataset_entries = (_field(suite, key, list, "the suite", [])
+                                for key in ("methods", "datasets"))
+    for entry in methods + dataset_entries:
+        _checked("a suite entry", entry, dict)
     for entry in methods:
         if "method" not in entry:
             raise InvalidInputError(f'method entry {entry} gives no "method"')
+        for key, kind in (("method", str), ("name", str), ("params", dict)):
+            _field(entry, key, kind, f"method entry {entry}")
     datasets = []
-    for entry in suite.get("datasets", []):
+    for entry in dataset_entries:
+        where = f"dataset entry {entry}"
         if "path" in entry:
-            ds = load_csv(entry["path"], entry.get("label_column"))
+            column = entry.get("label_column")  # a header name or an index
+            ds = load_csv(_field(entry, "path", str, where), _field(
+                entry, "label_column", str if isinstance(column, str) else int, where))
         elif "shape" not in entry:
             raise InvalidInputError(
                 f'dataset entry {entry} gives neither "path" nor "shape"')
         else:
-            ds = _generate_dataset(entry["shape"], entry.get("n"),
-                                   entry.get("seed", 0))
-        ds.name = entry.get("name", ds.name)
+            ds = _generate_dataset(_field(entry, "shape", str, where),
+                                   _field(entry, "n", int, where),
+                                   _field(entry, "seed", int, where, 0))
+        ds.name = _field(entry, "name", str, where, ds.name)
         if ds.labels is None and "g" not in entry:
             raise InvalidInputError(f"dataset {ds.name!r} has no labels, "
                                     'so its entry must give "g"')
         datasets.append((ds, entry.get("g", ds.n_classes)))
 
-    cells = []
-    for i, (ds, g) in enumerate(datasets):
-        for j, entry in enumerate(methods):
-            params = dict(entry.get("params", {}))
-            params.setdefault("g", g)
-            cells.append((ds, entry.get("name", entry["method"]), entry["method"],
-                          params, _suite_cell_seed(base_seed, i, j)))
-
-    outcomes = [_benchmark_cell(cell) for cell in cells]
+    names = [entry.get("name", entry["method"]) for entry in methods]
+    rows = [_result_row(ds, g, name, entry, _suite_cell_seed(base_seed, i, j))
+            for i, (ds, g) in enumerate(datasets)
+            for j, (name, entry) in enumerate(zip(names, methods))]
 
     os.makedirs(args.out_dir, exist_ok=True)
     csv_path = os.path.join(args.out_dir, "results.csv")
     txt_path = os.path.join(args.out_dir, "results.txt")
-    _write_benchmark_csv(csv_path, outcomes)
-    _write_benchmark_table(txt_path, outcomes,
-                           [d.name for d, _ in datasets],
-                           [m.get("name", m["method"]) for m in methods])
+    with open(csv_path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, RESULT_COLUMNS, restval="")
+        writer.writeheader()
+        writer.writerows(rows)
+    _write_benchmark_table(txt_path, rows, [d.name for d, _ in datasets], names)
     print(f"wrote {csv_path} and {txt_path}")
     return 0
 
 
-def _write_benchmark_csv(path, outcomes):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["dataset", "method", "seed", "status", "nmi", "ari",
-                         "acc", "iterations", "wall_time", "objective_final",
-                         "failed_restarts", "error"])
-        for cell in outcomes:
-            if cell["status"] == "ok":
-                rec = cell["record"]
-                m = rec.metrics
-                writer.writerow([cell["dataset"], cell["method"], cell["seed"],
-                                 "ok",
-                                 _fmt(m.get("nmi")), _fmt(m.get("ari")),
-                                 _fmt(m.get("acc")), rec.iterations,
-                                 f"{rec.wall_time:.6f}",
-                                 repr(rec.objective_final), rec.failed_restarts,
-                                 ""])
-            else:
-                writer.writerow([cell["dataset"], cell["method"], cell["seed"],
-                                 "failed", "", "", "", "", "", "", "",
-                                 cell["error"]])
-
-
-def _fmt(value):
-    return "" if value is None else repr(float(value))
-
-
-def _write_benchmark_table(path, outcomes, dataset_names, method_names):
-    by_key = {(c["dataset"], c["method"]): c for c in outcomes}
-    lines = []
+def _write_benchmark_table(path, rows, dataset_names, method_names):
+    by_key = {(row["dataset"], row["method"]): row for row in rows}
     width = max([len(m) for m in method_names] + [14])
     name_width = max([len(d) for d in dataset_names] + [10])
-    header = "dataset".ljust(name_width) + "".join(
-        m.rjust(width + 2) for m in method_names)
-    lines.append(header)
+    lines = ["dataset".ljust(name_width)
+             + "".join(m.rjust(width + 2) for m in method_names)]
     for ds in dataset_names:
-        cells = []
-        best = None
+        cells = {m: by_key[ds, m] for m in method_names}
+        scored = {m: [float(row[k]) for k in ("nmi", "ari", "acc")]
+                  for m, row in cells.items() if "nmi" in row}
+        best = max(scored, key=lambda m: scored[m][0], default=None)
+        line = ds.ljust(name_width)
         for m in method_names:
-            cell = by_key.get((ds, m))
-            if cell is None or cell["status"] != "ok" or not cell["record"].metrics:
-                cells.append(None)
-                continue
-            met = cell["record"].metrics
-            cells.append((met["nmi"], met["ari"], met["acc"]))
-            if best is None or met["nmi"] > best[0]:
-                best = (met["nmi"], m)
-        row = ds.ljust(name_width)
-        for m, cell in zip(method_names, cells):
-            if cell is None:
-                row += "failed".rjust(width + 2)
+            if m not in scored:
+                text = "unscored" if cells[m]["status"] == "ok" else "failed"
             else:
-                text = f"{cell[0]:.2f}/{cell[1]:.2f}/{cell[2]:.2f}"
-                if best is not None and m == best[1]:
-                    text += "*"
-                row += text.rjust(width + 2)
-        lines.append(row)
+                text = "{:.2f}/{:.2f}/{:.2f}".format(*scored[m])
+                text += "*" if m == best else ""
+            line += text.rjust(width + 2)
+        lines.append(line)
     lines.append("")
     lines.append("cells are NMI/ARI/Acc; * marks the best NMI per row")
-    iter_summary = _iteration_summary(outcomes, method_names)
-    if iter_summary:
-        lines.append(iter_summary)
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _iteration_summary(outcomes, method_names):
     parts = []
     for m in method_names:
-        iters = [c["record"].iterations for c in outcomes
-                 if c["method"] == m and c["status"] == "ok"]
+        iters = [row["iterations"] for row in rows
+                 if row["method"] == m and row["status"] == "ok"]
         if iters:
             parts.append(f"{m}: {float(np.median(iters)):g}")
-    return "median iterations - " + ", ".join(parts) if parts else ""
+    if parts:
+        lines.append("median iterations - " + ", ".join(parts))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def build_parser():

@@ -60,7 +60,7 @@ def load_csv(path, label_column=None, has_header=True):
     try:
         with open(path, newline="") as fh:
             raw = [r for r in csv.reader(fh) if r]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
     if not raw:
         raise ParseError(f"{path} is empty")

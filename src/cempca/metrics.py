@@ -23,6 +23,8 @@ def _labels(partition):
     if isinstance(partition, Partition):
         return np.asarray(partition.assignments, dtype=int), partition.g
     arr = np.asarray(partition, dtype=int)
+    if arr.size and arr.min() < 0:
+        raise InvalidInputError(f"labels must be >= 0, got {arr.min()}")
     return arr, int(arr.max()) + 1 if arr.size else 0
 
 

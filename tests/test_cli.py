@@ -553,3 +553,103 @@ def test_benchmark_entry_without_a_required_key_is_a_data_error(tmp_path, capsys
         assert code == 3 and captured.out == ""
         assert captured.err == f"data error: {message}\n"
         assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("suite, message", [
+    ([1, 2], "must be dict, got [1, 2]"),
+    ({"datasets": [{"shape": "tetra", "n": 60}],
+      "methods": [{"method": "kmeans", "params": [1]}]},
+     '"params" in method entry'),
+    ({"datasets": ["path"], "methods": []}, "a suite entry must be dict, got 'path'"),
+    ({"seed": "abc", "datasets": [], "methods": []}, "\"seed\" in the suite must be int"),
+    ({"seed": "5", "datasets": [], "methods": []}, "\"seed\" in the suite must be int"),
+    ({"seed": 1.7, "datasets": [], "methods": []}, "\"seed\" in the suite must be int"),
+    ({"datasets": [{"shape": "tetra", "n": "x"}], "methods": []},
+     "\"n\" in dataset entry {'shape': 'tetra', 'n': 'x'} must be int, got 'x'"),
+])
+def test_benchmark_malformed_suite_is_a_data_error(tmp_path, capsys, suite, message):
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(suite))
+    out_dir = tmp_path / "results"
+    code = run(["benchmark", path, out_dir])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("data error: ") and message in captured.err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("params, g, message", [
+    ({"restarts": "2"}, None, "restarts must be int, got '2'"),
+    ({"restarts": 2.5}, None, "restarts must be int, got 2.5"),
+    ({"restarts": True}, None, "restarts must be int, got True"),
+    ({"restarts": 2}, "3", "g must be int, got '3'"),
+])
+def test_benchmark_cell_with_a_wrong_typed_setting_fails_alone(tmp_path, params, g,
+                                                               message):
+    dataset = {"name": "tetra", "shape": "tetra", "n": 60, "seed": 2}
+    bad = {"name": "bad", "method": "kmeans", "params": params}
+    methods = [{"name": "kmeans", "method": "kmeans", "params": {"restarts": 2}}]
+    if g is not None:
+        # a dataset "g" reaches every cell; the good entry overrides it
+        dataset["g"], methods[0]["params"]["g"] = g, 4
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"seed": 1, "datasets": [dataset],
+                                 "methods": [bad] + methods}))
+    out_dir = tmp_path / "results"
+    assert run(["benchmark", suite, out_dir]) == 0
+    _, rows = _read_results(out_dir)
+    assert rows["bad"]["status"] == "failed" and rows["bad"]["error"] == message
+    assert rows["kmeans"]["status"] == "ok" and rows["kmeans"]["nmi"] != ""
+
+
+def test_run_method_checks_setting_types():
+    from cempca.cli import run_method
+    from cempca.data import gen_fcps
+    from cempca.errors import InvalidInputError
+
+    ds = gen_fcps("tetra", 60, seed=2)
+    record, _ = run_method("cempca", ds, {"g": 4, "delta": 1, "p": None,
+                                          "restarts": 1, "smooth": 0}, 1)
+    assert record.config["delta"] == 1 and record.config["p"] is None
+    with pytest.raises(InvalidInputError, match="standardize must be bool, got 1"):
+        run_method("kmeans", ds, {"g": 4, "standardize": 1}, 1)
+
+
+def test_benchmark_table_marks_unscored_cells(tmp_path):
+    data = tmp_path / "plain.csv"
+    _write_unlabeled(data)
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({
+        "seed": 1,
+        "datasets": [{"name": "plain", "path": str(data), "g": 2}],
+        "methods": [{"name": "kmeans", "method": "kmeans", "params": {"restarts": 2}},
+                    {"name": "too-wide", "method": "kmeans-pca",
+                     "params": {"restarts": 2, "p": 50}}],
+    }))
+    out_dir = tmp_path / "results"
+    assert run(["benchmark", suite, out_dir]) == 0
+    row = (out_dir / "results.txt").read_text().splitlines()[1]
+    assert row.split() == ["plain", "unscored", "failed"]
+
+
+@pytest.mark.parametrize("assignments", [["x", "y"], [1.0, 0.5], [True, False],
+                                         [-1, 0], {"0": 1}])
+def test_evaluate_fit_json_needs_integer_assignments(tmp_path, capsys, assignments):
+    truth = tmp_path / "truth.csv"
+    truth.write_text("label\n0\n1\n")
+    pred = tmp_path / "fit.json"
+    pred.write_text(json.dumps({"assignments": assignments}))
+    code, out, err = _evaluate([pred, truth], capsys)
+    assert code == 3 and out == "" and err.startswith("data error: ")
+
+
+@pytest.mark.parametrize("name, content", [("labels.csv", b"label\n\xff\xfe\n"),
+                                           ("fit.json", b"\xff{")])
+def test_evaluate_non_utf8_file_is_a_data_error(tmp_path, capsys, name, content):
+    bad = tmp_path / name
+    bad.write_bytes(content)
+    truth = tmp_path / "truth.csv"
+    truth.write_text("label\n0\n")
+    code, out, err = _evaluate([bad, truth], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith(f"data error: cannot read {bad}: ")

@@ -215,3 +215,12 @@ def test_accuracy_brute_force_small():
         p = rng.integers(0, 3, n)
         assert np.isclose(accuracy(t, p), _brute_force_accuracy(t, p),
                           atol=1e-12)
+
+
+@pytest.mark.parametrize("metric", [nmi, ari, accuracy])
+def test_metrics_reject_negative_labels(metric):
+    # a negative label would index the contingency table from its end
+    with pytest.raises(InvalidInputError, match="labels must be >= 0"):
+        metric([0, 0, 1, 1], [-1, -1, 0, 0])
+    with pytest.raises(InvalidInputError, match="labels must be >= 0"):
+        metric([-1, -1, 0, 0], [0, 0, 1, 1])
