@@ -228,18 +228,19 @@ def _suite_cell_seed(base_seed, i, j):
 
 
 def _checked(name, value, kind):
-    """value, if it is a `kind`: an int passes for a float, a bool only for a bool."""
-    if isinstance(value, bool) != (kind is bool) or not isinstance(
-            value, (int, float) if kind is float else kind):
-        raise InvalidInputError(f"{name} must be {kind.__name__}, got {value!r}")
+    """Return value if of a `kind` type: ints pass for floats, bools only for bools."""
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    if isinstance(value, bool) != (bool in kinds) or not isinstance(
+            value, kinds + (int,) * (float in kinds)):
+        names = " or ".join(k.__name__ for k in kinds)
+        raise InvalidInputError(f"{name} must be {names}, got {value!r}")
     return value
 
 
 def _field(entry, key, kind, where, default=None):
-    """entry[key], checked to be a `kind`, or default when key is absent."""
-    if key not in entry:
-        return default
-    return _checked(f'"{key}" in {where}', entry[key], kind)
+    """entry[key], checked to be a `kind`, or default when key is absent or null."""
+    value = entry.get(key)
+    return default if value is None else _checked(f'"{key}" in {where}', value, kind)
 
 
 def _result_row(dataset, g, name, entry, seed):
@@ -247,7 +248,7 @@ def _result_row(dataset, g, name, entry, seed):
     row = {"dataset": dataset.name, "method": name, "seed": seed}
     try:
         record, _ = run_method(entry["method"], dataset,
-                               {"g": g, **entry.get("params", {})}, seed)
+                               {"g": g, **(entry.get("params") or {})}, seed)
     except CempcaError as exc:
         return {**row, "status": "failed", "error": str(exc)}
     scores = {key: repr(float(value)) for key, value in record.metrics.items()}
@@ -264,19 +265,21 @@ def cmd_benchmark(args):
                                 for key in ("methods", "datasets"))
     for entry in methods + dataset_entries:
         _checked("a suite entry", entry, dict)
+    names = []
     for entry in methods:
-        if "method" not in entry:
+        where = f"method entry {entry}"
+        method = _field(entry, "method", str, where)
+        if method is None:
             raise InvalidInputError(f'method entry {entry} gives no "method"')
-        for key, kind in (("method", str), ("name", str), ("params", dict)):
-            _field(entry, key, kind, f"method entry {entry}")
+        _field(entry, "params", dict, where)
+        names.append(_field(entry, "name", str, where, method))
     datasets = []
     for entry in dataset_entries:
         where = f"dataset entry {entry}"
-        if "path" in entry:
-            column = entry.get("label_column")  # a header name or an index
-            ds = load_csv(_field(entry, "path", str, where), _field(
-                entry, "label_column", str if isinstance(column, str) else int, where))
-        elif "shape" not in entry:
+        path = _field(entry, "path", str, where)
+        if path is not None:  # the label column by header name or index
+            ds = load_csv(path, _field(entry, "label_column", (str, int), where))
+        elif entry.get("shape") is None:
             raise InvalidInputError(
                 f'dataset entry {entry} gives neither "path" nor "shape"')
         else:
@@ -284,12 +287,12 @@ def cmd_benchmark(args):
                                    _field(entry, "n", int, where),
                                    _field(entry, "seed", int, where, 0))
         ds.name = _field(entry, "name", str, where, ds.name)
-        if ds.labels is None and "g" not in entry:
+        g = entry.get("g")
+        if ds.labels is None and g is None:
             raise InvalidInputError(f"dataset {ds.name!r} has no labels, "
                                     'so its entry must give "g"')
-        datasets.append((ds, entry.get("g", ds.n_classes)))
+        datasets.append((ds, ds.n_classes if g is None else g))
 
-    names = [entry.get("name", entry["method"]) for entry in methods]
     rows = [_result_row(ds, g, name, entry, _suite_cell_seed(base_seed, i, j))
             for i, (ds, g) in enumerate(datasets)
             for j, (name, entry) in enumerate(zip(names, methods))]

@@ -566,6 +566,11 @@ def test_benchmark_entry_without_a_required_key_is_a_data_error(tmp_path, capsys
     ({"seed": 1.7, "datasets": [], "methods": []}, "\"seed\" in the suite must be int"),
     ({"datasets": [{"shape": "tetra", "n": "x"}], "methods": []},
      "\"n\" in dataset entry {'shape': 'tetra', 'n': 'x'} must be int, got 'x'"),
+    ({"datasets": [{"path": "d.csv", "label_column": 1.5}], "methods": []},
+     '"label_column" in dataset entry {\'path\': \'d.csv\', \'label_column\': 1.5} '
+     "must be str or int, got 1.5"),
+    ({"datasets": [{"path": "d.csv", "label_column": True}], "methods": []},
+     "must be str or int, got True"),
 ])
 def test_benchmark_malformed_suite_is_a_data_error(tmp_path, capsys, suite, message):
     path = tmp_path / "suite.json"
@@ -576,6 +581,32 @@ def test_benchmark_malformed_suite_is_a_data_error(tmp_path, capsys, suite, mess
     assert code == 3 and captured.out == ""
     assert captured.err.startswith("data error: ") and message in captured.err
     assert not out_dir.exists()
+
+
+def test_benchmark_null_entry_value_means_absent(tmp_path):
+    data = tmp_path / "tetra.csv"
+    run(["generate", "--shape", "tetra", "--n", 60, "--seed", 2, "--out", data])
+    datasets = [{"path": str(data)}, {"shape": "hepta"}]
+    methods = [{"method": "kmeans", "params": {"restarts": 2}},
+               {"name": "k20", "method": "kmeans"}]
+    nulls = {"datasets": [{**datasets[0], "label_column": None, "name": None,
+                           "g": None},
+                          {**datasets[1], "n": None, "seed": None, "g": None}],
+             "methods": [{**methods[0], "name": None},
+                         {**methods[1], "params": None}],
+             "seed": None}
+    outputs = []
+    for name, suite in [("absent", {"datasets": datasets, "methods": methods}),
+                        ("null", nulls)]:
+        path, out_dir = tmp_path / f"{name}.json", tmp_path / name
+        path.write_text(json.dumps(suite))
+        assert run(["benchmark", path, out_dir]) == 0
+        csv_text = (out_dir / "results.csv").read_text()
+        rows = [line.split(",") for line in csv_text.splitlines()]
+        outputs.append(([r[:8] + r[9:] for r in rows],
+                        (out_dir / "results.txt").read_text()))
+    assert outputs[0] == outputs[1]
+    assert all(row[3] == "ok" for row in outputs[0][0][1:])
 
 
 @pytest.mark.parametrize("params, g, message", [
