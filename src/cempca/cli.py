@@ -261,6 +261,8 @@ def _result_row(dataset, g, name, entry, seed):
 def cmd_benchmark(args):
     suite = _checked(f"the suite in {args.suite}", _read_json(args.suite), dict)
     base_seed = _field(suite, "seed", int, "the suite", 0)
+    if base_seed < 0:
+        raise InvalidInputError(f'"seed" in the suite must be >= 0, got {base_seed}')
     methods, dataset_entries = (_field(suite, key, list, "the suite", [])
                                 for key in ("methods", "datasets"))
     for entry in methods + dataset_entries:

@@ -6,6 +6,7 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.spatial import cKDTree
 
 from .errors import DataError, InvalidInputError, ParseError
 
@@ -193,6 +194,12 @@ def _chang_covariance():
     return C - (0.1 - lam_v) * np.outer(v, v), v, lam_v
 
 
+def _generator_rng(name, seed):
+    if int(seed) < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(np.random.SeedSequence((_GEN_TAGS[name], int(seed))))
+
+
 def gen_chang(n=1000, seed=0):
     """Two 15-dimensional Gaussian classes whose separation hides in a
     trailing principal component.
@@ -205,7 +212,7 @@ def gen_chang(n=1000, seed=0):
     if n % 2 != 0 or n < 4:
         raise InvalidInputError("n must be even and >= 4")
     cov, v, lam_v = _chang_covariance()
-    rng = np.random.default_rng(np.random.SeedSequence((_GEN_TAGS["chang"], int(seed))))
+    rng = _generator_rng("chang", seed)
     L = np.linalg.cholesky(cov)
     X = rng.standard_normal((n, 15)) @ L.T
     offset = 3.0 * np.sqrt(lam_v) * v
@@ -286,7 +293,7 @@ def gen_fcps(shape, n=None, seed=0):
     if n < 10 * g:
         raise InvalidInputError(f"{shape} needs n >= {10 * g}, got {n}")
     counts = _split_counts(n, g)
-    rng = np.random.default_rng(np.random.SeedSequence((_GEN_TAGS[shape], int(seed))))
+    rng = _generator_rng(shape, seed)
     X = _FCPS_BUILDERS[shape](rng, counts)
     labels = np.repeat(np.arange(g), counts)
     return LabeledDataset(X=X, labels=labels, name=shape)
@@ -295,24 +302,44 @@ def gen_fcps(shape, n=None, seed=0):
 def knn_graph(X, k):
     """Directed k-nearest-neighbor graph with Gaussian kernel weights.
 
-    W[i, j] = exp(-||x_i - x_j||^2) for the k nearest neighbors j of i
-    (Euclidean, ties broken by lowest index), zero elsewhere and on the
-    diagonal; each row is then scaled to sum to one. A row-constant
-    kernel shift keeps exp in range and cancels in the normalization.
+    W[i, j] = exp(-||x_i - x_j||^2) for the k nearest neighbors j of i,
+    zero elsewhere and on the diagonal; each row is then scaled to sum to
+    one. A row-constant kernel shift keeps exp in range and cancels in the
+    normalization.
+
+    Neighbors come from one k-d tree search, so time is O(n log n) for
+    low-dimensional X and memory is O(n k); no n x n array is formed.
+    Ties go to the lowest index: candidates are ordered by (distance,
+    index) and self is dropped by index, not by position. Each row asks
+    the tree for k + 2 candidates. A row whose k-th kept distance equals
+    the farthest returned one may have an unreturned point tied with it,
+    so it asks again for twice as many, up to n. Non-finite X is rejected.
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
     if not 1 <= k <= n - 1:
         raise InvalidInputError(f"k must be in [1, {n - 1}], got {k}")
-    sq = np.sum(X * X, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
-    np.maximum(d2, 0.0, out=d2)
-    np.fill_diagonal(d2, np.inf)
-    idx = np.argsort(d2, axis=1, kind="stable")[:, :k]
-    rows = np.repeat(np.arange(n), k)
-    neigh = d2[np.arange(n)[:, None], idx]
-    w = np.exp(-(neigh - neigh.min(axis=1, keepdims=True)))
+    if not np.all(np.isfinite(X)):
+        raise InvalidInputError("X contains non-finite entries")
+    tree = cKDTree(X)
+    idx = np.empty((n, k), dtype=np.intp)
+    dist = np.empty((n, k))
+    todo = np.arange(n)
+    q = min(k + 2, n)
+    while todo.size:
+        d, j = tree.query(X[todo], q)
+        # lexsort's last key is its first: self goes last, the rest by (d, j)
+        order = np.lexsort((j, d, j == todo[:, None]))[:, :k]
+        kept_d = np.take_along_axis(d, order, axis=1)
+        done = (kept_d[:, -1] < d[:, -1]) | (q == n)
+        idx[todo[done]] = np.take_along_axis(j[done], order[done], axis=1)
+        dist[todo[done]] = kept_d[done]
+        todo = todo[~done]
+        q = min(2 * q, n)
+    d2 = dist * dist
+    w = np.exp(-(d2 - d2.min(axis=1, keepdims=True)))
     w /= w.sum(axis=1, keepdims=True)
+    rows = np.repeat(np.arange(n), k)
     W = sp.csr_matrix((w.ravel(), (rows, idx.ravel())), shape=(n, n))
     return NeighborGraph(W=W, k=k)
 

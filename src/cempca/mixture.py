@@ -104,6 +104,8 @@ class FitResult:
 
 def derive_seed(seed, restart):
     """Counter-based per-restart seed, stable as the restart count grows."""
+    if int(seed) < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {seed}")
     return np.random.SeedSequence(entropy=int(seed), spawn_key=(int(restart),))
 
 

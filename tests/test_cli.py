@@ -684,3 +684,51 @@ def test_evaluate_non_utf8_file_is_a_data_error(tmp_path, capsys, name, content)
     code, out, err = _evaluate([bad, truth], capsys)
     assert code == 3 and out == ""
     assert err.startswith(f"data error: cannot read {bad}: ")
+
+
+def test_fit_cempca_non_finite_cell_is_a_data_error(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    run(["generate", "--shape", "tetra", "--n", 60, "--seed", 2, "--out", data])
+    lines = data.read_text().split("\n")
+    lines[4] = "nan," + lines[4].split(",", 1)[1]
+    data.write_text("\n".join(lines))
+    capsys.readouterr()
+    code = run(["fit", "cempca", data, "--g", 2])  # default smoothing builds the graph
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("data error: ") and "non-finite" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def _tetra_csv(tmp_path):
+    data = tmp_path / "t.csv"
+    run(["generate", "--shape", "tetra", "--n", 60, "--seed", 2, "--out", data])
+    return data
+
+
+def _suite_path(tmp_path, suite):
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(suite))
+    return path
+
+
+@pytest.mark.parametrize("argv", [
+    lambda tmp: ["generate", "--shape", "tetra", "--n", 60, "--seed", -1,
+                 "--out", tmp / "out.csv"],
+    lambda tmp: ["fit", "kmeans", _tetra_csv(tmp), "--g", 4, "--seed", -1],
+    lambda tmp: ["benchmark", _suite_path(tmp, {
+        "seed": -1, "datasets": [{"shape": "tetra", "n": 60}],
+        "methods": [{"method": "kmeans"}]}), tmp / "results"],
+    lambda tmp: ["benchmark", _suite_path(tmp, {
+        "datasets": [{"shape": "tetra", "n": 60, "seed": -2}],
+        "methods": [{"method": "kmeans"}]}), tmp / "results"],
+], ids=["generate", "fit", "suite-seed", "dataset-seed"])
+def test_negative_seed_is_a_data_error(tmp_path, capsys, argv):
+    argv = argv(tmp_path)
+    capsys.readouterr()
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("data error: ") and ">= 0" in captured.err
+    assert not (tmp_path / "out.csv").exists()
+    assert not (tmp_path / "results").exists()

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cempca.data import (FCPS_CLASS_COUNTS, LabeledDataset, gen_chang,
                          gen_fcps, knn_graph, load_csv, save_csv, smooth,
@@ -194,6 +197,14 @@ def test_generators_deterministic_per_seed():
         assert not np.array_equal(a.X, c.X)
 
 
+@pytest.mark.parametrize("make", [lambda: gen_chang(n=10, seed=-1),
+                                  lambda: gen_fcps("tetra", 40, seed=-2)],
+                         ids=["chang", "fcps"])
+def test_generators_reject_negative_seed(make):
+    with pytest.raises(InvalidInputError, match="seed must be >= 0"):
+        make()
+
+
 def test_knn_graph_collinear_points():
     X = np.array([[0.0], [1.0], [10.0]])
     graph = knn_graph(X, 1)
@@ -236,6 +247,67 @@ def test_knn_graph_k_out_of_range():
     for k in (0, 4):
         with pytest.raises(InvalidInputError):
             knn_graph(X, k)
+
+
+def _knn_oracle(X, k):
+    """Neighbor lists by brute-force (squared distance, index) order, self excluded."""
+    n = X.shape[0]
+    return [[j for _, j in sorted((float(np.sum((X[i] - X[j]) ** 2)), j)
+                                  for j in range(n) if j != i)[:k]]
+            for i in range(n)]
+
+
+def _assert_matches_oracle(X, k):
+    W = knn_graph(X, k).W.tocsr()
+    for i, expected in enumerate(_knn_oracle(X, k)):
+        found = W.indices[W.indptr[i]:W.indptr[i + 1]]
+        assert set(found) == set(expected)
+    assert np.allclose(np.asarray(W.sum(axis=1)).ravel(), 1.0, atol=1e-12)
+
+
+@st.composite
+def _grid_cases(draw):
+    n = draw(st.integers(2, 14))
+    d = draw(st.integers(1, 3))
+    cells = draw(st.lists(st.integers(0, 2), min_size=n * d, max_size=n * d))
+    return np.array(cells, dtype=float).reshape(n, d), draw(st.integers(1, n - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_grid_cases())
+def test_knn_graph_tie_rule_on_integer_grids(case):
+    _assert_matches_oracle(*case)
+
+
+def test_knn_graph_more_copies_than_candidates():
+    # nine copies of one point: a tree query of k + 2 = 4 candidates cannot
+    # tell which copies are the lowest-index ones, so the query widens to n
+    X = np.vstack([np.zeros((9, 2)), [[5.0, 5.0]]])
+    W = knn_graph(X, 2).W.tocsr()
+    assert set(W.indices[W.indptr[0]:W.indptr[1]]) == {1, 2}
+    assert set(W.indices[W.indptr[5]:W.indptr[6]]) == {0, 1}
+    assert set(W.indices[W.indptr[9]:W.indptr[10]]) == {0, 1}
+    _assert_matches_oracle(X, 2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_knn_graph_rejects_non_finite(bad):
+    X = np.arange(12, dtype=float).reshape(6, 2)
+    X[3, 1] = bad
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        knn_graph(X, 2)
+
+
+def test_knn_graph_memory_is_not_quadratic():
+    # a dense n x n float64 distance matrix at n = 6000 alone is 288 MB
+    X = gen_fcps("chainlink", 6000, seed=11).X
+    tracemalloc.start()
+    try:
+        knn_graph(X, 15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2**20
 
 
 def test_smooth_zero_power_is_identity():

@@ -356,3 +356,10 @@ def test_cem_refine_scores_each_parameter_set_once(monkeypatch, seed, max_iter):
                         lambda X, params: calls.append(1) or real(X, params))
     _, _, trace, iterations = cem_refine(X, part, params, max_iter=max_iter)
     assert len(calls) == iterations + 1 == len(trace)
+
+
+def test_restart_seeds_reject_negative_seed():
+    with pytest.raises(InvalidInputError, match="seed must be >= 0"):
+        mixture.restart_rng(-1, 0)
+    with pytest.raises(InvalidInputError, match="seed must be >= 0"):
+        kmeans(np.arange(8.0).reshape(4, 2), 2, seed=-3)
