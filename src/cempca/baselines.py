@@ -8,51 +8,36 @@ from dataclasses import replace
 import numpy as np
 
 from . import mixture
-from .cempca import EmbeddingBundle
-from .errors import InvalidInputError
-from .linalg import fix_signs, thin_svd
+from .cempca import EmbeddingBundle, _principal_axes
+from .linalg import fix_signs, polar
 from .mixture import FitResult, Partition
 
 
-def kmeans_pca(X, g, p, restarts=10, seed=0, max_iter=100, tol=1e-6):
-    """K-means on the leading principal-component scores (singular-value weighted)."""
-    X = np.asarray(X, dtype=float)
-    n, d = X.shape
-    if not 1 <= p <= min(n - 1, d):
-        raise InvalidInputError(f"p must be in [1, {min(n - 1, d)}], got {p}")
-    Xc = X - X.mean(axis=0)
-    U, s, _ = thin_svd(Xc)
-    B = U[:, :p]
-    scores = B * s[:p]
+def kmeans_pca(X, g, p=None, restarts=20, seed=0, max_iter=100, tol=1e-6):
+    """K-means on the leading p principal-component scores (singular-value
+    weighted); p=None means min(10, d)."""
+    Xc, B, s, _ = _principal_axes(X, p)
+    scores = B * s
     km = mixture.kmeans(scores, g, max_iter=max_iter, tol=tol,
                         restarts=restarts, seed=seed)
     bundle = EmbeddingBundle(B=B, Q=Xc.T @ B, M=scores)
     return replace(km, bundle=bundle)
 
 
-def _procrustes_loadings(G):
-    # maximize Tr(Q^T G) over orthonormal-column Q: polar factor of G
-    U, _, V = thin_svd(G)
-    return U @ V.T
-
-
-def reduced_kmeans(X, g, p, restarts=10, seed=0, max_iter=100, tol=1e-6):
+def reduced_kmeans(X, g, p=None, restarts=20, seed=0, max_iter=100, tol=1e-6):
     """Alternating fit of the clustered factorization || X - Z S Q^T ||^2.
 
     Given the partition and centroids, Q is the polar factor of X^T (Z S);
     given Q, warm-started Lloyd rounds on the scores X Q refit Z and S.
     Both half-steps minimize their block, so the objective never increases.
+    Q starts at the leading p principal axes, p=None meaning min(10, d).
     Best of `restarts` runs by final objective. step_trace holds one
     {"Q", "S", "assignments"} entry per iteration.
     """
     X = np.asarray(X, dtype=float)
-    n, d = X.shape
     mixture._check_fit_args(X, g)
-    if not 1 <= p <= min(n - 1, d):
-        raise InvalidInputError(f"p must be in [1, {min(n - 1, d)}], got {p}")
     start = time.perf_counter()
-    _, _, V0 = thin_svd(X - X.mean(axis=0))
-    Q0 = V0[:, :p]
+    _, _, _, Q0 = _principal_axes(X, p)
     scores0 = X @ Q0
 
     def fit_one(r):
@@ -66,7 +51,7 @@ def reduced_kmeans(X, g, p, restarts=10, seed=0, max_iter=100, tol=1e-6):
         iterations = 0
         for _ in range(max_iter):
             iterations += 1
-            Q = _procrustes_loadings(X.T @ S[assign])
+            Q, _ = polar(X.T @ S[assign])
             scores = X @ Q
             centers = np.vstack([scores[assign == k].mean(axis=0) for k in range(g)])
             assign, S, _, _ = mixture.lloyd(scores, centers, max_iter=max_iter, tol=tol)
@@ -76,9 +61,8 @@ def reduced_kmeans(X, g, p, restarts=10, seed=0, max_iter=100, tol=1e-6):
                 break
         part = Partition(assignments=assign, g=g)
         return FitResult(partition=part, params=None, objective_trace=trace,
-                         iterations=iterations, seed=int(seed), restart_index=r,
-                         wall_time=0.0, bundle=_rkm_bundle(X, Q, part, S),
-                         step_trace=history)
+                         iterations=iterations, seed=int(seed),
+                         bundle=_rkm_bundle(X, Q, part, S), step_trace=history)
 
     return mixture.best_of_restarts(fit_one, restarts, operator.lt, start)
 

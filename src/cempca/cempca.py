@@ -21,7 +21,7 @@ import numpy as np
 from . import mixture
 from .data import knn_graph, smooth, standardize
 from .errors import DegenerateUpdateError, InvalidInputError
-from .linalg import spd_solve, thin_svd
+from .linalg import polar, spd_solve, thin_svd
 from .mixture import FitResult, Partition
 
 
@@ -55,19 +55,30 @@ class CempcaConfig:
     standardize: bool = True
 
 
-def pca_embed(X, p):
-    """Leading-p principal embedding of the column-centered data.
+def _principal_axes(X, p):
+    """(Xc, U, s, V): column-centered X and its thin SVD cut to p columns.
 
-    Returns (B, Q): B holds the first p left singular vectors (orthonormal,
-    deterministic signs) and Q = Xc^T B the matching loadings.
+    p=None means min(10, d); otherwise 1 <= p <= min(n - 1, d).
     """
     X = np.asarray(X, dtype=float)
     n, d = X.shape
+    if p is None:
+        p = min(10, d)
     if not 1 <= p <= min(n - 1, d):
         raise InvalidInputError(f"p must be in [1, {min(n - 1, d)}], got {p}")
     Xc = X - X.mean(axis=0)
-    U, _, _ = thin_svd(Xc)
-    B = U[:, :p]
+    U, s, V = thin_svd(Xc)
+    return Xc, U[:, :p], s[:p], V[:, :p]
+
+
+def pca_embed(X, p=None):
+    """Leading-p principal embedding of the column-centered data.
+
+    Returns (B, Q): B holds the first p left singular vectors (orthonormal,
+    deterministic signs) and Q = Xc^T B the matching loadings. p=None means
+    min(10, d).
+    """
+    Xc, B, _, _ = _principal_axes(X, p)
     return B, Xc.T @ B
 
 
@@ -90,11 +101,10 @@ def update_B(X, Q, M, delta):
     X = np.asarray(X, dtype=float)
     Q = np.asarray(Q, dtype=float)
     M = np.asarray(M, dtype=float)
-    T = X @ Q + delta * M
-    U, s, V = thin_svd(T)
+    B, s = polar(X @ Q + delta * M)
     if s[0] <= 0.0 or s[-1] <= s[0] * 1e-12:
         raise DegenerateUpdateError("X Q + delta M is rank-deficient")
-    return U @ V.T
+    return B
 
 
 def update_M(B, partition, params, delta):
@@ -203,8 +213,8 @@ def _fit_single(X, B, Q, cfg, seed, restart):
         if mixture._converged(trace[-2], trace[-1], cfg.tol):
             break
     return FitResult(partition=part, params=params, objective_trace=trace,
-                     iterations=iterations, seed=int(seed), restart_index=restart,
-                     wall_time=0.0, bundle=bundle, step_trace=steps)
+                     iterations=iterations, seed=int(seed), bundle=bundle,
+                     step_trace=steps)
 
 
 def fit_cempca(X_raw, cfg, seed=0):
@@ -223,10 +233,9 @@ def fit_cempca(X_raw, cfg, seed=0):
     start = time.perf_counter()
     X = prepare_features(X_raw, cfg)
     mixture._check_fit_args(X, cfg.g)
-    p = cfg.p if cfg.p is not None else min(10, X.shape[1])
     # The principal embedding and its loadings depend only on X and p, so
     # every restart starts from the same pair.
-    B, _ = pca_embed(X, p)
+    B, _ = pca_embed(X, cfg.p)
     Q = update_Q(X, B)
     return mixture.best_of_restarts(
         lambda r: _fit_single(X, B, Q, cfg, seed, r),

@@ -26,7 +26,7 @@ from .data import (FCPS_SHAPES, gen_chang, gen_fcps, load_csv, save_csv,
                    standardize)
 from .errors import NUMERICAL_ERRORS, CempcaError, DataError, InvalidInputError
 from .metrics import accuracy, ari, nmi
-from .mixture import cem, em_gmm, kmeans
+from .mixture import cem, child_seed, em_gmm, kmeans
 
 # Method -> {setting: default}. p=None means the smaller of 10 and d.
 _MIXTURE = {"restarts": 20, "max_iter": 100, "tol": 1e-6, "standardize": True}
@@ -115,9 +115,8 @@ def run_method(method, dataset, config, seed):
         elif method == "kmeans":
             result = kmeans(Xf, g, **common)
         else:
-            p = s["p"] if s["p"] is not None else min(10, Xf.shape[1])
             fit = kmeans_pca if method == "kmeans-pca" else reduced_kmeans
-            result = fit(Xf, g, p, **common)
+            result = fit(Xf, g, s["p"], **common)
 
     scores = {}
     if dataset.labels is not None:
@@ -222,11 +221,6 @@ def cmd_evaluate(args):
     return 0
 
 
-def _suite_cell_seed(base_seed, i, j):
-    return int(np.random.SeedSequence(entropy=int(base_seed),
-                                      spawn_key=(int(i), int(j))).generate_state(1)[0])
-
-
 def _checked(name, value, kind):
     """Return value if of a `kind` type: ints pass for floats, bools only for bools."""
     kinds = kind if isinstance(kind, tuple) else (kind,)
@@ -295,7 +289,7 @@ def cmd_benchmark(args):
                                     'so its entry must give "g"')
         datasets.append((ds, ds.n_classes if g is None else g))
 
-    rows = [_result_row(ds, g, name, entry, _suite_cell_seed(base_seed, i, j))
+    rows = [_result_row(ds, g, name, entry, child_seed(base_seed, i, j))
             for i, (ds, g) in enumerate(datasets)
             for j, (name, entry) in enumerate(zip(names, methods))]
 

@@ -313,7 +313,10 @@ def knn_graph(X, k):
     index) and self is dropped by index, not by position. Each row asks
     the tree for k + 2 candidates. A row whose k-th kept distance equals
     the farthest returned one may have an unreturned point tied with it,
-    so it asks again for twice as many, up to n. Non-finite X is rejected.
+    so it asks again for twice as many, up to n. A row with k or more exact
+    copies besides itself skips the tree: its neighbors are its k
+    lowest-index copies, so m copies of a point cost O(m k), not O(m^2).
+    Non-finite X is rejected.
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
@@ -323,8 +326,24 @@ def knn_graph(X, k):
         raise InvalidInputError("X contains non-finite entries")
     tree = cKDTree(X)
     idx = np.empty((n, k), dtype=np.intp)
-    dist = np.empty((n, k))
-    todo = np.arange(n)
+    dist = np.zeros((n, k))
+    # Copy groups (+ 0.0 makes -0.0 a copy of 0.0), members in index order.
+    # A group qualifies only if no other point is at distance 0 from it,
+    # which a point within about 1e-162 would be once squares underflow.
+    _, group, size = np.unique(X + 0.0, axis=0, return_inverse=True,
+                               return_counts=True)
+    group = group.ravel()
+    members = np.argsort(group, kind="stable")
+    first = np.cumsum(size) - size
+    big = np.flatnonzero(size > k)
+    big = big[tree.query_ball_point(X[members[first[big]]], 0.0,
+                                    return_length=True) == size[big]]
+    copy_rows = np.flatnonzero(np.isin(group, big))
+    lowest = members[first[group[copy_rows]][:, None] + np.arange(k + 1)]
+    keep = lowest != copy_rows[:, None]
+    keep[keep.all(axis=1), k] = False
+    idx[copy_rows] = lowest[keep].reshape(-1, k)
+    todo = np.setdiff1d(np.arange(n), copy_rows)
     q = min(k + 2, n)
     while todo.size:
         d, j = tree.query(X[todo], q)

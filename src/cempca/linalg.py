@@ -59,6 +59,13 @@ def thin_svd(A):
     return U, d, V
 
 
+def polar(A):
+    """(U V^T, d) for the thin SVD A = U diag(d) V^T: the polar factor of A,
+    which maximizes Tr(A^T P) over orthonormal-column P, and A's singular values."""
+    U, d, V = thin_svd(A)
+    return U @ V.T, d
+
+
 def spd_solve(A, Y):
     """Solve A @ Z = Y for symmetric positive-definite A via Cholesky.
 

@@ -86,8 +86,9 @@ class FitResult:
     for the mixture fits, and the three-term joint objective for the
     alternating embedding fit (non-increasing there). step_trace is set by
     fit_cempca (the objective after every block update) and reduced_kmeans
-    (the iterates); failed_restarts lists the restarts that were skipped, as
-    (restart index, "ErrorType: message").
+    (the iterates). best_of_restarts sets restart_index (the kept restart),
+    wall_time (seconds for all restarts) and failed_restarts (the restarts
+    that were skipped, as (restart index, "ErrorType: message")).
     """
 
     partition: Partition
@@ -95,27 +96,28 @@ class FitResult:
     objective_trace: list
     iterations: int
     seed: int
-    restart_index: int
-    wall_time: float
+    restart_index: int = 0
+    wall_time: float = 0.0
     bundle: "object" = None      # EmbeddingBundle when the method produces one
     step_trace: Optional[list] = None
     failed_restarts: list = field(default_factory=list)
 
 
-def derive_seed(seed, restart):
-    """Counter-based per-restart seed, stable as the restart count grows."""
+def derive_seed(seed, *key):
+    """Counter-based seed for `key`: a restart index, or a suite cell's
+    dataset and method indices. It is stable as the counts grow."""
     if int(seed) < 0:
         raise InvalidInputError(f"seed must be >= 0, got {seed}")
-    return np.random.SeedSequence(entropy=int(seed), spawn_key=(int(restart),))
+    return np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(map(int, key)))
 
 
 def restart_rng(seed, restart):
     return np.random.default_rng(derive_seed(seed, restart))
 
 
-def child_seed(seed, restart):
-    """Integer seed for a nested fit inside restart `restart`."""
-    return int(derive_seed(seed, restart).generate_state(1)[0])
+def child_seed(seed, *key):
+    """Integer seed for a nested fit inside restart `key`, or for suite cell `key`."""
+    return int(derive_seed(seed, *key).generate_state(1)[0])
 
 
 def best_of_restarts(fit_one, restarts, better, start):
@@ -126,7 +128,7 @@ def best_of_restarts(fit_one, restarts, better, start):
     is strictly better, so ties go to the lowest restart index. A restart
     that raises one of NUMERICAL_ERRORS is skipped and recorded in
     failed_restarts; if every restart fails, NumericalError is raised from
-    the last error. wall_time is measured from `start`.
+    the last error. The kept result gets restart_index and wall_time (from `start`).
     """
     if restarts < 1:
         raise InvalidInputError("restarts must be >= 1")
@@ -139,6 +141,7 @@ def best_of_restarts(fit_one, restarts, better, start):
             failed.append((r, f"{type(exc).__name__}: {exc}"))
             last_error = exc
             continue
+        result.restart_index = r
         if best is None or better(result.objective_trace[-1], best.objective_trace[-1]):
             best = result
     if best is None:
@@ -358,7 +361,7 @@ def _kmeans_params(X, partition, centers, wcss):
                          model="spherical-tied")
 
 
-def kmeans(X, g, max_iter=100, tol=1e-6, restarts=1, seed=0):
+def kmeans(X, g, max_iter=100, tol=1e-6, restarts=20, seed=0):
     """Lloyd's algorithm from k-means++ centers, best of `restarts` runs by
     within-cluster sum of squares."""
     X = np.asarray(X, dtype=float)
@@ -371,8 +374,7 @@ def kmeans(X, g, max_iter=100, tol=1e-6, restarts=1, seed=0):
         part = Partition(assignments=assign, g=g)
         return FitResult(partition=part,
                          params=_kmeans_params(X, part, centers, trace[-1]),
-                         objective_trace=trace, iterations=iters, seed=int(seed),
-                         restart_index=r, wall_time=0.0)
+                         objective_trace=trace, iterations=iters, seed=int(seed))
 
     return best_of_restarts(fit_one, restarts, operator.lt, start)
 
@@ -381,7 +383,7 @@ def kmeans(X, g, max_iter=100, tol=1e-6, restarts=1, seed=0):
 # EM and CEM
 
 
-def em_gmm(X, g, max_iter=100, tol=1e-6, restarts=1, seed=0, model="full"):
+def em_gmm(X, g, max_iter=100, tol=1e-6, restarts=20, seed=0, model="full"):
     """Fit a Gaussian mixture by EM, initialized from a K-means partition.
 
     Keeps the restart with the highest observed-data log-likelihood; the
@@ -392,7 +394,7 @@ def em_gmm(X, g, max_iter=100, tol=1e-6, restarts=1, seed=0, model="full"):
     start = time.perf_counter()
 
     def fit_one(r):
-        km = kmeans(X, g, max_iter=max_iter, seed=child_seed(seed, r))
+        km = kmeans(X, g, max_iter=max_iter, restarts=1, seed=child_seed(seed, r))
         params = m_step(X, km.partition.one_hot(), model)
         trace = [log_likelihood(X, params)]
         iterations = 0
@@ -405,7 +407,7 @@ def em_gmm(X, g, max_iter=100, tol=1e-6, restarts=1, seed=0, model="full"):
                 break
         return FitResult(partition=c_step(e_step(X, params)), params=params,
                          objective_trace=trace, iterations=iterations,
-                         seed=int(seed), restart_index=r, wall_time=0.0)
+                         seed=int(seed))
 
     return best_of_restarts(fit_one, restarts, operator.gt, start)
 
@@ -459,7 +461,7 @@ def cem_refine(X, partition, params, max_iter=100, tol=1e-6):
     return partition, params, trace, iterations
 
 
-def cem(X, g, max_iter=100, tol=1e-6, restarts=1, seed=0, model="full"):
+def cem(X, g, max_iter=100, tol=1e-6, restarts=20, seed=0, model="full"):
     """Hard-assignment EM: a classification step between E and M.
 
     Maximizes the complete-data log-likelihood; empty clusters are repaired
@@ -471,13 +473,13 @@ def cem(X, g, max_iter=100, tol=1e-6, restarts=1, seed=0, model="full"):
     start = time.perf_counter()
 
     def fit_one(r):
-        km = kmeans(X, g, max_iter=max_iter, seed=child_seed(seed, r))
+        km = kmeans(X, g, max_iter=max_iter, restarts=1, seed=child_seed(seed, r))
         params = m_step(X, km.partition.one_hot(), model)
         partition, params, trace, iterations = cem_refine(
             X, km.partition, params, max_iter=max_iter, tol=tol)
         return FitResult(partition=partition, params=params,
                          objective_trace=trace, iterations=iterations,
-                         seed=int(seed), restart_index=r, wall_time=0.0)
+                         seed=int(seed))
 
     return best_of_restarts(fit_one, restarts, operator.gt, start)
 

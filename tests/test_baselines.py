@@ -51,6 +51,18 @@ def test_kmeans_pca_takes_p_by_keyword():
         kmeans_pca(X, 2, p=6)
 
 
+@pytest.mark.parametrize("fit", [kmeans_pca, reduced_kmeans])
+def test_baselines_default_p_is_min_of_10_and_d(fit):
+    for X in (standardize(gen_chang(200, seed=1).X), gen_fcps("tetra", 80, seed=1).X):
+        g = 2
+        default = fit(X, g, restarts=3, seed=4)
+        explicit = fit(X, g, min(10, X.shape[1]), restarts=3, seed=4)
+        assert default.bundle.B.shape[1] == min(10, X.shape[1])
+        assert np.array_equal(default.partition.assignments,
+                              explicit.partition.assignments)
+        assert default.objective_trace == explicit.objective_trace
+
+
 def test_kmeans_pca_rejects_large_p():
     with pytest.raises(InvalidInputError):
         kmeans_pca(np.zeros((6, 3)), 2, 5)

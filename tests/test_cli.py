@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -194,6 +195,23 @@ def test_benchmark_single_cell_consistency(tmp_path):
 
     table = (out_dir / "results.txt").read_text()
     assert "kmeans" in table and "tetra" in table
+
+
+def test_benchmark_cell_seeds_are_counter_based(tmp_path):
+    # cell (dataset i, method j) is seeded by
+    # SeedSequence(entropy=suite seed, spawn_key=(i, j)).generate_state(1)[0]
+    path = _suite_path(tmp_path, {
+        "seed": 7,
+        "datasets": [{"name": "a", "shape": "tetra", "n": 60, "seed": 1},
+                     {"name": "b", "shape": "tetra", "n": 60, "seed": 2}],
+        "methods": [{"name": "km", "method": "kmeans", "params": {"restarts": 1}},
+                    {"name": "cem", "method": "cem", "params": {"restarts": 1}}]})
+    assert run(["benchmark", path, tmp_path / "results"]) == 0
+    with open(tmp_path / "results" / "results.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["dataset"], r["method"], int(r["seed"])) for r in rows] == [
+        ("a", "km", 393969088), ("a", "cem", 1834709978),
+        ("b", "km", 75971499), ("b", "cem", 3983357107)]
 
 
 def test_benchmark_csv_and_table_agree(tmp_path):
@@ -438,8 +456,10 @@ def test_fit_defaults_match_table_and_library(tmp_path):
     assert set(functions) | {"cempca"} == set(SETTINGS)
     for method, fn in functions.items():
         params = inspect.signature(fn).parameters
-        for key in ("max_iter", "tol"):
+        for key in ("max_iter", "tol", "restarts"):
             assert SETTINGS[method][key] == params[key].default, (method, key)
+        assert SETTINGS[method].get("p", "no p") == (
+            params["p"].default if "p" in params else "no p"), method
         if "cov" in SETTINGS[method]:
             assert SETTINGS[method]["cov"] == params["model"].default, method
 

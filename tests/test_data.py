@@ -310,6 +310,39 @@ def test_knn_graph_memory_is_not_quadratic():
     assert peak < 50 * 2**20
 
 
+def test_knn_graph_many_copies_of_one_point():
+    # 3000 copies: widening the tree query until it holds every copy would
+    # cost O(m^2) time and memory (about 400 MB here)
+    rng = np.random.default_rng(12)
+    X = np.vstack([np.zeros((3000, 3)), rng.standard_normal((3000, 3))])
+    tracemalloc.start()
+    try:
+        W = knn_graph(X, 15).W.tocsr()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2**20
+    found = np.sort(W.indices.reshape(-1, 15), axis=1)
+    for start in range(0, len(X), 250):
+        # brute force: a stable sort by squared distance breaks ties by index
+        d2 = ((X[start:start + 250, None, :] - X[None, :, :]) ** 2).sum(axis=2)
+        d2[np.arange(d2.shape[0]), start + np.arange(d2.shape[0])] = np.inf
+        expected = np.argsort(d2, axis=1, kind="stable")[:, :15]
+        assert np.array_equal(found[start:start + 250], np.sort(expected, axis=1))
+
+
+def test_knn_graph_copy_groups_match_oracle():
+    # -0.0 is a copy of 0.0; a point 1e-200 away is also at distance 0
+    # once its square underflows, so its group is left to the tree
+    signed = np.zeros((12, 2))
+    signed[::2] = -0.0
+    signed[3, 1] = -0.0
+    _assert_matches_oracle(np.vstack([signed, [[1.0, 1.0], [-0.0, 0.0]]]), 3)
+    near = np.vstack([np.zeros((5, 1)), [[1e-200]], np.zeros((3, 1)), [[1.0]]])
+    for k in (2, 7, 8):
+        _assert_matches_oracle(near, k)
+
+
 def test_smooth_zero_power_is_identity():
     rng = np.random.default_rng(10)
     X = rng.standard_normal((12, 3))

@@ -161,6 +161,17 @@ def test_best_of_restarts_keeps_first_strict_optimum(runs, better):
     assert result.wall_time >= 0.0
 
 
+def test_best_of_restarts_stamps_the_kept_restart():
+    # a fit built without restart_index gets the index of the restart kept
+    def fit_one(r):
+        return FitResult(partition=Partition(assignments=np.zeros(1, dtype=int), g=1),
+                         params=None, objective_trace=[float(abs(r - 2))],
+                         iterations=1, seed=0)
+
+    result = best_of_restarts(fit_one, 5, operator.lt, time.perf_counter())
+    assert result.restart_index == 2 and result.objective_trace == [0.0]
+
+
 def test_best_of_restarts_lets_other_errors_through():
     def fit_one(r):
         raise InvalidInputError("bad argument")
