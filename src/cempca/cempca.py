@@ -40,7 +40,8 @@ class CempcaConfig:
 
     p defaults to min(10, d) when left unset. neighbors and smoothing
     control the nearest-neighbor graph used to replace X by W^m X before
-    fitting; smoothing=0 skips the graph entirely.
+    fitting; smoothing=0 skips the graph entirely. max_iter caps the outer
+    sweeps; max_iter=0 keeps the mixture fitted on the principal embedding.
     """
 
     g: int
@@ -228,8 +229,9 @@ def fit_cempca(X_raw, cfg, seed=0):
     Restarts that hit a degenerate update are skipped and listed in
     failed_restarts; the fit fails only if every restart does.
     """
-    if cfg.delta < 0:
-        raise InvalidInputError("delta must be >= 0")
+    for name in ("delta", "smoothing", "max_iter"):
+        if getattr(cfg, name) < 0:
+            raise InvalidInputError(f"{name} must be >= 0")
     start = time.perf_counter()
     X = prepare_features(X_raw, cfg)
     mixture._check_fit_args(X, cfg.g)

@@ -1,8 +1,8 @@
 """Command-line surface: dataset generation, fitting, evaluation, benchmarks.
 
-SETTINGS is the one statement of which settings each method reads, under the
-names `cempca fit` flags and suite params use, and of their defaults;
-run_method resolves every fit against it and rejects keys it does not list.
+SETTINGS holds each method's settings and defaults, read off its library entry
+point and renamed to the `cempca fit` flag and suite param names; run_method
+resolves every fit against it and rejects keys it does not list.
 data.load_csv is the one CSV reader and _read_json the one JSON reader.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical failure.
@@ -14,6 +14,7 @@ both written from those rows.
 import argparse
 import csv
 import dataclasses
+import inspect
 import json
 import os
 import sys
@@ -26,22 +27,28 @@ from .data import (FCPS_SHAPES, gen_chang, gen_fcps, load_csv, save_csv,
                    standardize)
 from .errors import NUMERICAL_ERRORS, CempcaError, DataError, InvalidInputError
 from .metrics import accuracy, ari, nmi
-from .mixture import cem, child_seed, em_gmm, kmeans
+from .mixture import COV_MODELS, cem, child_seed, em_gmm, kmeans
+
+# Method -> the library entry point whose keyword defaults are its settings.
+_ENTRY_POINTS = {"cempca": CempcaConfig, "em-gmm": em_gmm, "cem": cem,
+                 "kmeans": kmeans, "kmeans-pca": kmeans_pca,
+                 "reduced-kmeans": reduced_kmeans}
+# Library parameter -> setting name, where the two differ.
+_SPELLING = {"model": "cov", "smoothing": "smooth"}
+_LIBRARY_NAMES = {setting: name for name, setting in _SPELLING.items()}
+
+
+def _settings(entry):
+    """{setting: default} for entry's keyword defaults but seed; standardize
+    is True where the library leaves standardizing to the CLI."""
+    params = inspect.signature(entry).parameters.values()
+    return {"standardize": True,
+            **{_SPELLING.get(p.name, p.name): p.default for p in params
+               if p.default is not p.empty and p.name != "seed"}}
+
 
 # Method -> {setting: default}. p=None means the smaller of 10 and d.
-_MIXTURE = {"restarts": 20, "max_iter": 100, "tol": 1e-6, "standardize": True}
-SETTINGS = {
-    "cempca": {"p": CempcaConfig.p, "delta": CempcaConfig.delta,
-               "neighbors": CempcaConfig.neighbors, "smooth": CempcaConfig.smoothing,
-               "restarts": CempcaConfig.restarts, "max_iter": CempcaConfig.max_iter,
-               "tol": CempcaConfig.tol, "cov": CempcaConfig.model,
-               "standardize": CempcaConfig.standardize},
-    "em-gmm": {**_MIXTURE, "cov": "full"},
-    "cem": {**_MIXTURE, "cov": "full"},
-    "kmeans": _MIXTURE,
-    "kmeans-pca": {**_MIXTURE, "p": None},
-    "reduced-kmeans": {**_MIXTURE, "p": None},
-}
+SETTINGS = {method: _settings(entry) for method, entry in _ENTRY_POINTS.items()}
 GENERATOR_SHAPES = ("chang",) + FCPS_SHAPES
 RESULT_COLUMNS = ("dataset", "method", "seed", "status", "nmi", "ari", "acc",
                   "iterations", "wall_time", "objective_final", "failed_restarts",
@@ -95,28 +102,18 @@ def run_method(method, dataset, config, seed):
         if value is not None or default is not None:
             _checked(key, value, int if default is None else type(default))
     s = {**SETTINGS[method], **given}
-    model = "diagonal" if s.get("cov") == "diag" else s.get("cov")
+    kwargs = {_LIBRARY_NAMES.get(key, key): value for key, value in s.items()}
+    if s.get("cov") in ("diag", "diagonal"):  # one model, spelled diag in config
+        s["cov"], kwargs["model"] = "diag", "diagonal"
 
     if method == "cempca":
-        cfg = CempcaConfig(g=g, p=s["p"], delta=s["delta"], neighbors=s["neighbors"],
-                           smoothing=s["smooth"], restarts=s["restarts"],
-                           max_iter=s["max_iter"], tol=s["tol"], model=model,
-                           standardize=s["standardize"])
-        result = fit_cempca(dataset.X, cfg, seed=seed)
+        result = fit_cempca(dataset.X, CempcaConfig(g=g, **kwargs), seed=seed)
     else:
-        X = dataset.X
-        Xf = standardize(X) if s["standardize"] else np.asarray(X, dtype=float)
-        common = dict(max_iter=s["max_iter"], tol=s["tol"], restarts=s["restarts"],
-                      seed=seed)
-        if method == "em-gmm":
-            result = em_gmm(Xf, g, model=model, **common)
-        elif method == "cem":
-            result = cem(Xf, g, model=model, **common)
-        elif method == "kmeans":
-            result = kmeans(Xf, g, **common)
-        else:
-            fit = kmeans_pca if method == "kmeans-pca" else reduced_kmeans
-            result = fit(Xf, g, s["p"], **common)
+        X = np.asarray(dataset.X, dtype=float)
+        X = standardize(X) if kwargs.pop("standardize") else X
+        # by name, so a wrapper set over this module's names (bench/spans.py) runs
+        fit = globals()[_ENTRY_POINTS[method].__name__]
+        result = fit(X, g, seed=seed, **kwargs)
 
     scores = {}
     if dataset.labels is not None:
@@ -368,7 +365,7 @@ def build_parser():
                      help=f"iteration cap (default: {SETTINGS['cempca']['max_iter']} "
                           f"for cempca, {SETTINGS['kmeans']['max_iter']} otherwise)")
     fit.add_argument("--tol", type=float)
-    fit.add_argument("--cov", choices=("full", "diag", "spherical", "spherical-tied"))
+    fit.add_argument("--cov", choices=(*COV_MODELS, "diag"))
     fit.add_argument("--standardize", action=argparse.BooleanOptionalAction)
     fit.add_argument("--emit-embedding", metavar="PATH", default=None,
                      help="also write B and M coordinates to this CSV")

@@ -196,7 +196,11 @@ def log_joint(X, params):
 
 def e_step(X, params):
     """Posterior cluster probabilities per row, stabilized via log-sum-exp."""
-    lp = log_joint(X, params)
+    return _posterior(log_joint(X, params))
+
+
+def _posterior(lp):
+    """Row-normalized exp of a log_joint matrix; a row scoring -inf everywhere raises."""
     top = lp.max(axis=1)
     bad = ~np.isfinite(top)
     if np.any(bad):
@@ -275,7 +279,11 @@ def complete_log_likelihood(X, partition, params):
 
 def log_likelihood(X, params):
     """Observed-data log-likelihood: row-wise log-sum-exp over components."""
-    return float(logsumexp(log_joint(X, params), axis=1).sum())
+    return _log_likelihood(log_joint(X, params))
+
+
+def _log_likelihood(lp):
+    return float(logsumexp(lp, axis=1).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +323,8 @@ def lloyd(X, centers, max_iter=100, tol=1e-6):
     are reseeded with the point farthest from its own centroid (which then
     becomes that cluster's center, so the objective cannot increase).
     """
+    if max_iter < 1:
+        raise InvalidInputError("max_iter must be >= 1")
     X = np.asarray(X, dtype=float)
     centers = np.array(centers, dtype=float)
     n = X.shape[0]
@@ -396,16 +406,19 @@ def em_gmm(X, g, max_iter=100, tol=1e-6, restarts=20, seed=0, model="full"):
     def fit_one(r):
         km = kmeans(X, g, max_iter=max_iter, restarts=1, seed=child_seed(seed, r))
         params = m_step(X, km.partition.one_hot(), model)
-        trace = [log_likelihood(X, params)]
+        # One score matrix per parameter set: it gives the trace entry, the
+        # next E-step and, for the last set, the MAP partition.
+        lp = log_joint(X, params)
+        trace = [_log_likelihood(lp)]
         iterations = 0
         for _ in range(max_iter):
             iterations += 1
-            resp = e_step(X, params)
-            params = m_step(X, resp, model)
-            trace.append(log_likelihood(X, params))
+            params = m_step(X, _posterior(lp), model)
+            lp = log_joint(X, params)
+            trace.append(_log_likelihood(lp))
             if _converged(trace[-2], trace[-1], tol):
                 break
-        return FitResult(partition=c_step(e_step(X, params)), params=params,
+        return FitResult(partition=c_step(_posterior(lp)), params=params,
                          objective_trace=trace, iterations=iterations,
                          seed=int(seed))
 

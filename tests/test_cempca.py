@@ -363,3 +363,15 @@ def test_fit_rejects_bad_config():
         fit_cempca(X, CempcaConfig(g=2, delta=-1.0, smoothing=0), seed=0)
     with pytest.raises(InvalidInputError):
         fit_cempca(np.zeros((3, 2)), CempcaConfig(g=5, smoothing=0), seed=0)
+    for name in ("max_iter", "smoothing"):
+        with pytest.raises(InvalidInputError, match=f"{name} must be >= 0"):
+            fit_cempca(X, CempcaConfig(g=2, **{name: -1}), seed=0)
+
+
+def test_fit_max_iter_zero_keeps_the_initial_fit():
+    rng = np.random.default_rng(41)
+    X = np.vstack([rng.standard_normal((20, 3)), rng.standard_normal((20, 3)) + 6.0])
+    res = fit_cempca(X, CempcaConfig(g=2, p=2, restarts=2, smoothing=0, max_iter=0),
+                     seed=0)
+    assert res.iterations == 0 and len(res.objective_trace) == 1
+    assert res.step_trace == []

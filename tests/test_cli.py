@@ -752,3 +752,99 @@ def test_negative_seed_is_a_data_error(tmp_path, capsys, argv):
     assert captured.err.startswith("data error: ") and ">= 0" in captured.err
     assert not (tmp_path / "out.csv").exists()
     assert not (tmp_path / "results").exists()
+
+
+def test_every_setting_has_a_fit_flag_that_defaults_to_none():
+    from cempca.cli import SETTINGS, build_parser
+
+    parser = build_parser()
+    base = ["fit", "kmeans", "d.csv", "--g", "2"]
+    args = parser.parse_args(base)
+    defaults = {key: value for settings in SETTINGS.values()
+                for key, value in settings.items()}
+    for key, default in defaults.items():
+        # None means "not given": run_method fills in the method's default
+        assert getattr(args, key) is None, key
+        flag = "--" + key.replace("_", "-")
+        if isinstance(default, bool):
+            given, expected = [flag], True
+        else:
+            expected = 3 if default is None else default
+            given = [flag, str(expected)]
+        assert getattr(parser.parse_args(base + given), key) == expected, key
+
+
+def test_fit_cov_diag_and_diagonal_give_the_same_fit(tmp_path):
+    from cempca.mixture import COV_MODELS
+
+    data = tmp_path / "d.csv"
+    run(["generate", "--shape", "tetra", "--n", 60, "--seed", 2, "--out", data])
+    for method in ("cempca", "em-gmm", "cem"):
+        payloads = []
+        for cov in ("diag", "diagonal"):
+            out = tmp_path / f"{method}-{cov}.json"
+            assert run(["fit", method, data, "--g", 4, "--restarts", 2,
+                        "--cov", cov, "--out", out]) == 0
+            payload = json.loads(out.read_text())
+            del payload["wall_time"]
+            payloads.append(payload)
+        assert payloads[0] == payloads[1], method
+        assert payloads[0]["config"]["cov"] == "diag"
+    for cov in COV_MODELS:
+        assert run(["fit", "cem", data, "--g", 4, "--restarts", 1, "--cov", cov,
+                    "--out", tmp_path / "any.json"]) == 0
+
+
+@pytest.mark.parametrize("method", ["kmeans", "em-gmm", "cem", "kmeans-pca",
+                                    "reduced-kmeans"])
+@pytest.mark.parametrize("max_iter", [0, -1])
+def test_fit_max_iter_below_one_is_a_data_error(tmp_path, capsys, method, max_iter):
+    data = tmp_path / "d.csv"
+    run(["generate", "--shape", "tetra", "--n", 40, "--seed", 1, "--out", data])
+    capsys.readouterr()
+    out = tmp_path / "fit.json"
+    code = run(["fit", method, data, "--g", 4, "--max-iter", max_iter, "--out", out])
+    captured = capsys.readouterr()
+    assert code == 3 and not out.exists()
+    assert captured.err == "data error: max_iter must be >= 1\n"
+
+
+@pytest.mark.parametrize("flag, message", [("--smooth", "smoothing must be >= 0"),
+                                           ("--max-iter", "max_iter must be >= 0")])
+def test_fit_cempca_negative_smooth_or_max_iter_is_a_data_error(tmp_path, capsys,
+                                                                flag, message):
+    data = tmp_path / "d.csv"
+    run(["generate", "--shape", "tetra", "--n", 40, "--seed", 1, "--out", data])
+    capsys.readouterr()
+    out = tmp_path / "fit.json"
+    code = run(["fit", "cempca", data, "--g", 4, flag, -1, "--out", out])
+    captured = capsys.readouterr()
+    assert code == 3 and not out.exists()
+    assert captured.err == f"data error: {message}\n"
+
+
+def test_benchmark_cell_with_an_out_of_range_setting_fails_alone(tmp_path):
+    bad = {"kmeans-0": ("kmeans", {"max_iter": 0}),
+           "rkm-neg": ("reduced-kmeans", {"max_iter": -1}),
+           "cempca-neg": ("cempca", {"max_iter": -1}),
+           "cempca-smooth": ("cempca", {"smooth": -1})}
+    methods = [{"name": name, "method": method, "params": {**params, "restarts": 2}}
+               for name, (method, params) in bad.items()]
+    methods += [{"name": "kmeans", "method": "kmeans", "params": {"restarts": 2}},
+                {"name": "cempca-0", "method": "cempca",  # zero outer sweeps
+                 "params": {"max_iter": 0, "restarts": 2}}]
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({
+        "seed": 1,
+        "datasets": [{"name": "tetra", "shape": "tetra", "n": 60, "seed": 2}],
+        "methods": methods}))
+    out_dir = tmp_path / "results"
+    assert run(["benchmark", suite, out_dir]) == 0
+    _, rows = _read_results(out_dir)
+    assert {name: (rows[name]["status"], rows[name]["error"]) for name in bad} == {
+        "kmeans-0": ("failed", "max_iter must be >= 1"),
+        "rkm-neg": ("failed", "max_iter must be >= 1"),
+        "cempca-neg": ("failed", "max_iter must be >= 0"),
+        "cempca-smooth": ("failed", "smoothing must be >= 0")}
+    assert rows["kmeans"]["status"] == "ok" and rows["kmeans"]["nmi"] != ""
+    assert rows["cempca-0"]["status"] == "ok" and rows["cempca-0"]["iterations"] == "0"

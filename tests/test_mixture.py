@@ -363,3 +363,32 @@ def test_restart_seeds_reject_negative_seed():
         mixture.restart_rng(-1, 0)
     with pytest.raises(InvalidInputError, match="seed must be >= 0"):
         kmeans(np.arange(8.0).reshape(4, 2), 2, seed=-3)
+
+
+@pytest.mark.parametrize("seed,max_iter", [(31, 100), (32, 1), (33, 3)])
+def test_em_gmm_scores_each_parameter_set_once(monkeypatch, seed, max_iter):
+    rng = np.random.default_rng(seed)
+    X, _ = _blobs(rng, 30, [(0.0, 0.0), (3.0, 0.0), (0.0, 3.0)])
+    calls = []
+    real = mixture.log_joint
+    monkeypatch.setattr(mixture, "log_joint",
+                        lambda X, params: calls.append(1) or real(X, params))
+    fit = em_gmm(X, 3, max_iter=max_iter, restarts=1, seed=seed)
+    assert len(calls) == fit.iterations + 1 == len(fit.objective_trace)
+    # the shared score matrix gives what the public helpers give
+    assert fit.objective_trace[-1] == mixture.log_likelihood(X, fit.params)
+    assert np.array_equal(fit.partition.assignments,
+                          c_step(e_step(X, fit.params)).assignments)
+
+
+@pytest.mark.parametrize("max_iter", [0, -1])
+def test_lloyd_rejects_max_iter_below_one(max_iter):
+    from cempca.baselines import kmeans_pca, reduced_kmeans
+
+    X = np.arange(12.0).reshape(6, 2)
+    with pytest.raises(InvalidInputError, match="max_iter must be >= 1"):
+        mixture.lloyd(X, X[:2], max_iter=max_iter)
+    # every fit that runs Lloyd rounds
+    for fit in (kmeans, em_gmm, cem, kmeans_pca, reduced_kmeans):
+        with pytest.raises(InvalidInputError, match="max_iter must be >= 1"):
+            fit(X, 2, max_iter=max_iter, restarts=1)
