@@ -35,7 +35,7 @@ def reduced_kmeans(X, g, p=None, restarts=20, seed=0, max_iter=100, tol=1e-6):
     {"Q", "S", "assignments"} entry per iteration.
     """
     X = np.asarray(X, dtype=float)
-    mixture._check_fit_args(X, g)
+    mixture._check_fit_args(X, g, tol)
     start = time.perf_counter()
     _, _, _, Q0 = _principal_axes(X, p)
     scores0 = X @ Q0

@@ -11,6 +11,7 @@ mixture parameters with hard-assignment EM on M, recomputes B as the polar
 factor of X Q + delta M, and sets Q = X^T B.
 """
 
+import math
 import operator
 import time
 from dataclasses import dataclass, replace
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import mixture
 from .data import knn_graph, smooth, standardize
-from .errors import DegenerateUpdateError, InvalidInputError
+from .errors import DegenerateUpdateError, InvalidInputError, SettingError
 from .linalg import polar, spd_solve, thin_svd
 from .mixture import FitResult, Partition
 
@@ -66,7 +67,7 @@ def _principal_axes(X, p):
     if p is None:
         p = min(10, d)
     if not 1 <= p <= min(n - 1, d):
-        raise InvalidInputError(f"p must be in [1, {min(n - 1, d)}], got {p}")
+        raise SettingError("p", f"must be in [1, {min(n - 1, d)}], got {p}")
     Xc = X - X.mean(axis=0)
     U, s, V = thin_svd(Xc)
     return Xc, U[:, :p], s[:p], V[:, :p]
@@ -227,14 +228,23 @@ def fit_cempca(X_raw, cfg, seed=0):
     until the objective stalls. step_trace holds the objective after every
     block update, as ("M" | "cem" | "B" | "Q", value), four per sweep.
     Restarts that hit a degenerate update are skipped and listed in
-    failed_restarts; the fit fails only if every restart does.
+    failed_restarts; the fit fails only if every restart does. A setting
+    out of range raises SettingError, naming it, before any work.
     """
-    for name in ("delta", "smoothing", "max_iter"):
+    # Every setting is checked here, by its own name, before any work: a
+    # bad one would otherwise surface from a kernel under the kernel's name.
+    X = np.asarray(X_raw, dtype=float)
+    n = X.shape[0]
+    mixture._check_fit_args(X, cfg.g, cfg.tol)
+    if not (math.isfinite(cfg.delta) and cfg.delta >= 0):
+        raise SettingError("delta", f"must be finite and >= 0, got {cfg.delta}")
+    for name in ("smoothing", "max_iter"):
         if getattr(cfg, name) < 0:
-            raise InvalidInputError(f"{name} must be >= 0")
+            raise SettingError(name, "must be >= 0")
+    if cfg.smoothing > 0 and not 1 <= cfg.neighbors <= n - 1:
+        raise SettingError("neighbors", f"must be in [1, {n - 1}], got {cfg.neighbors}")
     start = time.perf_counter()
-    X = prepare_features(X_raw, cfg)
-    mixture._check_fit_args(X, cfg.g)
+    X = prepare_features(X, cfg)
     # The principal embedding and its loadings depend only on X and p, so
     # every restart starts from the same pair.
     B, _ = pca_embed(X, cfg.p)

@@ -25,7 +25,8 @@ from .baselines import kmeans_pca, reduced_kmeans
 from .cempca import CempcaConfig, fit_cempca
 from .data import (FCPS_SHAPES, gen_chang, gen_fcps, load_csv, save_csv,
                    standardize)
-from .errors import NUMERICAL_ERRORS, CempcaError, DataError, InvalidInputError
+from .errors import (NUMERICAL_ERRORS, CempcaError, DataError, InvalidInputError,
+                     SettingError)
 from .metrics import accuracy, ari, nmi
 from .mixture import COV_MODELS, cem, child_seed, em_gmm, kmeans
 
@@ -87,7 +88,8 @@ def run_method(method, dataset, config, seed):
 
     config holds "g" and any of the method's SETTINGS; the rest take their
     defaults. A key the method does not read, or a value whose type is not
-    its default's (g and p are ints, p may be None), raises InvalidInputError.
+    its default's (g and p are ints, p may be None), raises InvalidInputError;
+    a value out of range raises SettingError under its SETTINGS name.
     """
     if method not in SETTINGS:
         raise InvalidInputError(f"unknown method {method!r}")
@@ -106,14 +108,17 @@ def run_method(method, dataset, config, seed):
     if s.get("cov") in ("diag", "diagonal"):  # one model, spelled diag in config
         s["cov"], kwargs["model"] = "diag", "diagonal"
 
-    if method == "cempca":
-        result = fit_cempca(dataset.X, CempcaConfig(g=g, **kwargs), seed=seed)
-    else:
-        X = np.asarray(dataset.X, dtype=float)
-        X = standardize(X) if kwargs.pop("standardize") else X
-        # by name, so a wrapper set over this module's names (bench/spans.py) runs
-        fit = globals()[_ENTRY_POINTS[method].__name__]
-        result = fit(X, g, seed=seed, **kwargs)
+    try:
+        if method == "cempca":
+            result = fit_cempca(dataset.X, CempcaConfig(g=g, **kwargs), seed=seed)
+        else:
+            X = np.asarray(dataset.X, dtype=float)
+            X = standardize(X) if kwargs.pop("standardize") else X
+            # by name, so a wrapper set over this module's names (bench/spans.py) runs
+            fit = globals()[_ENTRY_POINTS[method].__name__]
+            result = fit(X, g, seed=seed, **kwargs)
+    except SettingError as exc:  # named as the flag and the suite param are
+        raise SettingError(_SPELLING.get(exc.setting, exc.setting), exc.rule) from None
 
     scores = {}
     if dataset.labels is not None:

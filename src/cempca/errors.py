@@ -9,6 +9,15 @@ class InvalidInputError(CempcaError):
     """An argument violates an operation's preconditions."""
 
 
+class SettingError(InvalidInputError):
+    """A fit setting is out of range; the message is "<setting> <rule>"."""
+
+    def __init__(self, setting, rule):
+        super().__init__(f"{setting} {rule}")
+        self.setting = setting
+        self.rule = rule
+
+
 class DataError(CempcaError):
     """A dataset file is missing or unreadable."""
 

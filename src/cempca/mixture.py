@@ -1,5 +1,6 @@
 """Gaussian mixture machinery: densities, E/C/M steps, EM, CEM, and K-means."""
 
+import math
 import operator
 import time
 from dataclasses import dataclass, field
@@ -7,11 +8,10 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 from scipy.special import logsumexp
 
 from .errors import (NUMERICAL_ERRORS, EmptyClusterError, InvalidInputError,
-                     NumericalError, SingularMatrixError)
+                     NumericalError, SettingError, SingularMatrixError)
 
 COV_MODELS = ("full", "diagonal", "spherical", "spherical-tied")
 
@@ -50,9 +50,9 @@ class MixtureParams:
             L = np.linalg.cholesky(self.covariances)
         except np.linalg.LinAlgError:
             raise SingularMatrixError("covariance is not positive-definite") from None
-        eye = np.eye(self.p)
-        inv_chol = np.stack([scipy.linalg.solve_triangular(L[k], eye, lower=True)
-                             for k in range(self.g)])
+        # One batched inverse for all components; the inverse of a lower
+        # factor is lower, and tril drops the rounding above the diagonal.
+        inv_chol = np.tril(np.linalg.inv(L))
         logdet = 2.0 * np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)
         return np.log(self.weights), inv_chol, logdet
 
@@ -131,7 +131,7 @@ def best_of_restarts(fit_one, restarts, better, start):
     the last error. The kept result gets restart_index and wall_time (from `start`).
     """
     if restarts < 1:
-        raise InvalidInputError("restarts must be >= 1")
+        raise SettingError("restarts", "must be >= 1")
     best = None
     failed = []
     for r in range(restarts):
@@ -153,23 +153,6 @@ def best_of_restarts(fit_one, restarts, better, start):
 
 def _converged(prev, cur, tol):
     return abs(cur - prev) <= tol * (1.0 + abs(prev))
-
-
-def log_gaussian(x, mean, cov):
-    """Log density of x under a Gaussian with the given mean and SPD covariance.
-
-    Factors the covariance on every call; it is the single-point reference
-    for the cached mixture kernel behind log_joint.
-    """
-    x = np.asarray(x, dtype=float)
-    cov = np.asarray(cov, dtype=float)
-    try:
-        L = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        raise SingularMatrixError("covariance is not positive-definite") from None
-    sol = scipy.linalg.solve_triangular(L, x - np.asarray(mean, dtype=float), lower=True)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
-    return float(-0.5 * (x.size * _LOG_2PI + logdet + sol @ sol))
 
 
 def _component_log_joint(X, params, k):
@@ -324,7 +307,7 @@ def lloyd(X, centers, max_iter=100, tol=1e-6):
     becomes that cluster's center, so the objective cannot increase).
     """
     if max_iter < 1:
-        raise InvalidInputError("max_iter must be >= 1")
+        raise SettingError("max_iter", "must be >= 1")
     X = np.asarray(X, dtype=float)
     centers = np.array(centers, dtype=float)
     n = X.shape[0]
@@ -375,7 +358,7 @@ def kmeans(X, g, max_iter=100, tol=1e-6, restarts=20, seed=0):
     """Lloyd's algorithm from k-means++ centers, best of `restarts` runs by
     within-cluster sum of squares."""
     X = np.asarray(X, dtype=float)
-    _check_fit_args(X, g)
+    _check_fit_args(X, g, tol)
     start = time.perf_counter()
 
     def fit_one(r):
@@ -400,7 +383,7 @@ def em_gmm(X, g, max_iter=100, tol=1e-6, restarts=20, seed=0, model="full"):
     final hard partition applies the MAP rule to the last E-step.
     """
     X = np.asarray(X, dtype=float)
-    _check_fit_args(X, g)
+    _check_fit_args(X, g, tol)
     start = time.perf_counter()
 
     def fit_one(r):
@@ -482,7 +465,7 @@ def cem(X, g, max_iter=100, tol=1e-6, restarts=20, seed=0, model="full"):
     complete-data log-likelihood.
     """
     X = np.asarray(X, dtype=float)
-    _check_fit_args(X, g)
+    _check_fit_args(X, g, tol)
     start = time.perf_counter()
 
     def fit_one(r):
@@ -497,8 +480,15 @@ def cem(X, g, max_iter=100, tol=1e-6, restarts=20, seed=0, model="full"):
     return best_of_restarts(fit_one, restarts, operator.gt, start)
 
 
-def _check_fit_args(X, g):
+def _check_fit_args(X, g, tol):
+    """Check g, the row count and tol, the arguments every fit shares.
+
+    A negative or non-finite tol would never let _converged hold, so the
+    fit would run to max_iter without a word.
+    """
     if g < 1:
-        raise InvalidInputError("g must be >= 1")
+        raise SettingError("g", "must be >= 1")
     if X.shape[0] < g:
         raise InvalidInputError(f"need at least g={g} rows, got {X.shape[0]}")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise SettingError("tol", f"must be finite and >= 0, got {tol}")

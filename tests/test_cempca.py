@@ -3,11 +3,12 @@ import pytest
 
 from cempca import cempca as core
 from cempca import mixture
+from cempca.baselines import kmeans_pca, reduced_kmeans
 from cempca.cempca import (CempcaConfig, EmbeddingBundle, fit_cempca,
                            objective, pca_embed, prepare_features, update_B,
                            update_M, update_Q)
 from cempca.errors import (DegenerateUpdateError, InvalidInputError,
-                           NumericalError)
+                           NumericalError, SettingError)
 from cempca.linalg import thin_svd
 from cempca.metrics import ari
 from cempca.mixture import (MixtureParams, Partition, complete_log_likelihood,
@@ -375,3 +376,56 @@ def test_fit_max_iter_zero_keeps_the_initial_fit():
                      seed=0)
     assert res.iterations == 0 and len(res.objective_trace) == 1
     assert res.step_trace == []
+
+
+# Each of the six fits, on two clusters, with the given tol.
+FITS = {
+    "fit_cempca": lambda X, tol: fit_cempca(
+        X, CempcaConfig(g=2, restarts=1, smoothing=0, tol=tol), seed=0),
+    "kmeans": lambda X, tol: mixture.kmeans(X, 2, restarts=1, tol=tol),
+    "em_gmm": lambda X, tol: mixture.em_gmm(X, 2, restarts=1, tol=tol),
+    "cem": lambda X, tol: mixture.cem(X, 2, restarts=1, tol=tol),
+    "kmeans_pca": lambda X, tol: kmeans_pca(X, 2, restarts=1, tol=tol),
+    "reduced_kmeans": lambda X, tol: reduced_kmeans(X, 2, restarts=1, tol=tol),
+}
+
+
+@pytest.mark.parametrize("fit", FITS)
+def test_fit_rejects_a_negative_or_non_finite_tol(fit):
+    # such a tol never lets the convergence test hold, so the fit would
+    # run to max_iter without a word
+    rng = np.random.default_rng(5)
+    X = np.vstack([rng.standard_normal((15, 3)), rng.standard_normal((15, 3)) + 5.0])
+    for tol in (-1.0, -1e-12, np.nan, np.inf):
+        with pytest.raises(SettingError, match="tol must be finite and >= 0") as err:
+            FITS[fit](X, tol)
+        assert err.value.setting == "tol"
+    assert FITS[fit](X, 0.0).partition.n == 30
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("delta", np.nan, "delta must be finite and >= 0, got nan"),
+    ("delta", np.inf, "delta must be finite and >= 0, got inf"),
+    ("delta", -1.0, "delta must be finite and >= 0, got -1.0"),
+    ("neighbors", 0, "neighbors must be in [1, 9], got 0"),
+    ("neighbors", 10, "neighbors must be in [1, 9], got 10"),
+    ("smoothing", -1, "smoothing must be >= 0"),
+    ("max_iter", -1, "max_iter must be >= 0"),
+    ("tol", np.nan, "tol must be finite and >= 0, got nan"),
+])
+def test_fit_checks_each_setting_by_name_before_any_work(monkeypatch, field, value,
+                                                         message):
+    def no_work(*args):
+        raise AssertionError("a setting was checked after the work started")
+
+    monkeypatch.setattr(core, "prepare_features", no_work)
+    with pytest.raises(SettingError) as err:
+        fit_cempca(np.zeros((10, 3)), CempcaConfig(g=2, **{field: value}), seed=0)
+    assert (str(err.value), err.value.setting) == (message, field)
+
+
+def test_fit_reads_neighbors_only_when_it_builds_the_graph():
+    rng = np.random.default_rng(6)
+    X = np.vstack([rng.standard_normal((10, 3)), rng.standard_normal((10, 3)) + 5.0])
+    res = fit_cempca(X, CempcaConfig(g=2, restarts=1, smoothing=0, neighbors=0), seed=0)
+    assert res.partition.n == 20

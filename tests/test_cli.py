@@ -809,7 +809,7 @@ def test_fit_max_iter_below_one_is_a_data_error(tmp_path, capsys, method, max_it
     assert captured.err == "data error: max_iter must be >= 1\n"
 
 
-@pytest.mark.parametrize("flag, message", [("--smooth", "smoothing must be >= 0"),
+@pytest.mark.parametrize("flag, message", [("--smooth", "smooth must be >= 0"),
                                            ("--max-iter", "max_iter must be >= 0")])
 def test_fit_cempca_negative_smooth_or_max_iter_is_a_data_error(tmp_path, capsys,
                                                                 flag, message):
@@ -845,6 +845,41 @@ def test_benchmark_cell_with_an_out_of_range_setting_fails_alone(tmp_path):
         "kmeans-0": ("failed", "max_iter must be >= 1"),
         "rkm-neg": ("failed", "max_iter must be >= 1"),
         "cempca-neg": ("failed", "max_iter must be >= 0"),
-        "cempca-smooth": ("failed", "smoothing must be >= 0")}
+        "cempca-smooth": ("failed", "smooth must be >= 0")}
     assert rows["kmeans"]["status"] == "ok" and rows["kmeans"]["nmi"] != ""
     assert rows["cempca-0"]["status"] == "ok" and rows["cempca-0"]["iterations"] == "0"
+
+
+@pytest.mark.parametrize("method", ["cempca", "em-gmm", "cem", "kmeans", "kmeans-pca",
+                                    "reduced-kmeans"])
+@pytest.mark.parametrize("tol", ["-1", "nan"])
+def test_fit_negative_or_nan_tol_is_a_data_error(tmp_path, capsys, method, tol):
+    data = tmp_path / "d.csv"
+    run(["generate", "--shape", "tetra", "--n", 40, "--seed", 1, "--out", data])
+    capsys.readouterr()
+    out = tmp_path / "fit.json"
+    code = run(["fit", method, data, "--g", 4, "--tol", tol, "--out", out])
+    captured = capsys.readouterr()
+    assert code == 3 and not out.exists()
+    assert captured.err == (f"data error: tol must be finite and >= 0, "
+                            f"got {float(tol)}\n")
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--neighbors", 0], "neighbors must be in [1, 39], got 0"),
+    (["--neighbors", 40], "neighbors must be in [1, 39], got 40"),
+    (["--delta", "nan"], "delta must be finite and >= 0, got nan"),
+    (["--delta", "inf"], "delta must be finite and >= 0, got inf"),
+    (["--smooth", -2, "--neighbors", 0], "smooth must be >= 0"),
+])
+def test_fit_cempca_names_the_flag_at_fault(tmp_path, capsys, flags, message):
+    # not the library internal that would have tripped over it (knn_graph's
+    # k, spd_solve's matrix) or the library's own parameter name
+    data = tmp_path / "d.csv"
+    run(["generate", "--shape", "tetra", "--n", 40, "--seed", 1, "--out", data])
+    capsys.readouterr()
+    out = tmp_path / "fit.json"
+    code = run(["fit", "cempca", data, "--g", 4, *flags, "--out", out])
+    captured = capsys.readouterr()
+    assert code == 3 and not out.exists()
+    assert captured.err == f"data error: {message}\n"

@@ -1,6 +1,12 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
+import cempca
 from cempca.errors import InvalidInputError, SingularMatrixError
 from cempca.linalg import spd_solve, thin_svd
 
@@ -92,3 +98,69 @@ def test_spd_solve_rejects_asymmetric():
     with pytest.raises(InvalidInputError):
         spd_solve(np.array([[1.0, 0.5], [0.0, 1.0]]), np.ones((2, 1)))
 
+
+def test_spd_solve_rejects_non_finite():
+    for A, Y in ((np.array([[1.0, np.nan], [np.nan, 1.0]]), np.ones((2, 1))),
+                 (np.array([[np.inf, 0.0], [0.0, 1.0]]), np.ones((2, 1))),
+                 (np.eye(2), np.array([[1.0], [np.nan]]))):
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            spd_solve(A, Y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 15), m=st.integers(1, 6),
+       log_ridge=st.floats(-8.0, 2.0))
+def test_spd_solve_matches_the_cholesky_reference(seed, p, m, log_ridge):
+    # a ridge down to 1e-8 on a rank-deficient Gram part gives condition
+    # numbers up to about 1e9
+    rng = np.random.default_rng(seed)
+    R = rng.standard_normal((p, rng.integers(1, p + 1)))
+    A = R @ R.T + 10.0 ** log_ridge * np.eye(p)
+    Y = rng.standard_normal((p, m))
+    Z, logdet = spd_solve(A, Y)
+    factor = scipy.linalg.cho_factor(A, lower=True)
+    expected = scipy.linalg.cho_solve(factor, Y)
+    cond = np.linalg.cond(A)
+    assert np.linalg.norm(Z - expected) <= 1e-13 * cond * np.linalg.norm(expected)
+    ref_logdet = 2.0 * np.sum(np.log(np.diag(factor[0])))
+    # the two libraries' Cholesky kernels round differently, by up to
+    # about eps * cond(A) in each small pivot
+    assert abs(logdet - ref_logdet) <= 1e-13 * cond * max(1.0, abs(ref_logdet))
+    assert np.allclose(spd_solve(A, Y[:, 0])[0], Z[:, 0], rtol=0, atol=1e-12 * cond
+                       * np.linalg.norm(Z[:, 0]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), p=st.integers(2, 15))
+def test_spd_solve_rejects_indefinite_and_asymmetric_matrices(seed, p):
+    rng = np.random.default_rng(seed)
+    R = rng.standard_normal((p, p))
+    A = R @ R.T + np.eye(p)
+    v = rng.standard_normal(p)
+    indefinite = A - (np.linalg.eigvalsh(A)[-1] + 1.0) * np.outer(v, v) / (v @ v)
+    with pytest.raises(SingularMatrixError):
+        spd_solve(indefinite, np.ones((p, 1)))
+    asymmetric = A.copy()
+    asymmetric[0, -1] += 1e-6 * np.abs(A).max()
+    with pytest.raises(InvalidInputError, match="not symmetric"):
+        spd_solve(asymmetric, np.ones((p, 1)))
+
+
+def test_no_module_imports_scipy_linalg():
+    # scipy ships its own OpenBLAS with its own thread pool: a fit that
+    # calls both numpy's and scipy's LAPACK hands every iteration from one
+    # pool to the other, about 10 ms a switch on 2 vCPUs
+    offenders = []
+    for path in sorted(Path(cempca.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno} imports {name}" for name in names
+                          if name == "scipy.linalg" or name.startswith("scipy.linalg.")]
+    assert not offenders, (
+        "use numpy.linalg: scipy.linalg runs on a second OpenBLAS thread pool, and "
+        "switching pools costs about 10 ms per call on 2 vCPUs; " + "; ".join(offenders))

@@ -6,7 +6,8 @@ from cempca.errors import EmptyClusterError, InvalidInputError
 from cempca.metrics import ari
 from cempca.mixture import (MixtureParams, Partition, c_step, cem, cem_refine,
                             complete_log_likelihood, e_step, em_gmm, kmeans,
-                            log_gaussian, m_step)
+                            m_step)
+from oracles import log_gaussian
 
 LOG_2PI = np.log(2 * np.pi)
 

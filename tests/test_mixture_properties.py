@@ -1,5 +1,6 @@
 """Property tests for the cached-factor mixture kernel against the
-single-point log_gaussian reference, and for the restart engine."""
+single-point log_gaussian reference and scipy's triangular solve, and for
+the restart engine."""
 
 import operator
 import time
@@ -7,6 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -16,8 +18,8 @@ from cempca.errors import (DegenerateUpdateError,  # noqa: E402
                            NumericalError, SingularMatrixError)
 from cempca.mixture import (COV_MODELS, FitResult, MixtureParams,  # noqa: E402
                             Partition, best_of_restarts,
-                            complete_log_likelihood, e_step, log_gaussian,
-                            log_joint)
+                            complete_log_likelihood, e_step, log_joint, m_step)
+from oracles import log_gaussian  # noqa: E402
 
 LOG_2PI = np.log(2 * np.pi)
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -76,6 +78,37 @@ def test_complete_log_likelihood_matches_log_gaussian(seed, model, g, p):
     terms = _oracle(X, params)[np.arange(X.shape[0]), assign]
     got = complete_log_likelihood(X, Partition(assignments=assign, g=g), params)
     assert abs(got - terms.sum()) <= 1e-12 * (np.abs(terms).sum() + X.shape[0] * p * LOG_2PI)
+
+
+def _ridge_floored(seed, model, g, p):
+    """m_step params whose clusters lie on subspaces of rank 0 to p - 1, so
+    every covariance is a rank-deficient scatter lifted by m_step's ridge
+    (a cluster of coincident rows keeps only the ridge floor)."""
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for k in range(g):
+        rank = int(rng.integers(0, p))
+        basis = rng.standard_normal((rank, p)) * rng.uniform(0.1, 10.0)
+        blocks.append(rng.standard_normal(p) * 5.0
+                      + rng.standard_normal((int(rng.integers(2, 9)), rank)) @ basis)
+    X = np.vstack(blocks)
+    assign = np.repeat(np.arange(g), [len(b) for b in blocks])
+    return m_step(X, Partition(assignments=assign, g=g).one_hot(), model)
+
+
+@SETTINGS
+@given(seed=seeds, model=models, g=st.integers(1, 7), p=st.integers(1, 15),
+       floored=st.booleans())
+def test_inverse_factors_match_the_triangular_solve(seed, model, g, p, floored):
+    params = (_ridge_floored(seed, model, g, p) if floored
+              else _instance(seed, model, g, p)[0])
+    _, inv_chol, _ = params._factors
+    assert inv_chol.shape == (g, p, p)
+    assert np.all(np.triu(inv_chol, 1) == 0.0)
+    for k in range(g):
+        L = np.linalg.cholesky(params.covariances[k])
+        expected = scipy.linalg.solve_triangular(L, np.eye(p), lower=True)
+        assert np.all(np.abs(inv_chol[k] - expected) <= 1e-12 * np.abs(expected).max())
 
 
 @SETTINGS
