@@ -16,6 +16,8 @@ from .mixture import FitResult, Partition
 def kmeans_pca(X, g, p=None, restarts=20, seed=0, max_iter=100, tol=1e-6):
     """K-means on the leading p principal-component scores (singular-value
     weighted); p=None means min(10, d)."""
+    X = np.asarray(X, dtype=float)
+    mixture._check_fit_args(X, g, tol)
     Xc, B, s, _ = _principal_axes(X, p)
     scores = B * s
     km = mixture.kmeans(scores, g, max_iter=max_iter, tol=tol,
@@ -61,8 +63,8 @@ def reduced_kmeans(X, g, p=None, restarts=20, seed=0, max_iter=100, tol=1e-6):
                 break
         part = Partition(assignments=assign, g=g)
         return FitResult(partition=part, params=None, objective_trace=trace,
-                         iterations=iterations, seed=int(seed),
-                         bundle=_rkm_bundle(X, Q, part, S), step_trace=history)
+                         iterations=iterations, bundle=_rkm_bundle(X, Q, part, S),
+                         step_trace=history)
 
     return mixture.best_of_restarts(fit_one, restarts, operator.lt, start)
 

@@ -127,7 +127,7 @@ def update_M(B, partition, params, delta):
             continue
         cov = params.covariances[k]
         rhs = B[rows] @ (delta * cov) + params.means[k][None, :]
-        sol, _ = spd_solve(eye + delta * cov, rhs.T)
+        sol = spd_solve(eye + delta * cov, rhs.T)
         M[rows] = sol.T
     return M
 
@@ -215,7 +215,7 @@ def _fit_single(X, B, Q, cfg, seed, restart):
         if mixture._converged(trace[-2], trace[-1], cfg.tol):
             break
     return FitResult(partition=part, params=params, objective_trace=trace,
-                     iterations=iterations, seed=int(seed), bundle=bundle,
+                     iterations=iterations, bundle=bundle,
                      step_trace=steps)
 
 

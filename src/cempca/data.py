@@ -41,14 +41,6 @@ class LabeledDataset:
         return int(self.labels.max()) + 1
 
 
-@dataclass
-class NeighborGraph:
-    """Row-normalized directed k-nearest-neighbor weight matrix."""
-
-    W: sp.csr_matrix
-    k: int
-
-
 def load_csv(path, label_column=None, has_header=True):
     """Load a numeric CSV dataset; this is the one CSV reader.
 
@@ -159,11 +151,14 @@ def save_csv(dataset, path):
 def standardize(X):
     """Center each column and scale to unit sample variance (ddof=1).
 
-    Zero-variance columns are centered but left unscaled.
+    Zero-variance columns are centered but left unscaled. A NaN or
+    infinite cell would spread over its whole column, so it is rejected.
     """
     X = np.asarray(X, dtype=float)
     if X.shape[0] < 2:
         raise InvalidInputError("standardize needs at least 2 rows")
+    if not np.all(np.isfinite(X)):
+        raise InvalidInputError("X contains non-finite entries")
     mu = X.mean(axis=0)
     sd = X.std(axis=0, ddof=1)
     sd = np.where(sd > 0, sd, 1.0)
@@ -300,7 +295,8 @@ def gen_fcps(shape, n=None, seed=0):
 
 
 def knn_graph(X, k):
-    """Directed k-nearest-neighbor graph with Gaussian kernel weights.
+    """Directed k-nearest-neighbor graph with Gaussian kernel weights, as
+    the n x n CSR weight matrix W that smooth takes.
 
     W[i, j] = exp(-||x_i - x_j||^2) for the k nearest neighbors j of i,
     zero elsewhere and on the diagonal; each row is then scaled to sum to
@@ -359,20 +355,19 @@ def knn_graph(X, k):
     w = np.exp(-(d2 - d2.min(axis=1, keepdims=True)))
     w /= w.sum(axis=1, keepdims=True)
     rows = np.repeat(np.arange(n), k)
-    W = sp.csr_matrix((w.ravel(), (rows, idx.ravel())), shape=(n, n))
-    return NeighborGraph(W=W, k=k)
+    return sp.csr_matrix((w.ravel(), (rows, idx.ravel())), shape=(n, n))
 
 
-def smooth(X, graph, m):
-    """Neighborhood averaging applied m times: returns W^m X."""
+def smooth(X, W, m):
+    """Neighborhood averaging with the knn_graph weights W applied m times:
+    returns W^m X."""
     X = np.asarray(X, dtype=float)
     m = int(m)
     if m < 0:
         raise InvalidInputError("smoothing power must be >= 0")
-    if graph.W.shape[0] != X.shape[0]:
-        raise InvalidInputError(
-            f"graph has {graph.W.shape[0]} rows but X has {X.shape[0]}")
+    if W.shape[0] != X.shape[0]:
+        raise InvalidInputError(f"graph has {W.shape[0]} rows but X has {X.shape[0]}")
     out = X.copy()
     for _ in range(m):
-        out = graph.W @ out
+        out = W @ out
     return out

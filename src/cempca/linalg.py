@@ -1,11 +1,10 @@
 """Dense numerical kernels used by every other module.
 
-Thin wrappers over numpy.linalg that add input validation, a deterministic
-sign convention for factor columns, and log-space determinants (raw
-determinants are never formed). Every dense solve and factor of the fits
-goes through numpy's LAPACK, not scipy's: scipy bundles its own OpenBLAS
-with its own thread pool, and handing work from one pool to the other
-costs about 10 ms per switch on 2 vCPUs.
+Thin wrappers over numpy.linalg that add input validation and a
+deterministic sign convention for factor columns. Every dense solve and
+factor of the fits goes through numpy's LAPACK, not scipy's: scipy bundles
+its own OpenBLAS with its own thread pool, and handing work from one pool
+to the other costs about 10 ms per switch on 2 vCPUs.
 """
 
 import numpy as np
@@ -71,8 +70,8 @@ def polar(A):
 def spd_solve(A, Y):
     """Solve A @ Z = Y for symmetric positive-definite A.
 
-    Returns (Z, logdet) where logdet is log det A read off the Cholesky
-    factor A = L L^T, and Z comes from the two triangular systems in L.
+    Z comes from the two triangular systems in the Cholesky factor
+    A = L L^T; a matrix with no such factor raises SingularMatrixError.
     """
     A = _as_matrix(A, "A")
     Y = np.asarray(Y, dtype=float)
@@ -83,7 +82,5 @@ def spd_solve(A, Y):
         L = np.linalg.cholesky(A)
     except np.linalg.LinAlgError:
         raise SingularMatrixError("matrix is not positive-definite") from None
-    Z = np.linalg.solve(L.T, np.linalg.solve(L, Y))
-    logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
-    return Z, logdet
+    return np.linalg.solve(L.T, np.linalg.solve(L, Y))
 

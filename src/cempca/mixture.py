@@ -8,7 +8,6 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import (NUMERICAL_ERRORS, EmptyClusterError, InvalidInputError,
                      NumericalError, SettingError, SingularMatrixError)
@@ -73,9 +72,6 @@ class Partition:
         Z[np.arange(self.n), self.assignments] = 1.0
         return Z
 
-    def counts(self):
-        return np.bincount(self.assignments, minlength=self.g)
-
 
 @dataclass
 class FitResult:
@@ -95,7 +91,6 @@ class FitResult:
     params: Optional[MixtureParams]
     objective_trace: list
     iterations: int
-    seed: int
     restart_index: int = 0
     wall_time: float = 0.0
     bundle: "object" = None      # EmbeddingBundle when the method produces one
@@ -179,19 +174,28 @@ def log_joint(X, params):
 
 def e_step(X, params):
     """Posterior cluster probabilities per row, stabilized via log-sum-exp."""
-    return _posterior(log_joint(X, params))
+    return _posterior(log_joint(X, params))[1]
 
 
 def _posterior(lp):
-    """Row-normalized exp of a log_joint matrix; a row scoring -inf everywhere raises."""
+    """(row log-densities, posterior) of a log_joint matrix, from one exp.
+
+    The log-density is log-sum-exp over each row, summed as scipy's
+    logsumexp sums it: the terms at the row maximum are counted rather
+    than added, so the value matches scipy's bit for bit. A row scoring
+    -inf everywhere raises NumericalError naming it.
+    """
     top = lp.max(axis=1)
     bad = ~np.isfinite(top)
     if np.any(bad):
         raise NumericalError(
             f"all components degenerate for row {int(np.where(bad)[0][0])}")
-    resp = np.exp(lp - top[:, None])
-    resp /= resp.sum(axis=1, keepdims=True)
-    return resp
+    e = np.exp(lp - top[:, None])
+    at_top = lp == top[:, None]
+    count = at_top.sum(axis=1)
+    rest = np.where(at_top, 0.0, e).sum(axis=1)
+    density = np.log1p(rest / count) + np.log(count) + top
+    return density, e / e.sum(axis=1, keepdims=True)
 
 
 def c_step(resp):
@@ -261,12 +265,11 @@ def complete_log_likelihood(X, partition, params):
 
 
 def log_likelihood(X, params):
-    """Observed-data log-likelihood: row-wise log-sum-exp over components."""
-    return _log_likelihood(log_joint(X, params))
+    """Observed-data log-likelihood: row-wise log-sum-exp over components.
 
-
-def _log_likelihood(lp):
-    return float(logsumexp(lp, axis=1).sum())
+    A row that no component explains raises NumericalError, as in e_step.
+    """
+    return float(_posterior(log_joint(X, params))[0].sum())
 
 
 # ---------------------------------------------------------------------------
@@ -343,17 +346,6 @@ def lloyd(X, centers, max_iter=100, tol=1e-6):
     return assign, centers, trace, iterations
 
 
-def _kmeans_params(X, partition, centers, wcss):
-    n, p = X.shape
-    counts = partition.counts()
-    lam = wcss / (n * p)
-    if lam <= 0.0:
-        lam = max(float(np.mean(np.var(X, axis=0))), 1e-12) * _COV_EPS
-    covs = np.repeat((lam * np.eye(p))[None, :, :], partition.g, axis=0)
-    return MixtureParams(weights=counts / n, means=centers, covariances=covs,
-                         model="spherical-tied")
-
-
 def kmeans(X, g, max_iter=100, tol=1e-6, restarts=20, seed=0):
     """Lloyd's algorithm from k-means++ centers, best of `restarts` runs by
     within-cluster sum of squares."""
@@ -364,10 +356,8 @@ def kmeans(X, g, max_iter=100, tol=1e-6, restarts=20, seed=0):
     def fit_one(r):
         centers = _seed_centers(X, g, restart_rng(seed, r))
         assign, centers, trace, iters = lloyd(X, centers, max_iter=max_iter, tol=tol)
-        part = Partition(assignments=assign, g=g)
-        return FitResult(partition=part,
-                         params=_kmeans_params(X, part, centers, trace[-1]),
-                         objective_trace=trace, iterations=iters, seed=int(seed))
+        return FitResult(partition=Partition(assignments=assign, g=g), params=None,
+                         objective_trace=trace, iterations=iters)
 
     return best_of_restarts(fit_one, restarts, operator.lt, start)
 
@@ -389,21 +379,21 @@ def em_gmm(X, g, max_iter=100, tol=1e-6, restarts=20, seed=0, model="full"):
     def fit_one(r):
         km = kmeans(X, g, max_iter=max_iter, restarts=1, seed=child_seed(seed, r))
         params = m_step(X, km.partition.one_hot(), model)
-        # One score matrix per parameter set: it gives the trace entry, the
-        # next E-step and, for the last set, the MAP partition.
-        lp = log_joint(X, params)
-        trace = [_log_likelihood(lp)]
+        # One score matrix and one reduction of it per parameter set: they
+        # give the trace entry, the next E-step and, for the last set, the
+        # MAP partition.
+        density, resp = _posterior(log_joint(X, params))
+        trace = [float(density.sum())]
         iterations = 0
         for _ in range(max_iter):
             iterations += 1
-            params = m_step(X, _posterior(lp), model)
-            lp = log_joint(X, params)
-            trace.append(_log_likelihood(lp))
+            params = m_step(X, resp, model)
+            density, resp = _posterior(log_joint(X, params))
+            trace.append(float(density.sum()))
             if _converged(trace[-2], trace[-1], tol):
                 break
-        return FitResult(partition=c_step(_posterior(lp)), params=params,
-                         objective_trace=trace, iterations=iterations,
-                         seed=int(seed))
+        return FitResult(partition=c_step(resp), params=params,
+                         objective_trace=trace, iterations=iterations)
 
     return best_of_restarts(fit_one, restarts, operator.gt, start)
 
@@ -414,8 +404,7 @@ def _repair_empty(assign, lp, g):
     empties = np.where(present == 0)[0]
     if empties.size == 0:
         return assign
-    density = logsumexp(lp, axis=1)
-    order = np.argsort(density, kind="stable")
+    order = np.argsort(_posterior(lp)[0], kind="stable")
     assign = assign.copy()
     used = 0
     for k in empties:
@@ -474,21 +463,24 @@ def cem(X, g, max_iter=100, tol=1e-6, restarts=20, seed=0, model="full"):
         partition, params, trace, iterations = cem_refine(
             X, km.partition, params, max_iter=max_iter, tol=tol)
         return FitResult(partition=partition, params=params,
-                         objective_trace=trace, iterations=iterations,
-                         seed=int(seed))
+                         objective_trace=trace, iterations=iterations)
 
     return best_of_restarts(fit_one, restarts, operator.gt, start)
 
 
 def _check_fit_args(X, g, tol):
-    """Check g, the row count and tol, the arguments every fit shares.
+    """Check X, g and tol, the arguments every fit shares.
 
-    A negative or non-finite tol would never let _converged hold, so the
-    fit would run to max_iter without a word.
+    A NaN or infinite cell would spread through every fit's sums and come
+    out as a numerical failure or a meaningless partition, so it is a data
+    error here. A negative or non-finite tol would never let _converged
+    hold, so the fit would run to max_iter without a word.
     """
     if g < 1:
         raise SettingError("g", "must be >= 1")
     if X.shape[0] < g:
         raise InvalidInputError(f"need at least g={g} rows, got {X.shape[0]}")
+    if not np.all(np.isfinite(X)):
+        raise InvalidInputError("X contains non-finite entries")
     if not (math.isfinite(tol) and tol >= 0):
         raise SettingError("tol", f"must be finite and >= 0, got {tol}")

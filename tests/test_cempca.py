@@ -403,6 +403,18 @@ def test_fit_rejects_a_negative_or_non_finite_tol(fit):
     assert FITS[fit](X, 0.0).partition.n == 30
 
 
+@pytest.mark.parametrize("fit", FITS)
+def test_fit_rejects_non_finite_X(fit):
+    # a NaN or infinite cell spreads through every sum of the fit, which
+    # then fails as a numerical error or returns a meaningless partition
+    rng = np.random.default_rng(6)
+    for cell in (np.nan, np.inf, -np.inf):
+        X = rng.standard_normal((30, 3))
+        X[7, 1] = cell
+        with pytest.raises(InvalidInputError, match="X contains non-finite entries"):
+            FITS[fit](X, 1e-6)
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("delta", np.nan, "delta must be finite and >= 0, got nan"),
     ("delta", np.inf, "delta must be finite and >= 0, got inf"),

@@ -706,14 +706,19 @@ def test_evaluate_non_utf8_file_is_a_data_error(tmp_path, capsys, name, content)
     assert err.startswith(f"data error: cannot read {bad}: ")
 
 
-def test_fit_cempca_non_finite_cell_is_a_data_error(tmp_path, capsys):
+@pytest.mark.parametrize("method, cell", [
+    (method, cell) for method in ("cempca", "em-gmm", "cem", "kmeans", "kmeans-pca",
+                                  "reduced-kmeans") for cell in ("nan", "inf")])
+def test_fit_non_finite_cell_is_a_data_error(tmp_path, capsys, method, cell):
+    # standardizing would spread the cell over its column, and the fits
+    # would fail as a numerical error or return meaningless assignments
     data = tmp_path / "d.csv"
     run(["generate", "--shape", "tetra", "--n", 60, "--seed", 2, "--out", data])
     lines = data.read_text().split("\n")
-    lines[4] = "nan," + lines[4].split(",", 1)[1]
+    lines[4] = f"{cell}," + lines[4].split(",", 1)[1]
     data.write_text("\n".join(lines))
     capsys.readouterr()
-    code = run(["fit", "cempca", data, "--g", 2])  # default smoothing builds the graph
+    code = run(["fit", method, data, "--g", 2])
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
     assert captured.err.startswith("data error: ") and "non-finite" in captured.err

@@ -207,16 +207,14 @@ def test_generators_reject_negative_seed(make):
 
 def test_knn_graph_collinear_points():
     X = np.array([[0.0], [1.0], [10.0]])
-    graph = knn_graph(X, 1)
-    W = graph.W.toarray()
+    W = knn_graph(X, 1).toarray()
     assert W[0, 1] == 1.0 and W[1, 0] == 1.0 and W[2, 1] == 1.0
     assert np.allclose(W.sum(axis=1), 1.0, atol=1e-12)
     assert np.allclose(np.diag(W), 0.0)
 
 
 def test_knn_graph_duplicate_points():
-    graph = knn_graph(np.array([[1.0, 2.0], [1.0, 2.0]]), 1)
-    W = graph.W.toarray()
+    W = knn_graph(np.array([[1.0, 2.0], [1.0, 2.0]]), 1).toarray()
     assert W[0, 1] == 1.0 and W[1, 0] == 1.0
 
 
@@ -224,8 +222,7 @@ def test_knn_graph_brute_force_oracle():
     rng = np.random.default_rng(8)
     X = rng.standard_normal((30, 2))
     k = 5
-    graph = knn_graph(X, k)
-    W = graph.W.tocsr()
+    W = knn_graph(X, k)
     for i in range(30):
         found = set(W.indices[W.indptr[i]:W.indptr[i + 1]])
         dists = sorted((np.sum((X[i] - X[j]) ** 2), j) for j in range(30) if j != i)
@@ -237,7 +234,7 @@ def test_knn_graph_rows_sum_to_one():
     rng = np.random.default_rng(9)
     X = rng.standard_normal((25, 3))
     for k in (1, 4, 24):
-        W = knn_graph(X, k).W
+        W = knn_graph(X, k)
         assert np.allclose(np.asarray(W.sum(axis=1)).ravel(), 1.0, atol=1e-12)
         assert W.nnz == 25 * k
 
@@ -258,7 +255,7 @@ def _knn_oracle(X, k):
 
 
 def _assert_matches_oracle(X, k):
-    W = knn_graph(X, k).W.tocsr()
+    W = knn_graph(X, k)
     for i, expected in enumerate(_knn_oracle(X, k)):
         found = W.indices[W.indptr[i]:W.indptr[i + 1]]
         assert set(found) == set(expected)
@@ -283,7 +280,7 @@ def test_knn_graph_more_copies_than_candidates():
     # nine copies of one point: a tree query of k + 2 = 4 candidates cannot
     # tell which copies are the lowest-index ones, so the query widens to n
     X = np.vstack([np.zeros((9, 2)), [[5.0, 5.0]]])
-    W = knn_graph(X, 2).W.tocsr()
+    W = knn_graph(X, 2)
     assert set(W.indices[W.indptr[0]:W.indptr[1]]) == {1, 2}
     assert set(W.indices[W.indptr[5]:W.indptr[6]]) == {0, 1}
     assert set(W.indices[W.indptr[9]:W.indptr[10]]) == {0, 1}
@@ -317,7 +314,7 @@ def test_knn_graph_many_copies_of_one_point():
     X = np.vstack([np.zeros((3000, 3)), rng.standard_normal((3000, 3))])
     tracemalloc.start()
     try:
-        W = knn_graph(X, 15).W.tocsr()
+        W = knn_graph(X, 15)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

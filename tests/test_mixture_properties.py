@@ -1,6 +1,6 @@
 """Property tests for the cached-factor mixture kernel against the
-single-point log_gaussian reference and scipy's triangular solve, and for
-the restart engine."""
+single-point log_gaussian reference and scipy's triangular solve, for the
+one log-sum-exp reduction against scipy's, and for the restart engine."""
 
 import operator
 import time
@@ -9,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.special
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -17,7 +18,7 @@ from cempca.errors import (DegenerateUpdateError,  # noqa: E402
                            EmptyClusterError, InvalidInputError,
                            NumericalError, SingularMatrixError)
 from cempca.mixture import (COV_MODELS, FitResult, MixtureParams,  # noqa: E402
-                            Partition, best_of_restarts,
+                            Partition, _posterior, best_of_restarts,
                             complete_log_likelihood, e_step, log_joint, m_step)
 from oracles import log_gaussian  # noqa: E402
 
@@ -142,6 +143,36 @@ def test_replace_never_scores_with_stale_factors(seed, model, g, p):
     assert np.array_equal(log_joint(X, params), before)
 
 
+@st.composite
+def _score_matrices(draw):
+    """Score matrices whose rows tie at the maximum and hold -inf entries,
+    with at least one finite entry per row."""
+    n, g = draw(st.integers(1, 6)), draw(st.integers(1, 7))
+    rng = np.random.default_rng(draw(seeds))
+    lp = rng.standard_normal((n, g)) * 10.0 ** draw(st.integers(-3, 4)) + draw(
+        st.floats(-1e4, 1e4))
+    for i in range(n):
+        kind = np.array(draw(st.lists(st.sampled_from(("draw", "top", "-inf")),
+                                      min_size=g, max_size=g)))
+        top = lp[i].max()
+        lp[i, kind == "top"] = top
+        lp[i, kind == "-inf"] = -np.inf
+        if np.all(np.isneginf(lp[i])):
+            lp[i, draw(st.integers(0, g - 1))] = top
+    return lp
+
+
+@SETTINGS
+@given(lp=_score_matrices())
+def test_posterior_density_matches_scipy_logsumexp(lp):
+    # a tolerance, not bitwise equality: older scipy releases sum the
+    # terms in another order
+    density, resp = _posterior(lp)
+    assert np.allclose(density, scipy.special.logsumexp(lp, axis=1), rtol=1e-12, atol=1e-12)
+    assert np.allclose(resp.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    assert np.all(resp[np.isneginf(lp)] == 0.0)
+
+
 def test_factor_cache_outside_repr_and_fields():
     params, X, _ = _instance(0, "full", 2, 3)
     text = repr(params)
@@ -161,7 +192,7 @@ SKIPPABLE = (lambda r: DegenerateUpdateError(f"degenerate at restart {r}"),
 def _restart_result(value, r):
     return FitResult(partition=Partition(assignments=np.zeros(1, dtype=int), g=1),
                      params=None, objective_trace=[float(value)], iterations=1,
-                     seed=0, restart_index=r, wall_time=0.0)
+                     restart_index=r, wall_time=0.0)
 
 
 @SETTINGS
@@ -199,7 +230,7 @@ def test_best_of_restarts_stamps_the_kept_restart():
     def fit_one(r):
         return FitResult(partition=Partition(assignments=np.zeros(1, dtype=int), g=1),
                          params=None, objective_trace=[float(abs(r - 2))],
-                         iterations=1, seed=0)
+                         iterations=1)
 
     result = best_of_restarts(fit_one, 5, operator.lt, time.perf_counter())
     assert result.restart_index == 2 and result.objective_trace == [0.0]
