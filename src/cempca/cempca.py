@@ -43,6 +43,9 @@ class CempcaConfig:
     control the nearest-neighbor graph used to replace X by W^m X before
     fitting; smoothing=0 skips the graph entirely. max_iter caps the outer
     sweeps; max_iter=0 keeps the mixture fitted on the principal embedding.
+    tol ends the sweeps: when the objective stalls to within tol, or when a
+    sweep keeps the partition and moves B by at most tol relative (in the
+    Frobenius norm).
     """
 
     g: int
@@ -179,7 +182,7 @@ def _seed_partition(B, g, restart, seed):
 def _fit_single(X, B, Q, cfg, seed, restart):
     """One restart from the principal embedding B and its loadings Q."""
     part = _seed_partition(B, cfg.g, restart, seed)
-    params = mixture.m_step(B, part.one_hot(), cfg.model)
+    params = mixture.m_step(B, part, cfg.model)
     part, params, _, _ = mixture.cem_refine(B, part, params, tol=cfg.tol)
     bundle = EmbeddingBundle(B=B, Q=Q, M=B.copy())
     trace = [objective(X, bundle, part, params, cfg.delta)]
@@ -187,6 +190,7 @@ def _fit_single(X, B, Q, cfg, seed, restart):
     iterations = 0
     for _ in range(cfg.max_iter):
         iterations += 1
+        start_part, start_B = part, bundle.B
         M = update_M(bundle.B, part, params, cfg.delta)
         bundle = replace(bundle, M=M)
         current = objective(X, bundle, part, params, cfg.delta)
@@ -212,7 +216,11 @@ def _fit_single(X, B, Q, cfg, seed, restart):
         value = objective(X, bundle, part, params, cfg.delta)
         steps.append(("Q", value))
         trace.append(value)
-        if mixture._converged(trace[-2], trace[-1], cfg.tol):
+        # A sweep that keeps the partition and barely moves B is at the
+        # fixed point: the next one would rerun the same refinement.
+        fixed = (np.array_equal(part.assignments, start_part.assignments)
+                 and np.linalg.norm(B - start_B) <= cfg.tol * np.linalg.norm(start_B))
+        if fixed or mixture._converged(trace[-2], trace[-1], cfg.tol):
             break
     return FitResult(partition=part, params=params, objective_trace=trace,
                      iterations=iterations, bundle=bundle,
@@ -225,8 +233,10 @@ def fit_cempca(X_raw, cfg, seed=0):
     The pipeline standardizes and graph-smooths the input per the config,
     initializes B and Q from the principal embedding, seeds the mixture by
     a partition that varies per restart, then sweeps the four block updates
-    until the objective stalls. step_trace holds the objective after every
-    block update, as ("M" | "cem" | "B" | "Q", value), four per sweep.
+    until the objective stalls or a sweep reaches the fixed point: it keeps
+    the partition and moves B by at most tol relative. step_trace holds the
+    objective after every block update, as ("M" | "cem" | "B" | "Q", value),
+    four per sweep.
     Restarts that hit a degenerate update are skipped and listed in
     failed_restarts; the fit fails only if every restart does. A setting
     out of range raises SettingError, naming it, before any work.

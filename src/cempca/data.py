@@ -312,7 +312,9 @@ def knn_graph(X, k):
     so it asks again for twice as many, up to n. A row with k or more exact
     copies besides itself skips the tree: its neighbors are its k
     lowest-index copies, so m copies of a point cost O(m k), not O(m^2).
-    Non-finite X is rejected.
+    Likewise, a row whose tie at the k-th distance is one copy group alone
+    takes that group's lowest-index members rather than widening the query
+    past the whole group. Non-finite X is rejected.
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
@@ -326,8 +328,8 @@ def knn_graph(X, k):
     # Copy groups (+ 0.0 makes -0.0 a copy of 0.0), members in index order.
     # A group qualifies only if no other point is at distance 0 from it,
     # which a point within about 1e-162 would be once squares underflow.
-    _, group, size = np.unique(X + 0.0, axis=0, return_inverse=True,
-                               return_counts=True)
+    uniq, group, size = np.unique(X + 0.0, axis=0, return_inverse=True,
+                                  return_counts=True)
     group = group.ravel()
     members = np.argsort(group, kind="stable")
     first = np.cumsum(size) - size
@@ -341,14 +343,24 @@ def knn_graph(X, k):
     idx[copy_rows] = lowest[keep].reshape(-1, k)
     todo = np.setdiff1d(np.arange(n), copy_rows)
     q = min(k + 2, n)
+    unique_tree = None
     while todo.size:
         d, j = tree.query(X[todo], q)
         # lexsort's last key is its first: self goes last, the rest by (d, j)
         order = np.lexsort((j, d, j == todo[:, None]))[:, :k]
-        kept_d = np.take_along_axis(d, order, axis=1)
+        # rows left undone are written again by a later round
+        idx[todo] = np.take_along_axis(j, order, axis=1)
+        dist[todo] = kept_d = np.take_along_axis(d, order, axis=1)
         done = (kept_d[:, -1] < d[:, -1]) | (q == n)
-        idx[todo[done]] = np.take_along_axis(j[done], order[done], axis=1)
-        dist[todo[done]] = kept_d[done]
+        if not done.all():
+            if unique_tree is None:
+                unique_tree = cKDTree(uniq)
+            stuck = np.flatnonzero(~done)
+            tie, neighbors = _copy_group_tie(
+                X[todo[stuck]], d[stuck], group[j[stuck]], kept_d[stuck, -1],
+                idx[todo[stuck]], unique_tree, members, first)
+            idx[todo[stuck[tie]]] = neighbors
+            done[stuck[tie]] = True
         todo = todo[~done]
         q = min(2 * q, n)
     d2 = dist * dist
@@ -356,6 +368,37 @@ def knn_graph(X, k):
     w /= w.sum(axis=1, keepdims=True)
     rows = np.repeat(np.arange(n), k)
     return sp.csr_matrix((w.ravel(), (rows, idx.ravel())), shape=(n, n))
+
+
+def _copy_group_tie(x, d, cand_group, dk, kept_j, unique_tree, members, first):
+    """Neighbors of rows whose k-th candidate ties with one copy group alone.
+
+    d and cand_group are the rows' tree distances and candidate groups, dk
+    their k-th kept distance and kept_j their kept candidates by (distance,
+    index). A row qualifies when dk is positive, every returned candidate
+    at dk is in one group G, and a search over the distinct points finds
+    no other point at dk. Every point nearer than dk was returned, so the
+    places from the tie on go to G's lowest-index members, as for copy
+    rows. Returns (qualifying mask, their neighbors).
+    """
+    G = cand_group[:, -1]
+    below = (d < dk[:, None]).sum(axis=1)          # self included
+    ok = (dk > 0) & np.all((d != dk[:, None]) | (cand_group == G[:, None]), axis=1)
+    rows = np.flatnonzero(ok)
+    if rows.size:
+        # at most `below` distinct points are nearer than dk, so two more
+        # reach G and one point past it, unless no point is left
+        c = min(int(below[rows].max()) + 2, unique_tree.n)
+        ud, ui = unique_tree.query(x[rows], c)
+        at = ud == dk[rows, None]
+        ok[rows] = ((at.sum(axis=1) == 1)
+                    & (np.where(at, ui, -1).max(axis=1) == G[rows])
+                    & ((ud[:, -1] > dk[rows]) | (c == unique_tree.n)))
+    rows = np.flatnonzero(ok)
+    nb = below[rows, None] - 1
+    pos = np.arange(kept_j.shape[1])
+    tail = members[first[G[rows]][:, None] + np.maximum(pos - nb, 0)]
+    return ok, np.where(pos < nb, kept_j[rows], tail)
 
 
 def smooth(X, W, m):

@@ -67,11 +67,6 @@ class Partition:
     def n(self):
         return self.assignments.shape[0]
 
-    def one_hot(self):
-        Z = np.zeros((self.n, self.g))
-        Z[np.arange(self.n), self.assignments] = 1.0
-        return Z
-
 
 @dataclass
 class FitResult:
@@ -205,7 +200,12 @@ def c_step(resp):
 
 
 def m_step(X, weights, model="full"):
-    """Weighted parameter update for soft responsibilities or one-hot weights.
+    """Parameter update from soft responsibilities or a hard Partition.
+
+    weights is an (n, g) responsibility matrix or a Partition. A Partition
+    is read as its labels: each cluster's rows are gathered once, so no
+    n x g one-hot matrix is formed, and the result equals the one-hot
+    matrix's up to rounding. An empty cluster raises EmptyClusterError.
 
     Covariances are the weighted scatter divided by the column weight sum,
     ridge-regularized with eps * (trace / p) * I (eps = 1e-6), then
@@ -216,22 +216,36 @@ def m_step(X, weights, model="full"):
     and poison every later Mahalanobis term.
     """
     X = np.asarray(X, dtype=float)
-    W = np.asarray(weights, dtype=float)
     if model not in COV_MODELS:
         raise InvalidInputError(f"unknown covariance model {model!r}")
     n, p = X.shape
-    g = W.shape[1]
-    totals = W.sum(axis=0)
+    hard = isinstance(weights, Partition)
+    if hard:
+        g = weights.g
+        totals = np.bincount(weights.assignments, minlength=g).astype(float)
+    else:
+        W = np.asarray(weights, dtype=float)
+        g = W.shape[1]
+        totals = W.sum(axis=0)
     for k in range(g):
         if totals[k] <= 0.0:
             raise EmptyClusterError(k)
     pi = totals / n
-    means = (W.T @ X) / totals[:, None]
-    floor = max(1e-3 * float(np.mean(np.var(X, axis=0))), 1e-12)
+    # The mean feature variance as one centred sum of squares: np.var's
+    # per-column reductions cost more than the rest of a hard m_step.
+    centred = X - np.ones(n) @ X / n
+    floor = max(1e-3 * float(np.vdot(centred, centred)) / (n * p), 1e-12)
+    means = np.empty((g, p)) if hard else (W.T @ X) / totals[:, None]
     covs = np.empty((g, p, p))
     for k in range(g):
-        diff = X - means[k]
-        cov = (diff * W[:, k:k + 1]).T @ diff / totals[k]
+        if hard:
+            rows = X.take(np.flatnonzero(weights.assignments == k), axis=0)
+            means[k] = np.ones(rows.shape[0]) @ rows / totals[k]
+            diff = rows - means[k]
+            cov = diff.T @ diff / totals[k]
+        else:
+            diff = X - means[k]
+            cov = (diff * W[:, k:k + 1]).T @ diff / totals[k]
         cov = 0.5 * (cov + cov.T)
         t = max(float(np.trace(cov)) / p, floor)
         covs[k] = cov + _COV_EPS * t * np.eye(p)
@@ -335,7 +349,8 @@ def lloyd(X, centers, max_iter=100, tol=1e-6):
             taken.add(far)
         wcss = float(((X - centers[assign]) ** 2).sum())
         trace.append(wcss)
-        centers = np.vstack([X[assign == k].mean(axis=0) for k in range(g)])
+        centers = np.vstack([X.take(np.flatnonzero(assign == k), axis=0).mean(axis=0)
+                             for k in range(g)])
         if prev_assign is not None and np.array_equal(assign, prev_assign):
             break
         if len(trace) >= 2 and _converged(trace[-2], trace[-1], tol):
@@ -378,7 +393,7 @@ def em_gmm(X, g, max_iter=100, tol=1e-6, restarts=20, seed=0, model="full"):
 
     def fit_one(r):
         km = kmeans(X, g, max_iter=max_iter, restarts=1, seed=child_seed(seed, r))
-        params = m_step(X, km.partition.one_hot(), model)
+        params = m_step(X, km.partition, model)
         # One score matrix and one reduction of it per parameter set: they
         # give the trace entry, the next E-step and, for the last set, the
         # MAP partition.
@@ -436,7 +451,7 @@ def cem_refine(X, partition, params, max_iter=100, tol=1e-6):
         iterations += 1
         assign = _repair_empty(np.argmax(lp, axis=1), lp, partition.g)
         new_part = Partition(assignments=assign, g=partition.g)
-        params = m_step(X, new_part.one_hot(), params.model)
+        params = m_step(X, new_part, params.model)
         lp = log_joint(X, params)
         trace.append(float(lp[rows, assign].sum()))
         unchanged = np.array_equal(new_part.assignments, partition.assignments)
@@ -459,7 +474,7 @@ def cem(X, g, max_iter=100, tol=1e-6, restarts=20, seed=0, model="full"):
 
     def fit_one(r):
         km = kmeans(X, g, max_iter=max_iter, restarts=1, seed=child_seed(seed, r))
-        params = m_step(X, km.partition.one_hot(), model)
+        params = m_step(X, km.partition, model)
         partition, params, trace, iterations = cem_refine(
             X, km.partition, params, max_iter=max_iter, tol=tol)
         return FitResult(partition=partition, params=params,

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from cempca.baselines import kmeans_pca, reduced_kmeans
 from cempca.cempca import (CempcaConfig, EmbeddingBundle, fit_cempca,
                            objective, pca_embed, prepare_features, update_B,
                            update_M, update_Q)
+from cempca.data import gen_fcps
 from cempca.errors import (DegenerateUpdateError, InvalidInputError,
                            NumericalError, SettingError)
 from cempca.linalg import thin_svd
@@ -169,7 +172,7 @@ def test_objective_vanishing_first_terms():
     X = B @ Q.T
     part = Partition(assignments=rng.integers(0, 2, 10), g=2)
     part.assignments[:2] = [0, 1]
-    params = m_step(B, part.one_hot())
+    params = m_step(B, part)
     bundle = EmbeddingBundle(B=B, Q=Q, M=B.copy())
     val = objective(X, bundle, part, params, 0.7)
     assert np.isclose(val, -complete_log_likelihood(B, part, params), atol=1e-9)
@@ -179,7 +182,7 @@ def test_objective_scores_rows_only_under_their_own_cluster(monkeypatch):
     rng = np.random.default_rng(15)
     B, _ = np.linalg.qr(rng.standard_normal((12, 2)))
     part = Partition(assignments=np.arange(12) % 3, g=3)
-    params = m_step(B, part.one_hot())
+    params = m_step(B, part)
     bundle = EmbeddingBundle(B=B, Q=rng.standard_normal((4, 2)), M=B.copy())
     expected = objective(B @ bundle.Q.T, bundle, part, params, 0.5)
 
@@ -196,7 +199,7 @@ def test_objective_delta_zero_ignores_gap():
     Q = rng.standard_normal((3, 2))
     X = rng.standard_normal((8, 3))
     part = Partition(assignments=np.array([0, 1] * 4), g=2)
-    params = m_step(B, part.one_hot())
+    params = m_step(B, part)
     M1 = rng.standard_normal((8, 2))
     b1 = EmbeddingBundle(B=B, Q=Q, M=M1)
     b2 = EmbeddingBundle(B=B, Q=Q, M=M1 + 5.0)
@@ -214,7 +217,7 @@ def test_objective_term_by_term_oracle():
     M = rng.standard_normal((9, 2))
     part = Partition(assignments=rng.integers(0, 2, 9), g=2)
     part.assignments[:2] = [0, 1]
-    params = m_step(M, part.one_hot())
+    params = m_step(M, part)
     bundle = EmbeddingBundle(B=B, Q=Q, M=M)
     delta = 0.2
     t1 = sum((X[i, j] - B[i] @ Q[j]) ** 2 for i in range(9) for j in range(4))
@@ -345,8 +348,21 @@ def test_default_fit_records_every_block_step():
     assert [v for _, v in res.step_trace[3::4]] == res.objective_trace[1:]
 
 
+def test_a_sweep_that_keeps_the_partition_ends_the_fit():
+    # the gate's tetra fit: its first sweep keeps the seeded partition and
+    # moves B only by rounding, so the fit stops there rather than spending
+    # a second sweep on the same refinement
+    ds = gen_fcps("tetra", seed=11)
+    res = fit_cempca(ds.X, CempcaConfig(g=4), seed=1)
+    assert res.iterations == 1
+    assert [name for name, _ in res.step_trace] == ["M", "cem", "B", "Q"]
+    assert len(res.objective_trace) == 2
+    # the assignments max_iter=40 gave when every fit ran a second sweep
+    data = np.ascontiguousarray(res.partition.assignments, dtype=np.int64).tobytes()
+    assert hashlib.sha256(data).hexdigest()[:16] == "67170d1652fc2c36"
+
+
 def test_fit_atom_replica_all_metrics():
-    from cempca.data import gen_fcps
     from cempca.metrics import accuracy, nmi as nmi_score
     from cempca.metrics import ari as ari_score
 

@@ -328,6 +328,24 @@ def test_knn_graph_many_copies_of_one_point():
         assert np.array_equal(found[start:start + 250], np.sort(expected, axis=1))
 
 
+def test_knn_graph_tie_with_a_copy_group_matches_oracle():
+    # every unit vector is at distance 1 from the 300 copies of the origin
+    # and farther from every other unit vector, so its k-th candidate ties
+    # with the whole copy group; row 0, at distance 1 from row 301, joins
+    # that row's tie at the lowest index
+    rng = np.random.default_rng(13)
+    U = rng.standard_normal((200, 50))
+    U /= np.linalg.norm(U, axis=1, keepdims=True)
+    X = np.vstack([2.0 * U[:1], np.zeros((300, 50)), U])
+    found = np.sort(knn_graph(X, 15).indices.reshape(-1, 15), axis=1)
+    d2 = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
+    np.fill_diagonal(d2, np.inf)
+    # a stable sort by squared distance breaks ties by index
+    expected = np.sort(np.argsort(d2, axis=1, kind="stable")[:, :15], axis=1)
+    assert np.array_equal(found, expected)
+    assert 0 in found[301]
+
+
 def test_knn_graph_copy_groups_match_oracle():
     # -0.0 is a copy of 0.0; a point 1e-200 away is also at distance 0
     # once its square underflows, so its group is left to the tree

@@ -146,7 +146,7 @@ def test_m_step_hard_weights_reproduce_cluster_means():
     assign = rng.integers(0, 3, 25)
     assign[:3] = [0, 1, 2]
     part = Partition(assignments=assign, g=3)
-    params = m_step(X, part.one_hot())
+    params = m_step(X, part)
     for k in range(3):
         assert np.allclose(params.means[k], X[assign == k].mean(axis=0),
                            atol=1e-12)
@@ -271,9 +271,9 @@ def test_cem_refine_keeps_the_covariance_model_of_its_params(model):
     rng = np.random.default_rng(15)
     X, _ = _blobs(rng, 30, [(0.0, 0.0), (4.0, 0.0), (0.0, 4.0)])
     part = Partition(assignments=mixture.random_partition(len(X), 3, rng), g=3)
-    part, params, _, _ = cem_refine(X, part, m_step(X, part.one_hot(), model))
+    part, params, _, _ = cem_refine(X, part, m_step(X, part, model))
     assert params.model == model
-    expected = m_step(X, part.one_hot(), model)
+    expected = m_step(X, part, model)
     assert np.array_equal(params.covariances, expected.covariances)
 
 
@@ -353,7 +353,7 @@ def test_cem_refine_scores_each_parameter_set_once(monkeypatch, seed, max_iter):
     rng = np.random.default_rng(seed)
     X, _ = _blobs(rng, 30, [(0.0, 0.0), (3.0, 0.0), (0.0, 3.0)])
     part = Partition(assignments=mixture.random_partition(len(X), 3, rng), g=3)
-    params = m_step(X, part.one_hot())
+    params = m_step(X, part)
     calls = []
     real = mixture.log_joint
     monkeypatch.setattr(mixture, "log_joint",

@@ -81,9 +81,9 @@ def test_complete_log_likelihood_matches_log_gaussian(seed, model, g, p):
     assert abs(got - terms.sum()) <= 1e-12 * (np.abs(terms).sum() + X.shape[0] * p * LOG_2PI)
 
 
-def _ridge_floored(seed, model, g, p):
-    """m_step params whose clusters lie on subspaces of rank 0 to p - 1, so
-    every covariance is a rank-deficient scatter lifted by m_step's ridge
+def _rank_deficient_clusters(seed, g, p):
+    """(X, assignments) for g clusters on subspaces of rank 0 to p - 1, so
+    every m_step covariance is a rank-deficient scatter lifted by the ridge
     (a cluster of coincident rows keeps only the ridge floor)."""
     rng = np.random.default_rng(seed)
     blocks = []
@@ -92,9 +92,60 @@ def _ridge_floored(seed, model, g, p):
         basis = rng.standard_normal((rank, p)) * rng.uniform(0.1, 10.0)
         blocks.append(rng.standard_normal(p) * 5.0
                       + rng.standard_normal((int(rng.integers(2, 9)), rank)) @ basis)
-    X = np.vstack(blocks)
-    assign = np.repeat(np.arange(g), [len(b) for b in blocks])
-    return m_step(X, Partition(assignments=assign, g=g).one_hot(), model)
+    return np.vstack(blocks), np.repeat(np.arange(g), [len(b) for b in blocks])
+
+
+def _ridge_floored(seed, model, g, p):
+    X, assign = _rank_deficient_clusters(seed, g, p)
+    return m_step(X, Partition(assignments=assign, g=g), model)
+
+
+def _assert_rel_close(got, expected):
+    assert np.all(np.abs(got - expected) <= 1e-12 * np.abs(expected).max())
+
+
+@SETTINGS
+@given(seed=seeds, model=models, g=st.integers(1, 7), p=st.integers(1, 15),
+       shuffle=st.booleans())
+def test_m_step_on_a_partition_matches_one_hot_weights(seed, model, g, p, shuffle):
+    X, assign = _rank_deficient_clusters(seed, g, p)
+    if shuffle:
+        order = np.random.default_rng(seed).permutation(len(assign))
+        X, assign = X[order], assign[order]
+    hard = m_step(X, Partition(assignments=assign, g=g), model)
+    soft = m_step(X, np.eye(g)[assign], model)
+    assert hard.model == soft.model == model
+    _assert_rel_close(hard.weights, soft.weights)
+    _assert_rel_close(hard.means, soft.means)
+    for k in range(g):
+        _assert_rel_close(hard.covariances[k], soft.covariances[k])
+
+
+@SETTINGS
+@given(seed=seeds, model=models, g=st.integers(1, 7), p=st.integers(1, 15),
+       data=st.data())
+def test_m_step_reports_the_empty_cluster_in_both_forms(seed, model, g, p, data):
+    X, assign = _rank_deficient_clusters(seed, g, p)
+    empty = data.draw(st.integers(0, g))
+    assign = assign + (assign >= empty)
+    for weights in (Partition(assignments=assign, g=g + 1), np.eye(g + 1)[assign]):
+        with pytest.raises(EmptyClusterError) as err:
+            m_step(X, weights, model)
+        assert err.value.cluster == empty
+
+
+@SETTINGS
+@given(seed=seeds, g=st.integers(1, 7), p=st.integers(1, 15))
+def test_m_step_ridge_floor_is_the_mean_feature_variance(seed, g, p):
+    # a last cluster of coincident rows has zero scatter, so its covariance
+    # is the ridge alone: 1e-6 times the floor, times I
+    X, assign = _rank_deficient_clusters(seed, g, p)
+    X = np.vstack([X, np.repeat(X[:1] + 1.0, 3, axis=0)])
+    assign = np.append(assign, [g] * 3)
+    floor = 1e-3 * np.mean(np.var(X, axis=0))
+    for weights in (Partition(assignments=assign, g=g + 1), np.eye(g + 1)[assign]):
+        cov = m_step(X, weights).covariances[g]
+        assert np.all(np.abs(cov - 1e-6 * floor * np.eye(p)) <= 1e-12 * 1e-6 * floor)
 
 
 @SETTINGS
