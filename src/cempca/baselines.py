@@ -50,9 +50,7 @@ def reduced_kmeans(X, g, p=None, restarts=20, seed=0, max_iter=100, tol=1e-6):
         Q = Q0
         trace = [_rkm_objective(X, assign, S, Q)]
         history = []
-        iterations = 0
         for _ in range(max_iter):
-            iterations += 1
             Q, _ = polar(X.T @ S[assign])
             scores = X @ Q
             centers = np.vstack([scores[assign == k].mean(axis=0) for k in range(g)])
@@ -63,8 +61,7 @@ def reduced_kmeans(X, g, p=None, restarts=20, seed=0, max_iter=100, tol=1e-6):
                 break
         part = Partition(assignments=assign, g=g)
         return FitResult(partition=part, params=None, objective_trace=trace,
-                         iterations=iterations, bundle=_rkm_bundle(X, Q, part, S),
-                         step_trace=history)
+                         bundle=_rkm_bundle(X, Q, part, S), step_trace=history)
 
     return mixture.best_of_restarts(fit_one, restarts, operator.lt, start)
 

@@ -60,17 +60,20 @@ class CempcaConfig:
     standardize: bool = True
 
 
-def _principal_axes(X, p):
-    """(Xc, U, s, V): column-centered X and its thin SVD cut to p columns.
-
-    p=None means min(10, d); otherwise 1 <= p <= min(n - 1, d).
-    """
-    X = np.asarray(X, dtype=float)
-    n, d = X.shape
+def _embedding_dim(p, n, d):
+    """p, or min(10, d) for None; SettingError unless 1 <= p <= min(n - 1, d)."""
     if p is None:
         p = min(10, d)
     if not 1 <= p <= min(n - 1, d):
         raise SettingError("p", f"must be in [1, {min(n - 1, d)}], got {p}")
+    return p
+
+
+def _principal_axes(X, p):
+    """(Xc, U, s, V): column-centered X and its thin SVD cut to p columns,
+    p as _embedding_dim resolves it."""
+    X = np.asarray(X, dtype=float)
+    p = _embedding_dim(p, *X.shape)
     Xc = X - X.mean(axis=0)
     U, s, V = thin_svd(Xc)
     return Xc, U[:, :p], s[:p], V[:, :p]
@@ -187,9 +190,7 @@ def _fit_single(X, B, Q, cfg, seed, restart):
     bundle = EmbeddingBundle(B=B, Q=Q, M=B.copy())
     trace = [objective(X, bundle, part, params, cfg.delta)]
     steps = []
-    iterations = 0
     for _ in range(cfg.max_iter):
-        iterations += 1
         start_part, start_B = part, bundle.B
         M = update_M(bundle.B, part, params, cfg.delta)
         bundle = replace(bundle, M=M)
@@ -223,8 +224,7 @@ def _fit_single(X, B, Q, cfg, seed, restart):
         if fixed or mixture._converged(trace[-2], trace[-1], cfg.tol):
             break
     return FitResult(partition=part, params=params, objective_trace=trace,
-                     iterations=iterations, bundle=bundle,
-                     step_trace=steps)
+                     bundle=bundle, step_trace=steps)
 
 
 def fit_cempca(X_raw, cfg, seed=0):
@@ -253,6 +253,9 @@ def fit_cempca(X_raw, cfg, seed=0):
             raise SettingError(name, "must be >= 0")
     if cfg.smoothing > 0 and not 1 <= cfg.neighbors <= n - 1:
         raise SettingError("neighbors", f"must be in [1, {n - 1}], got {cfg.neighbors}")
+    _embedding_dim(cfg.p, *X.shape)
+    mixture._check_restarts(cfg.restarts)
+    mixture._check_model(cfg.model)
     start = time.perf_counter()
     X = prepare_features(X, cfg)
     # The principal embedding and its loadings depend only on X and p, so

@@ -2,7 +2,9 @@
 
 SETTINGS holds each method's settings and defaults, read off its library entry
 point and renamed to the `cempca fit` flag and suite param names; run_method
-resolves every fit against it and rejects keys it does not list.
+resolves every fit against it and rejects keys it does not list. The FitResult
+is the one record of a fit: `cempca fit`'s JSON and a suite's results.csv row
+read its iterations, wall time, final objective and failure count off it.
 data.load_csv is the one CSV reader and _read_json the one JSON reader.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical failure.
@@ -13,7 +15,6 @@ both written from those rows.
 
 import argparse
 import csv
-import dataclasses
 import inspect
 import json
 import os
@@ -25,7 +26,7 @@ from .baselines import kmeans_pca, reduced_kmeans
 from .cempca import CempcaConfig, fit_cempca
 from .data import (FCPS_SHAPES, gen_chang, gen_fcps, load_csv, save_csv,
                    standardize)
-from .errors import (NUMERICAL_ERRORS, CempcaError, DataError, InvalidInputError,
+from .errors import (CempcaError, DataError, InvalidInputError, NumericalError,
                      SettingError)
 from .metrics import accuracy, ari, nmi
 from .mixture import COV_MODELS, cem, child_seed, em_gmm, kmeans
@@ -62,21 +63,6 @@ EXIT_NUMERICAL = 4
 _DATA_ERRORS = (DataError, InvalidInputError)
 
 
-@dataclasses.dataclass
-class RunRecord:
-    """One fitted method on one dataset, with everything needed to replay it."""
-
-    method: str
-    dataset: str
-    config: dict
-    seed: int
-    metrics: dict
-    iterations: int
-    wall_time: float
-    objective_final: float
-    failed_restarts: int
-
-
 def _generate_dataset(shape, n, seed):
     if shape == "chang":
         return gen_chang(n=n if n is not None else 1000, seed=seed)
@@ -84,12 +70,15 @@ def _generate_dataset(shape, n, seed):
 
 
 def run_method(method, dataset, config, seed):
-    """Fit one method on one dataset; returns (RunRecord, FitResult).
+    """Fit one method on one dataset; returns (settings, scores, FitResult).
 
     config holds "g" and any of the method's SETTINGS; the rest take their
     defaults. A key the method does not read, or a value whose type is not
     its default's (g and p are ints, p may be None), raises InvalidInputError;
     a value out of range raises SettingError under its SETTINGS name.
+    settings holds every setting the fit ran with, plus "g" and "seed", so
+    it replays the fit; scores holds acc, nmi and ari when the dataset has
+    labels.
     """
     if method not in SETTINGS:
         raise InvalidInputError(f"unknown method {method!r}")
@@ -126,13 +115,7 @@ def run_method(method, dataset, config, seed):
         scores = {"acc": accuracy(dataset.labels, pred),
                   "nmi": nmi(dataset.labels, pred),
                   "ari": ari(dataset.labels, pred)}
-    record = RunRecord(method=method, dataset=dataset.name,
-                       config={"g": g, "seed": seed, **s},
-                       seed=seed, metrics=scores, iterations=result.iterations,
-                       wall_time=result.wall_time,
-                       objective_final=float(result.objective_trace[-1]),
-                       failed_restarts=len(result.failed_restarts))
-    return record, result
+    return {"g": g, "seed": seed, **s}, scores, result
 
 
 def _write_embedding(path, bundle):
@@ -161,15 +144,19 @@ def cmd_fit(args):
     flags = {key for settings in SETTINGS.values() for key in settings}
     config = {key: getattr(args, key) for key in flags
               if getattr(args, key) is not None}
-    record, result = run_method(args.method, dataset, {"g": args.g, **config},
-                                args.seed)
+    settings, scores, result = run_method(args.method, dataset,
+                                          {"g": args.g, **config}, args.seed)
     if args.emit_embedding:
         if result.bundle is None:
             print(f"method {args.method} produces no embedding", file=sys.stderr)
             return EXIT_USAGE
         _write_embedding(args.emit_embedding, result.bundle)
-    payload = dataclasses.asdict(record)
-    payload["assignments"] = [int(a) for a in result.partition.assignments]
+    payload = {"method": args.method, "dataset": dataset.name, "config": settings,
+               "seed": args.seed, "metrics": scores, "iterations": result.iterations,
+               "wall_time": result.wall_time,
+               "objective_final": float(result.objective_trace[-1]),
+               "failed_restarts": len(result.failed_restarts),
+               "assignments": [int(a) for a in result.partition.assignments]}
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:
         with open(args.out, "w") as fh:
@@ -243,15 +230,15 @@ def _result_row(dataset, g, name, entry, seed):
     """Run one suite cell; returns its results.csv row, keyed by RESULT_COLUMNS."""
     row = {"dataset": dataset.name, "method": name, "seed": seed}
     try:
-        record, _ = run_method(entry["method"], dataset,
-                               {"g": g, **(entry.get("params") or {})}, seed)
+        _, scores, result = run_method(entry["method"], dataset,
+                                       {"g": g, **(entry.get("params") or {})}, seed)
     except CempcaError as exc:
         return {**row, "status": "failed", "error": str(exc)}
-    scores = {key: repr(float(value)) for key, value in record.metrics.items()}
-    return {**row, **scores, "status": "ok", "iterations": record.iterations,
-            "wall_time": f"{record.wall_time:.6f}",
-            "objective_final": repr(record.objective_final),
-            "failed_restarts": record.failed_restarts}
+    scores = {key: repr(float(value)) for key, value in scores.items()}
+    return {**row, **scores, "status": "ok", "iterations": result.iterations,
+            "wall_time": f"{result.wall_time:.6f}",
+            "objective_final": repr(float(result.objective_trace[-1])),
+            "failed_restarts": len(result.failed_restarts)}
 
 
 def cmd_benchmark(args):
@@ -397,7 +384,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except NUMERICAL_ERRORS as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except _DATA_ERRORS as exc:

@@ -33,11 +33,17 @@ class ParseError(DataError):
         self.column = column
 
 
-class SingularMatrixError(CempcaError):
+class NumericalError(CempcaError):
+    """A computation failed numerically; raised as is when it left the
+    representable range (overflow, all-zero densities). A restart that
+    raises one is skipped, and the CLI exits 4."""
+
+
+class SingularMatrixError(NumericalError):
     """A factorization failed on a matrix that should be positive-definite."""
 
 
-class EmptyClusterError(CempcaError):
+class EmptyClusterError(NumericalError):
     """A cluster received zero total weight during a parameter update."""
 
     def __init__(self, cluster):
@@ -45,14 +51,5 @@ class EmptyClusterError(CempcaError):
         self.cluster = cluster
 
 
-class DegenerateUpdateError(CempcaError):
+class DegenerateUpdateError(NumericalError):
     """An orthogonality update hit a rank-deficient matrix."""
-
-
-class NumericalError(CempcaError):
-    """A computation left the representable range (overflow, all-zero densities)."""
-
-
-# Numerical failures: a restart that raises one is skipped, and the CLI exits 4.
-NUMERICAL_ERRORS = (DegenerateUpdateError, EmptyClusterError, NumericalError,
-                    SingularMatrixError)

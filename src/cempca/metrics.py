@@ -1,22 +1,10 @@
 """External clustering agreement: matched accuracy, NMI, and ARI."""
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import InvalidInputError
 from .mixture import Partition
-
-
-@dataclass
-class ContingencyTable:
-    """Cross-tabulation of two partitions with its marginals."""
-
-    counts: np.ndarray       # (g_true, g_pred) non-negative integers
-    row_sums: np.ndarray
-    col_sums: np.ndarray
-    n: int
 
 
 def _labels(partition):
@@ -29,7 +17,8 @@ def _labels(partition):
 
 
 def contingency(truth, pred):
-    """Exact cross-tabulation of two equal-length partitions."""
+    """Exact cross-tabulation of two equal-length partitions: the int64
+    (g_true, g_pred) array of counts."""
     t, gt = _labels(truth)
     p, gp = _labels(pred)
     if t.shape[0] != p.shape[0]:
@@ -37,53 +26,35 @@ def contingency(truth, pred):
             f"partitions have different lengths: {t.shape[0]} vs {p.shape[0]}")
     counts = np.zeros((gt, gp), dtype=np.int64)
     np.add.at(counts, (t, p), 1)
-    return ContingencyTable(counts=counts, row_sums=counts.sum(axis=1),
-                            col_sums=counts.sum(axis=0), n=int(t.shape[0]))
-
-
-def hungarian(cost):
-    """Optimal square assignment; returns the minimizing column permutation."""
-    cost = np.asarray(cost, dtype=float)
-    if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
-        raise InvalidInputError(f"cost matrix must be square, got {cost.shape}")
-    if not np.all(np.isfinite(cost)):
-        raise InvalidInputError("cost matrix must be finite")
-    rows, cols = linear_sum_assignment(cost)
-    perm = np.empty(cost.shape[0], dtype=int)
-    perm[rows] = cols
-    return perm
+    return counts
 
 
 def accuracy(truth, pred):
     """Fraction of rows agreeing under the best one-to-one label mapping.
 
-    The contingency table is padded to square with zeros so partitions
-    with unequal cluster counts remain comparable.
+    Partitions with unequal cluster counts are matched on the rectangular
+    table: the surplus clusters of either side match nothing.
     """
-    table = contingency(truth, pred)
-    size = max(table.counts.shape)
-    padded = np.zeros((size, size))
-    padded[:table.counts.shape[0], :table.counts.shape[1]] = table.counts
-    perm = hungarian(-padded)
-    matched = padded[np.arange(size), perm].sum()
-    return float(matched / table.n)
+    counts = contingency(truth, pred)
+    rows, cols = linear_sum_assignment(counts, maximize=True)
+    return float(counts[rows, cols].sum() / counts.sum())
 
 
 def nmi(truth, pred):
     """Mutual information normalized by the geometric mean of the two
     label entropies (natural log); 0 when either partition has a single
     cluster."""
-    table = contingency(truth, pred)
-    n = table.n
-    counts = table.counts
+    counts = contingency(truth, pred)
+    n = int(counts.sum())
+    row_sums, col_sums = counts.sum(axis=1), counts.sum(axis=0)
     mi = 0.0
     for i in range(counts.shape[0]):
         for j in range(counts.shape[1]):
             c = counts[i, j]
             if c > 0:
-                mi += (c / n) * np.log(n * c / (table.row_sums[i] * table.col_sums[j]))
-    pk = table.row_sums[table.row_sums > 0] / n
-    pl = table.col_sums[table.col_sums > 0] / n
+                mi += (c / n) * np.log(n * c / (row_sums[i] * col_sums[j]))
+    pk = row_sums[row_sums > 0] / n
+    pl = col_sums[col_sums > 0] / n
     hu = float(-(pk * np.log(pk)).sum())
     hv = float(-(pl * np.log(pl)).sum())
     if hu <= 0.0 or hv <= 0.0:
@@ -97,18 +68,19 @@ def ari(truth, pred):
     Returns 1 when the expected and maximum indices coincide (identical
     single-cluster or all-singleton partitions).
     """
-    table = contingency(truth, pred)
-    if table.n < 2:
+    counts = contingency(truth, pred)
+    n = int(counts.sum())
+    if n < 2:
         raise InvalidInputError("ari needs at least 2 rows")
 
     def comb2(values):
         values = np.asarray(values, dtype=np.int64)
         return int((values * (values - 1) // 2).sum())
 
-    together = comb2(table.counts.ravel())
-    a = comb2(table.row_sums)
-    b = comb2(table.col_sums)
-    total = table.n * (table.n - 1) // 2
+    together = comb2(counts.ravel())
+    a = comb2(counts.sum(axis=1))
+    b = comb2(counts.sum(axis=0))
+    total = n * (n - 1) // 2
     expected = a * b / total
     maximum = (a + b) / 2.0
     if maximum == expected:

@@ -9,8 +9,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (NUMERICAL_ERRORS, EmptyClusterError, InvalidInputError,
-                     NumericalError, SettingError, SingularMatrixError)
+from .errors import (EmptyClusterError, InvalidInputError, NumericalError,
+                     SettingError, SingularMatrixError)
 
 COV_MODELS = ("full", "diagonal", "spherical", "spherical-tied")
 
@@ -85,12 +85,17 @@ class FitResult:
     partition: Partition
     params: Optional[MixtureParams]
     objective_trace: list
-    iterations: int
     restart_index: int = 0
     wall_time: float = 0.0
     bundle: "object" = None      # EmbeddingBundle when the method produces one
     step_trace: Optional[list] = None
     failed_restarts: list = field(default_factory=list)
+
+    @property
+    def iterations(self):
+        """Iterations run: each fit's trace holds its initial state, then one
+        entry per iteration."""
+        return len(self.objective_trace) - 1
 
 
 def derive_seed(seed, *key):
@@ -116,18 +121,17 @@ def best_of_restarts(fit_one, restarts, better, start):
     better(a, b) compares final objectives (operator.lt to minimize,
     operator.gt to maximize); a restart replaces the kept one only when it
     is strictly better, so ties go to the lowest restart index. A restart
-    that raises one of NUMERICAL_ERRORS is skipped and recorded in
+    that raises a NumericalError is skipped and recorded in
     failed_restarts; if every restart fails, NumericalError is raised from
     the last error. The kept result gets restart_index and wall_time (from `start`).
     """
-    if restarts < 1:
-        raise SettingError("restarts", "must be >= 1")
+    _check_restarts(restarts)
     best = None
     failed = []
     for r in range(restarts):
         try:
             result = fit_one(r)
-        except NUMERICAL_ERRORS as exc:
+        except NumericalError as exc:
             failed.append((r, f"{type(exc).__name__}: {exc}"))
             last_error = exc
             continue
@@ -216,8 +220,7 @@ def m_step(X, weights, model="full"):
     and poison every later Mahalanobis term.
     """
     X = np.asarray(X, dtype=float)
-    if model not in COV_MODELS:
-        raise InvalidInputError(f"unknown covariance model {model!r}")
+    _check_model(model)
     n, p = X.shape
     hard = isinstance(weights, Partition)
     if hard:
@@ -331,9 +334,7 @@ def lloyd(X, centers, max_iter=100, tol=1e-6):
     g = centers.shape[0]
     trace = []
     prev_assign = None
-    iterations = 0
     for _ in range(max_iter):
-        iterations += 1
         d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         assign = np.argmin(d2, axis=1)
         taken = set()
@@ -358,7 +359,7 @@ def lloyd(X, centers, max_iter=100, tol=1e-6):
         prev_assign = assign
     wcss = float(((X - centers[assign]) ** 2).sum())
     trace.append(wcss)
-    return assign, centers, trace, iterations
+    return assign, centers, trace, len(trace) - 1
 
 
 def kmeans(X, g, max_iter=100, tol=1e-6, restarts=20, seed=0):
@@ -370,9 +371,9 @@ def kmeans(X, g, max_iter=100, tol=1e-6, restarts=20, seed=0):
 
     def fit_one(r):
         centers = _seed_centers(X, g, restart_rng(seed, r))
-        assign, centers, trace, iters = lloyd(X, centers, max_iter=max_iter, tol=tol)
+        assign, _, trace, _ = lloyd(X, centers, max_iter=max_iter, tol=tol)
         return FitResult(partition=Partition(assignments=assign, g=g), params=None,
-                         objective_trace=trace, iterations=iters)
+                         objective_trace=trace)
 
     return best_of_restarts(fit_one, restarts, operator.lt, start)
 
@@ -389,6 +390,7 @@ def em_gmm(X, g, max_iter=100, tol=1e-6, restarts=20, seed=0, model="full"):
     """
     X = np.asarray(X, dtype=float)
     _check_fit_args(X, g, tol)
+    _check_model(model)
     start = time.perf_counter()
 
     def fit_one(r):
@@ -399,16 +401,13 @@ def em_gmm(X, g, max_iter=100, tol=1e-6, restarts=20, seed=0, model="full"):
         # MAP partition.
         density, resp = _posterior(log_joint(X, params))
         trace = [float(density.sum())]
-        iterations = 0
         for _ in range(max_iter):
-            iterations += 1
             params = m_step(X, resp, model)
             density, resp = _posterior(log_joint(X, params))
             trace.append(float(density.sum()))
             if _converged(trace[-2], trace[-1], tol):
                 break
-        return FitResult(partition=c_step(resp), params=params,
-                         objective_trace=trace, iterations=iterations)
+        return FitResult(partition=c_step(resp), params=params, objective_trace=trace)
 
     return best_of_restarts(fit_one, restarts, operator.gt, start)
 
@@ -446,9 +445,7 @@ def cem_refine(X, partition, params, max_iter=100, tol=1e-6):
     # partition it was fitted to and the C-step of the next iteration.
     lp = log_joint(X, params)
     trace = [float(lp[rows, partition.assignments].sum())]
-    iterations = 0
     for _ in range(max_iter):
-        iterations += 1
         assign = _repair_empty(np.argmax(lp, axis=1), lp, partition.g)
         new_part = Partition(assignments=assign, g=partition.g)
         params = m_step(X, new_part, params.model)
@@ -458,7 +455,7 @@ def cem_refine(X, partition, params, max_iter=100, tol=1e-6):
         partition = new_part
         if unchanged or _converged(trace[-2], trace[-1], tol):
             break
-    return partition, params, trace, iterations
+    return partition, params, trace, len(trace) - 1
 
 
 def cem(X, g, max_iter=100, tol=1e-6, restarts=20, seed=0, model="full"):
@@ -470,15 +467,15 @@ def cem(X, g, max_iter=100, tol=1e-6, restarts=20, seed=0, model="full"):
     """
     X = np.asarray(X, dtype=float)
     _check_fit_args(X, g, tol)
+    _check_model(model)
     start = time.perf_counter()
 
     def fit_one(r):
         km = kmeans(X, g, max_iter=max_iter, restarts=1, seed=child_seed(seed, r))
         params = m_step(X, km.partition, model)
-        partition, params, trace, iterations = cem_refine(
+        partition, params, trace, _ = cem_refine(
             X, km.partition, params, max_iter=max_iter, tol=tol)
-        return FitResult(partition=partition, params=params,
-                         objective_trace=trace, iterations=iterations)
+        return FitResult(partition=partition, params=params, objective_trace=trace)
 
     return best_of_restarts(fit_one, restarts, operator.gt, start)
 
@@ -499,3 +496,13 @@ def _check_fit_args(X, g, tol):
         raise InvalidInputError("X contains non-finite entries")
     if not (math.isfinite(tol) and tol >= 0):
         raise SettingError("tol", f"must be finite and >= 0, got {tol}")
+
+
+def _check_model(model):
+    if model not in COV_MODELS:
+        raise SettingError("model", f"must be one of {COV_MODELS}, got {model!r}")
+
+
+def _check_restarts(restarts):
+    if restarts < 1:
+        raise SettingError("restarts", "must be >= 1")

@@ -416,7 +416,10 @@ def test_fit_rejects_a_negative_or_non_finite_tol(fit):
         with pytest.raises(SettingError, match="tol must be finite and >= 0") as err:
             FITS[fit](X, tol)
         assert err.value.setting == "tol"
-    assert FITS[fit](X, 0.0).partition.n == 30
+    result = FITS[fit](X, 0.0)
+    assert result.partition.n == 30
+    # every trace starts at the initial state, then one entry per iteration
+    assert result.iterations == len(result.objective_trace) - 1
 
 
 @pytest.mark.parametrize("fit", FITS)
@@ -450,6 +453,37 @@ def test_fit_checks_each_setting_by_name_before_any_work(monkeypatch, field, val
     with pytest.raises(SettingError) as err:
         fit_cempca(np.zeros((10, 3)), CempcaConfig(g=2, **{field: value}), seed=0)
     assert (str(err.value), err.value.setting) == (message, field)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("model", "bogus", "model must be one of ('full', 'diagonal', 'spherical', "
+                       "'spherical-tied'), got 'bogus'"),
+    ("model", "diag", "model must be one of ('full', 'diagonal', 'spherical', "
+                      "'spherical-tied'), got 'diag'"),
+    ("restarts", 0, "restarts must be >= 1"),
+    ("p", 50, "p must be in [1, 3], got 50"),
+])
+def test_fit_checks_each_setting_before_the_graph(monkeypatch, field, value, message):
+    def no_graph(*args):
+        raise AssertionError("the graph was built before a setting was checked")
+
+    monkeypatch.setattr(core, "knn_graph", no_graph)
+    X = np.random.default_rng(7).standard_normal((40, 3))
+    with pytest.raises(SettingError) as err:
+        fit_cempca(X, CempcaConfig(g=2, **{field: value}), seed=0)
+    assert (str(err.value), err.value.setting) == (message, field)
+
+
+@pytest.mark.parametrize("fit", [mixture.em_gmm, mixture.cem])
+def test_mixture_fits_check_the_model_before_any_work(monkeypatch, fit):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the model was checked after the work started")
+
+    monkeypatch.setattr(mixture, "kmeans", no_work)
+    X = np.random.default_rng(8).standard_normal((40, 3))
+    with pytest.raises(SettingError) as err:
+        fit(X, 2, model="bogus")
+    assert err.value.setting == "model"
 
 
 def test_fit_reads_neighbors_only_when_it_builds_the_graph():

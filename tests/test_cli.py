@@ -188,10 +188,10 @@ def test_benchmark_single_cell_consistency(tmp_path):
     from cempca.data import gen_fcps
     ds = gen_fcps("tetra", 100, seed=2)
     ds.name = "tetra"
-    record, _ = run_method("kmeans", ds, {"g": 4, "restarts": 3},
-                           int(cell["seed"]))
-    assert np.isclose(record.metrics["nmi"], float(cell["nmi"]), atol=1e-12)
-    assert np.isclose(record.metrics["acc"], float(cell["acc"]), atol=1e-12)
+    _, scores, _ = run_method("kmeans", ds, {"g": 4, "restarts": 3},
+                              int(cell["seed"]))
+    assert np.isclose(scores["nmi"], float(cell["nmi"]), atol=1e-12)
+    assert np.isclose(scores["acc"], float(cell["acc"]), atol=1e-12)
 
     table = (out_dir / "results.txt").read_text()
     assert "kmeans" in table and "tetra" in table
@@ -288,9 +288,9 @@ def test_benchmark_suite_accepts_diag_spelling(tmp_path):
     cell = rows["cem-diag"]
     assert cell["status"] == "ok"
     ds = gen_fcps("tetra", 100, seed=2)
-    record, _ = run_method("cem", ds, {"g": 4, "restarts": 2, "cov": "diagonal"},
-                           int(cell["seed"]))
-    assert float(cell["nmi"]) == record.metrics["nmi"]
+    _, scores, _ = run_method("cem", ds, {"g": 4, "restarts": 2, "cov": "diagonal"},
+                              int(cell["seed"]))
+    assert float(cell["nmi"]) == scores["nmi"]
 
 
 def test_benchmark_failed_cell_records_error(tmp_path):
@@ -310,6 +310,85 @@ def test_benchmark_failed_cell_records_error(tmp_path):
     failed = rows["too-wide"]
     assert failed["status"] == "failed"
     assert failed["error"] == "p must be in [1, 3], got 50"
+
+
+def test_benchmark_names_a_bad_cov_by_its_flag(tmp_path):
+    # the model is checked before any work and named as the suite param is
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({
+        "datasets": [{"name": "tetra", "shape": "tetra", "n": 100, "seed": 2}],
+        "methods": [{"name": "bad", "method": "cem", "params": {"cov": "bogus"}}],
+    }))
+    out_dir = tmp_path / "results"
+    assert run(["benchmark", suite, out_dir]) == 0
+    _, rows = _read_results(out_dir)
+    assert rows["bad"]["status"] == "failed"
+    assert rows["bad"]["error"] == ("cov must be one of ('full', 'diagonal', "
+                                    "'spherical', 'spherical-tied'), got 'bogus'")
+
+
+# What results.csv reports of one seeded fit of each method on tetra n=100,
+# seed 1, 2 restarts, besides wall_time and objective_final.
+PINNED_ROWS = {
+    "cempca": "3023998541,ok,1.0,1.0,1.0,1,0,",
+    "em-gmm": "2970908266,ok,1.0,1.0,1.0,3,0,",
+    "cem": "2253905059,ok,1.0,1.0,1.0,1,0,",
+    "kmeans": "2199221172,ok,1.0,1.0,1.0,2,0,",
+    "kmeans-pca": "1192768812,ok,1.0,1.0,1.0,3,0,",
+    "reduced-kmeans": "1676973821,ok,1.0,1.0,1.0,1,0,",
+}
+
+
+def test_fit_json_and_results_row_report_the_same_fit(tmp_path):
+    from cempca.cli import RESULT_COLUMNS, SETTINGS
+
+    data = tmp_path / "t.csv"
+    run(["generate", "--shape", "tetra", "--n", 100, "--seed", 1, "--out", data])
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({
+        "seed": 1, "datasets": [{"name": "tetra", "path": str(data)}],
+        "methods": [{"name": m, "method": m, "params": {"restarts": 2}}
+                    for m in PINNED_ROWS]}))
+    out_dir = tmp_path / "results"
+    assert run(["benchmark", suite, out_dir]) == 0
+    header, rows = _read_results(out_dir)
+    assert tuple(header) == RESULT_COLUMNS
+    for method, pinned in PINNED_ROWS.items():
+        row = rows[method]
+        kept = ("seed", "status", "nmi", "ari", "acc", "iterations",
+                "failed_restarts", "error")
+        assert ",".join(row[key] for key in kept) == pinned
+        out = tmp_path / f"{method}.json"
+        assert run(["fit", method, data, "--g", 4, "--restarts", 2,
+                    "--seed", row["seed"], "--out", out]) == 0
+        payload = json.loads(out.read_text())
+        assert set(payload) == {"assignments", "config", "dataset",
+                                "failed_restarts", "iterations", "method", "metrics",
+                                "objective_final", "seed", "wall_time"}
+        assert set(payload["config"]) == {"g", "seed", *SETTINGS[method]}
+        assert (payload["method"], payload["seed"]) == (method, int(row["seed"]))
+        assert repr(payload["objective_final"]) == row["objective_final"]
+        assert str(payload["iterations"]) == row["iterations"]
+        assert {key: repr(value) for key, value in payload["metrics"].items()} == {
+            key: row[key] for key in ("nmi", "ari", "acc")}
+
+
+@pytest.mark.parametrize("error", ["SingularMatrixError", "EmptyClusterError",
+                                   "DegenerateUpdateError", "NumericalError"])
+def test_every_numerical_failure_exits_4(tmp_path, monkeypatch, capsys, error):
+    from cempca import cli, errors
+
+    exc = getattr(errors, error)(1)
+    assert isinstance(exc, errors.NumericalError)
+
+    def fail(*args, **kwargs):
+        raise exc
+
+    data = tmp_path / "d.csv"
+    run(["generate", "--shape", "tetra", "--n", 40, "--seed", 2, "--out", data])
+    monkeypatch.setattr(cli, "kmeans", fail)
+    assert run(["fit", "kmeans", data, "--g", 4]) == 4
+    assert capsys.readouterr().err == f"numerical failure: {exc}\n"
 
 
 def test_fit_cempca_defaults_come_from_config(tmp_path, monkeypatch):
@@ -659,9 +738,9 @@ def test_run_method_checks_setting_types():
     from cempca.errors import InvalidInputError
 
     ds = gen_fcps("tetra", 60, seed=2)
-    record, _ = run_method("cempca", ds, {"g": 4, "delta": 1, "p": None,
-                                          "restarts": 1, "smooth": 0}, 1)
-    assert record.config["delta"] == 1 and record.config["p"] is None
+    settings, _, _ = run_method("cempca", ds, {"g": 4, "delta": 1, "p": None,
+                                               "restarts": 1, "smooth": 0}, 1)
+    assert settings["delta"] == 1 and settings["p"] is None
     with pytest.raises(InvalidInputError, match="standardize must be bool, got 1"):
         run_method("kmeans", ds, {"g": 4, "standardize": 1}, 1)
 

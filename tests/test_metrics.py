@@ -4,19 +4,19 @@ import numpy as np
 import pytest
 
 from cempca.errors import InvalidInputError
-from cempca.metrics import accuracy, ari, contingency, hungarian, nmi
+from cempca.metrics import accuracy, ari, contingency, nmi
 
 
 def test_contingency_identical():
-    table = contingency([0, 0, 1, 1], [0, 0, 1, 1])
-    assert np.array_equal(table.counts, [[2, 0], [0, 2]])
-    assert table.n == 4
+    counts = contingency([0, 0, 1, 1], [0, 0, 1, 1])
+    assert np.array_equal(counts, [[2, 0], [0, 2]])
+    assert counts.dtype == np.int64 and counts.sum() == 4
 
 
 def test_contingency_constant_prediction():
-    table = contingency([0, 0, 1, 1, 1], [0, 0, 0, 0, 0])
-    assert np.array_equal(table.counts, [[2], [3]])
-    assert np.array_equal(table.row_sums, [2, 3])
+    counts = contingency([0, 0, 1, 1, 1], [0, 0, 0, 0, 0])
+    assert np.array_equal(counts, [[2], [3]])
+    assert np.array_equal(counts.sum(axis=1), [2, 3])
 
 
 def test_contingency_loop_oracle():
@@ -25,43 +25,16 @@ def test_contingency_loop_oracle():
     p = rng.integers(0, 4, 50)
     t[:3] = [0, 1, 2]
     p[:4] = [0, 1, 2, 3]
-    table = contingency(t, p)
+    counts = contingency(t, p)
     for i in range(3):
         for j in range(4):
-            assert table.counts[i, j] == sum(
+            assert counts[i, j] == sum(
                 1 for a, b in zip(t, p) if a == i and b == j)
 
 
 def test_contingency_length_mismatch():
     with pytest.raises(InvalidInputError):
         contingency([0, 1], [0, 1, 1])
-
-
-def test_hungarian_identity():
-    cost = np.ones((3, 3)) - np.eye(3)
-    perm = hungarian(cost)
-    assert np.array_equal(perm, [0, 1, 2])
-    assert cost[np.arange(3), perm].sum() == 0
-
-
-def test_hungarian_swap():
-    perm = hungarian(np.array([[5.0, 1.0], [1.0, 5.0]]))
-    assert np.array_equal(perm, [1, 0])
-
-
-def test_hungarian_factorial_oracle():
-    rng = np.random.default_rng(1)
-    cost = rng.random((6, 6))
-    perm = hungarian(cost)
-    got = cost[np.arange(6), perm].sum()
-    best = min(sum(cost[i, pi[i]] for i in range(6))
-               for pi in itertools.permutations(range(6)))
-    assert np.isclose(got, best, atol=1e-12)
-
-
-def test_hungarian_rejects_non_square():
-    with pytest.raises(InvalidInputError):
-        hungarian(np.zeros((2, 3)))
 
 
 def test_accuracy_relabeled_perfect():

@@ -242,7 +242,7 @@ SKIPPABLE = (lambda r: DegenerateUpdateError(f"degenerate at restart {r}"),
 
 def _restart_result(value, r):
     return FitResult(partition=Partition(assignments=np.zeros(1, dtype=int), g=1),
-                     params=None, objective_trace=[float(value)], iterations=1,
+                     params=None, objective_trace=[float(value)],
                      restart_index=r, wall_time=0.0)
 
 
@@ -280,8 +280,7 @@ def test_best_of_restarts_stamps_the_kept_restart():
     # a fit built without restart_index gets the index of the restart kept
     def fit_one(r):
         return FitResult(partition=Partition(assignments=np.zeros(1, dtype=int), g=1),
-                         params=None, objective_trace=[float(abs(r - 2))],
-                         iterations=1)
+                         params=None, objective_trace=[float(abs(r - 2))])
 
     result = best_of_restarts(fit_one, 5, operator.lt, time.perf_counter())
     assert result.restart_index == 2 and result.objective_trace == [0.0]
