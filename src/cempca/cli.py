@@ -8,9 +8,10 @@ read its iterations, wall time, final objective and failure count off it.
 data.load_csv is the one CSV reader and _read_json the one JSON reader.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical failure.
-A benchmark checks its whole suite, then runs its cells in suite order; each
-cell is one row keyed by RESULT_COLUMNS, and results.csv and results.txt are
-both written from those rows.
+A benchmark checks its whole suite, names included (no two method or dataset
+entries may share one), then runs its cells in suite order; each cell is one
+row keyed by RESULT_COLUMNS, and results.csv and results.txt are both written
+from those rows.
 """
 
 import argparse
@@ -226,6 +227,13 @@ def _field(entry, key, kind, where, default=None):
     return default if value is None else _checked(f'"{key}" in {where}', value, kind)
 
 
+def _check_unique(kind, names):
+    """Reject a repeated name: results.txt keys its cells by (dataset, method) name."""
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise InvalidInputError(f"two {kind} entries are named {name!r}")
+
+
 def _result_row(dataset, g, name, entry, seed):
     """Run one suite cell; returns its results.csv row, keyed by RESULT_COLUMNS."""
     row = {"dataset": dataset.name, "method": name, "seed": seed}
@@ -258,6 +266,7 @@ def cmd_benchmark(args):
             raise InvalidInputError(f'method entry {entry} gives no "method"')
         _field(entry, "params", dict, where)
         names.append(_field(entry, "name", str, where, method))
+    _check_unique("method", names)
     datasets = []
     for entry in dataset_entries:
         where = f"dataset entry {entry}"
@@ -277,6 +286,7 @@ def cmd_benchmark(args):
             raise InvalidInputError(f"dataset {ds.name!r} has no labels, "
                                     'so its entry must give "g"')
         datasets.append((ds, ds.n_classes if g is None else g))
+    _check_unique("dataset", [ds.name for ds, _ in datasets])
 
     rows = [_result_row(ds, g, name, entry, child_seed(base_seed, i, j))
             for i, (ds, g) in enumerate(datasets)

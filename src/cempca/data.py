@@ -303,18 +303,14 @@ def knn_graph(X, k):
     one. A row-constant kernel shift keeps exp in range and cancels in the
     normalization.
 
-    Neighbors come from one k-d tree search, so time is O(n log n) for
-    low-dimensional X and memory is O(n k); no n x n array is formed.
-    Ties go to the lowest index: candidates are ordered by (distance,
-    index) and self is dropped by index, not by position. Each row asks
-    the tree for k + 2 candidates. A row whose k-th kept distance equals
-    the farthest returned one may have an unreturned point tied with it,
-    so it asks again for twice as many, up to n. A row with k or more exact
-    copies besides itself skips the tree: its neighbors are its k
-    lowest-index copies, so m copies of a point cost O(m k), not O(m^2).
-    Likewise, a row whose tie at the k-th distance is one copy group alone
-    takes that group's lowest-index members rather than widening the query
-    past the whole group. Non-finite X is rejected.
+    Neighbors are the first k points j != i by (distance, index), so ties
+    go to the lowest index. They come from one k-d tree over the distinct
+    rows (+ 0.0 makes -0.0 a copy of 0.0): _group_neighbors gives each
+    distinct point its first k + 1 rows by (distance, index), and a row
+    takes its point's list without itself, or the first k of it when it is
+    not in the list. Time is O(n log n) for low-dimensional X and memory is
+    O(n k), however many copies a point has; no n x n array is formed.
+    Non-finite X is rejected.
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
@@ -322,47 +318,16 @@ def knn_graph(X, k):
         raise InvalidInputError(f"k must be in [1, {n - 1}], got {k}")
     if not np.all(np.isfinite(X)):
         raise InvalidInputError("X contains non-finite entries")
-    tree = cKDTree(X)
-    idx = np.empty((n, k), dtype=np.intp)
-    dist = np.zeros((n, k))
-    # Copy groups (+ 0.0 makes -0.0 a copy of 0.0), members in index order.
-    # A group qualifies only if no other point is at distance 0 from it,
-    # which a point within about 1e-162 would be once squares underflow.
     uniq, group, size = np.unique(X + 0.0, axis=0, return_inverse=True,
                                   return_counts=True)
     group = group.ravel()
-    members = np.argsort(group, kind="stable")
-    first = np.cumsum(size) - size
-    big = np.flatnonzero(size > k)
-    big = big[tree.query_ball_point(X[members[first[big]]], 0.0,
-                                    return_length=True) == size[big]]
-    copy_rows = np.flatnonzero(np.isin(group, big))
-    lowest = members[first[group[copy_rows]][:, None] + np.arange(k + 1)]
-    keep = lowest != copy_rows[:, None]
+    near, near_d = _group_neighbors(uniq, group, size, k)
+    near, near_d = near[group], near_d[group]
+    keep = near != np.arange(n)[:, None]
     keep[keep.all(axis=1), k] = False
-    idx[copy_rows] = lowest[keep].reshape(-1, k)
-    todo = np.setdiff1d(np.arange(n), copy_rows)
-    q = min(k + 2, n)
-    unique_tree = None
-    while todo.size:
-        d, j = tree.query(X[todo], q)
-        # lexsort's last key is its first: self goes last, the rest by (d, j)
-        order = np.lexsort((j, d, j == todo[:, None]))[:, :k]
-        # rows left undone are written again by a later round
-        idx[todo] = np.take_along_axis(j, order, axis=1)
-        dist[todo] = kept_d = np.take_along_axis(d, order, axis=1)
-        done = (kept_d[:, -1] < d[:, -1]) | (q == n)
-        if not done.all():
-            if unique_tree is None:
-                unique_tree = cKDTree(uniq)
-            stuck = np.flatnonzero(~done)
-            tie, neighbors = _copy_group_tie(
-                X[todo[stuck]], d[stuck], group[j[stuck]], kept_d[stuck, -1],
-                idx[todo[stuck]], unique_tree, members, first)
-            idx[todo[stuck[tie]]] = neighbors
-            done[stuck[tie]] = True
-        todo = todo[~done]
-        q = min(2 * q, n)
+    idx = near[keep].reshape(n, k)
+    dist = near_d[keep].reshape(n, k)
+    del near, near_d, keep
     d2 = dist * dist
     w = np.exp(-(d2 - d2.min(axis=1, keepdims=True)))
     w /= w.sum(axis=1, keepdims=True)
@@ -370,35 +335,55 @@ def knn_graph(X, k):
     return sp.csr_matrix((w.ravel(), (rows, idx.ravel())), shape=(n, n))
 
 
-def _copy_group_tie(x, d, cand_group, dk, kept_j, unique_tree, members, first):
-    """Neighbors of rows whose k-th candidate ties with one copy group alone.
+def _group_neighbors(uniq, group, size, k):
+    """First k + 1 rows by (distance, index) from each distinct point.
 
-    d and cand_group are the rows' tree distances and candidate groups, dk
-    their k-th kept distance and kept_j their kept candidates by (distance,
-    index). A row qualifies when dk is positive, every returned candidate
-    at dk is in one group G, and a search over the distinct points finds
-    no other point at dk. Every point nearer than dk was returned, so the
-    places from the tie on go to G's lowest-index members, as for copy
-    rows. Returns (qualifying mask, their neighbors).
+    uniq holds the distinct points, group maps each row to its point and
+    size counts its rows. Each point asks the tree for q distinct points,
+    q = k + 2 at first; each one returned stands for its min(size, k + 1)
+    lowest-index rows at its distance. A point is done once its (k + 1)-th
+    kept distance is below the farthest one returned, since every point
+    not returned is at least that far, or once every point was returned;
+    the rest ask again for twice as many. Candidates are laid out per
+    point, padded to the round's widest. Returns the (m, k + 1) row
+    indices and their distances.
     """
-    G = cand_group[:, -1]
-    below = (d < dk[:, None]).sum(axis=1)          # self included
-    ok = (dk > 0) & np.all((d != dk[:, None]) | (cand_group == G[:, None]), axis=1)
-    rows = np.flatnonzero(ok)
-    if rows.size:
-        # at most `below` distinct points are nearer than dk, so two more
-        # reach G and one point past it, unless no point is left
-        c = min(int(below[rows].max()) + 2, unique_tree.n)
-        ud, ui = unique_tree.query(x[rows], c)
-        at = ud == dk[rows, None]
-        ok[rows] = ((at.sum(axis=1) == 1)
-                    & (np.where(at, ui, -1).max(axis=1) == G[rows])
-                    & ((ud[:, -1] > dk[rows]) | (c == unique_tree.n)))
-    rows = np.flatnonzero(ok)
-    nb = below[rows, None] - 1
-    pos = np.arange(kept_j.shape[1])
-    tail = members[first[G[rows]][:, None] + np.maximum(pos - nb, 0)]
-    return ok, np.where(pos < nb, kept_j[rows], tail)
+    m = uniq.shape[0]
+    members = np.argsort(group, kind="stable")
+    first = np.cumsum(size) - size
+    tree = cKDTree(uniq)
+    near = np.empty((m, k + 1), dtype=np.intp)
+    near_d = np.empty((m, k + 1))
+    todo = np.arange(m)
+    q = min(k + 2, m)
+    while todo.size:
+        d, j = tree.query(uniq[todo], q)
+        d, j = d.reshape(todo.size, q), j.reshape(todo.size, q)
+        far = d[:, -1].copy()
+        count = np.minimum(size[j], k + 1)
+        width = count.sum(axis=1)
+        count = count.ravel()
+        # each candidate's place in members, and its slot in the padded rows
+        src = first[j].ravel() - np.cumsum(count) + count
+        del j
+        src = np.repeat(src, count)
+        src += np.arange(src.size)
+        wide = width.max()
+        slot = np.repeat(np.arange(todo.size) * wide - np.cumsum(width) + width, width)
+        slot += np.arange(slot.size)
+        cand = np.full((todo.size, wide), group.size)
+        cand.ravel()[slot] = members[src]
+        del src
+        cand_d = np.full(cand.shape, np.inf)
+        cand_d.ravel()[slot] = np.repeat(d.ravel(), count)
+        del d, count, slot
+        order = np.lexsort((cand, cand_d))[:, :k + 1]
+        near[todo] = np.take_along_axis(cand, order, axis=1)
+        near_d[todo] = kept_d = np.take_along_axis(cand_d, order, axis=1)
+        del cand, cand_d, order
+        todo = todo[(kept_d[:, -1] >= far) & (q < m)]
+        q = min(2 * q, m)
+    return near, near_d
 
 
 def smooth(X, W, m):

@@ -36,6 +36,8 @@ def accuracy(truth, pred):
     table: the surplus clusters of either side match nothing.
     """
     counts = contingency(truth, pred)
+    if counts.sum() == 0:
+        raise InvalidInputError("accuracy needs at least 1 row")
     rows, cols = linear_sum_assignment(counts, maximize=True)
     return float(counts[rows, cols].sum() / counts.sum())
 

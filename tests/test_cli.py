@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -773,6 +774,16 @@ def test_evaluate_fit_json_needs_integer_assignments(tmp_path, capsys, assignmen
     assert code == 3 and out == "" and err.startswith("data error: ")
 
 
+def test_evaluate_zero_rows_is_a_data_error_without_a_warning(tmp_path, capsys):
+    empty = tmp_path / "e.json"
+    empty.write_text(json.dumps({"assignments": []}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _evaluate([empty, empty], capsys)
+    assert code == 3 and out == ""
+    assert err == "data error: accuracy needs at least 1 row\n"
+
+
 @pytest.mark.parametrize("name, content", [("labels.csv", b"label\n\xff\xfe\n"),
                                            ("fit.json", b"\xff{")])
 def test_evaluate_non_utf8_file_is_a_data_error(tmp_path, capsys, name, content):
@@ -967,3 +978,29 @@ def test_fit_cempca_names_the_flag_at_fault(tmp_path, capsys, flags, message):
     captured = capsys.readouterr()
     assert code == 3 and not out.exists()
     assert captured.err == f"data error: {message}\n"
+
+
+@pytest.mark.parametrize("datasets, methods, message", [
+    ([{"shape": "hepta", "n": 70}],
+     [{"name": "x", "method": "kmeans", "params": {"restarts": 2}},
+      {"name": "x", "method": "reduced-kmeans", "params": {"p": 1, "restarts": 2}}],
+     "two method entries are named 'x'"),
+    ([{"shape": "hepta", "n": 70}],
+     [{"method": "kmeans"}, {"name": "kmeans", "method": "cem"}],
+     "two method entries are named 'kmeans'"),
+    ([{"shape": "hepta", "n": 70}, {"name": "hepta", "shape": "tetra", "n": 60}],
+     [{"method": "kmeans"}],
+     "two dataset entries are named 'hepta'"),
+], ids=["methods", "methods-by-default", "datasets"])
+def test_benchmark_repeated_name_is_a_data_error(tmp_path, capsys, monkeypatch, datasets,
+                                                 methods, message):
+    # results.txt keys its cells by (dataset, method) name, so one cell would
+    # hide the other; the suite is rejected before any cell runs
+    monkeypatch.setattr("cempca.cli.run_method", lambda *a: pytest.fail("a cell ran"))
+    out_dir = tmp_path / "results"
+    code = run(["benchmark", _suite_path(tmp_path, {"datasets": datasets,
+                                                    "methods": methods}), out_dir])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == f"data error: {message}\n"
+    assert not out_dir.exists()

@@ -277,8 +277,8 @@ def test_knn_graph_tie_rule_on_integer_grids(case):
 
 
 def test_knn_graph_more_copies_than_candidates():
-    # nine copies of one point: a tree query of k + 2 = 4 candidates cannot
-    # tell which copies are the lowest-index ones, so the query widens to n
+    # nine copies of one point: the tree returns the point once, and it
+    # stands for its k + 1 = 3 lowest-index copies
     X = np.vstack([np.zeros((9, 2)), [[5.0, 5.0]]])
     W = knn_graph(X, 2)
     assert set(W.indices[W.indptr[0]:W.indptr[1]]) == {1, 2}
@@ -348,7 +348,7 @@ def test_knn_graph_tie_with_a_copy_group_matches_oracle():
 
 def test_knn_graph_copy_groups_match_oracle():
     # -0.0 is a copy of 0.0; a point 1e-200 away is also at distance 0
-    # once its square underflows, so its group is left to the tree
+    # once its square underflows, so it ties with the copies by index
     signed = np.zeros((12, 2))
     signed[::2] = -0.0
     signed[3, 1] = -0.0
@@ -356,6 +356,61 @@ def test_knn_graph_copy_groups_match_oracle():
     near = np.vstack([np.zeros((5, 1)), [[1e-200]], np.zeros((3, 1)), [[1.0]]])
     for k in (2, 7, 8):
         _assert_matches_oracle(near, k)
+
+
+def _two_copy_groups(size, lone):
+    """Copies of -e1 and e1, interleaved, then 2u for unit vectors u orthogonal
+    to e1: each 2u is sqrt(5) from both groups."""
+    rng = np.random.default_rng(14)
+    U = rng.standard_normal((lone, 50))
+    U[:, 0] = 0.0
+    U /= np.linalg.norm(U, axis=1, keepdims=True)
+    e1 = np.eye(50)[0]
+    return np.vstack([np.tile([-e1, e1], (size, 1)), 2.0 * U])
+
+
+@pytest.mark.parametrize("X, k", [
+    # a row whose k-th distance ties with two copy groups larger than k + 1
+    (_two_copy_groups(6, 4), 3),
+    (np.vstack([[[0.0, 2.0]], np.tile([[1.0, 0.0], [-1.0, 0.0]], (5, 1)),
+                [[0.0, -2.0]]]), 3),
+    # copy groups of size exactly k and k + 1
+    (np.vstack([[[0.0, 0.0]] * 3, [[1.0, 0.0]] * 4, [[0.0, 1.0], [2.0, 0.0]]]), 3),
+    (np.vstack([[[1.0, 1.0]] * 4, [[0.0, 0.0]] * 5, [[1.0, 0.0], [0.0, 1.0]]]), 4),
+    # all rows identical: one distinct point
+    (np.ones((6, 2)), 1),
+    (np.ones((6, 2)), 5),
+], ids=["two-groups-50d", "two-groups-2d", "groups-k-and-k+1", "groups-k-and-k+1-b",
+        "identical-k1", "identical-k5"])
+def test_knn_graph_copy_group_edges_match_oracle(X, k):
+    _assert_matches_oracle(X, k)
+
+
+def test_knn_graph_tie_with_two_copy_groups():
+    # a 2u row's k-th distance ties with both copy groups, 3000 rows in all;
+    # widening its tree query past both would cost O(m^2) (about 114 MB here)
+    X = _two_copy_groups(1500, 1000)
+    tracemalloc.start()
+    try:
+        W = knn_graph(X, 15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2**20
+    found = np.sort(W.indices.reshape(-1, 15), axis=1)
+    # brute force from rows 0, 1 and 3000 on: a copy's distances are its group's
+    distinct = np.r_[0, 1, 3000:4000]
+    d2 = np.vstack([((X[distinct[s:s + 20], None, :] - X[None, :, :]) ** 2).sum(axis=2)
+                    for s in range(0, distinct.size, 20)])
+    point = np.r_[np.tile([0, 1], 1500), 2:1002]
+    for start in range(0, len(X), 250):
+        block = d2[point[start:start + 250]]
+        block[np.arange(block.shape[0]), start + np.arange(block.shape[0])] = np.inf
+        # a stable sort by squared distance breaks ties by index
+        expected = np.argsort(block, axis=1, kind="stable")[:, :15]
+        assert np.array_equal(found[start:start + 250], np.sort(expected, axis=1))
+    # the ties take the lowest-index members of both groups
+    assert np.isin([0, 1], found[3000:]).all()
 
 
 def test_smooth_zero_power_is_identity():

@@ -52,6 +52,12 @@ def test_accuracy_rectangular_padding():
     assert np.isclose(accuracy([0, 0, 1, 1], [0, 1, 2, 2]), 0.75)
 
 
+def test_accuracy_needs_a_row():
+    # 0 / 0 agreeing rows would be nan, with a numpy warning
+    with pytest.raises(InvalidInputError, match="at least 1 row"):
+        accuracy([], [])
+
+
 def test_nmi_identical():
     assert np.isclose(nmi([0, 0, 1, 1], [0, 0, 1, 1]), 1.0, atol=1e-12)
 
