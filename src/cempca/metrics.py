@@ -48,6 +48,8 @@ def nmi(truth, pred):
     cluster."""
     counts = contingency(truth, pred)
     n = int(counts.sum())
+    if n == 0:
+        raise InvalidInputError("nmi needs at least 1 row")
     row_sums, col_sums = counts.sum(axis=1), counts.sum(axis=0)
     mi = 0.0
     for i in range(counts.shape[0]):

@@ -322,32 +322,22 @@ def random_partition(n, g, rng):
 def lloyd(X, centers, max_iter=100, tol=1e-6):
     """Lloyd rounds from the given centers until assignments stabilize.
 
-    Returns (assignments, centers, wcss_trace, iterations). Empty clusters
-    are reseeded with the point farthest from its own centroid (which then
-    becomes that cluster's center, so the objective cannot increase).
+    Returns (assignments, centers, wcss_trace, iterations). _repair_empty
+    refills an empty cluster, farthest point from its center first, and the
+    cluster is centered on that point, so the objective cannot increase.
     """
     if max_iter < 1:
         raise SettingError("max_iter", "must be >= 1")
     X = np.asarray(X, dtype=float)
     centers = np.array(centers, dtype=float)
-    n = X.shape[0]
     g = centers.shape[0]
     trace = []
     prev_assign = None
     for _ in range(max_iter):
         d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         assign = np.argmin(d2, axis=1)
-        taken = set()
-        for k in range(g):
-            if np.any(assign == k):
-                continue
-            own = d2[np.arange(n), assign].copy()
-            own[list(taken)] = -np.inf
-            far = int(np.argmax(own))
-            assign[far] = k
-            centers[k] = X[far]
-            d2[:, k] = ((X - centers[k]) ** 2).sum(axis=1)
-            taken.add(far)
+        for k, i in _repair_empty(assign, lambda: -d2.min(axis=1), g):
+            centers[k] = X[i]
         wcss = float(((X - centers[assign]) ** 2).sum())
         trace.append(wcss)
         centers = np.vstack([X.take(np.flatnonzero(assign == k), axis=0).mean(axis=0)
@@ -412,24 +402,29 @@ def em_gmm(X, g, max_iter=100, tol=1e-6, restarts=20, seed=0, model="full"):
     return best_of_restarts(fit_one, restarts, operator.gt, start)
 
 
-def _repair_empty(assign, lp, g):
-    """Seize the lowest-density points for clusters that came out empty."""
-    present = np.bincount(assign, minlength=g)
-    empties = np.where(present == 0)[0]
-    if empties.size == 0:
-        return assign
-    order = np.argsort(_posterior(lp)[0], kind="stable")
-    assign = assign.copy()
-    used = 0
-    for k in empties:
-        while used < order.size:
-            i = order[used]
-            used += 1
+def _repair_empty(assign, score, g):
+    """Refill in place each cluster the assignment step left empty, in
+    increasing order: it takes the first point by (score(), index) whose
+    cluster keeps another member. score, one value per point (lowest fits
+    worst), is called only if a cluster is empty. Returns the moved
+    (cluster, point) pairs."""
+    counts = np.bincount(assign, minlength=g)
+    if counts.all():
+        return []
+    # a point passed over stays its cluster's last member, so the scan
+    # for the next empty cluster resumes where this one stopped
+    order = iter(np.argsort(score(), kind="stable"))
+    moved = []
+    for k in np.flatnonzero(counts == 0):
+        for i in order:
             donor = assign[i]
-            if np.bincount(assign, minlength=g)[donor] > 1:
+            if counts[donor] > 1:
+                counts[donor] -= 1
+                counts[k] += 1
                 assign[i] = k
+                moved.append((k, i))
                 break
-    return assign
+    return moved
 
 
 def cem_refine(X, partition, params, max_iter=100, tol=1e-6):
@@ -446,7 +441,8 @@ def cem_refine(X, partition, params, max_iter=100, tol=1e-6):
     lp = log_joint(X, params)
     trace = [float(lp[rows, partition.assignments].sum())]
     for _ in range(max_iter):
-        assign = _repair_empty(np.argmax(lp, axis=1), lp, partition.g)
+        assign = np.argmax(lp, axis=1)
+        _repair_empty(assign, lambda: _posterior(lp)[0], partition.g)
         new_part = Partition(assignments=assign, g=partition.g)
         params = m_step(X, new_part, params.model)
         lp = log_joint(X, params)
@@ -461,9 +457,9 @@ def cem_refine(X, partition, params, max_iter=100, tol=1e-6):
 def cem(X, g, max_iter=100, tol=1e-6, restarts=20, seed=0, model="full"):
     """Hard-assignment EM: a classification step between E and M.
 
-    Maximizes the complete-data log-likelihood; empty clusters are repaired
-    by reseeding them with the lowest-density point. Best restart by final
-    complete-data log-likelihood.
+    Maximizes the complete-data log-likelihood. A cluster left empty by the
+    C-step is refilled by _repair_empty, lowest mixture density first. Best
+    restart by final complete-data log-likelihood.
     """
     X = np.asarray(X, dtype=float)
     _check_fit_args(X, g, tol)

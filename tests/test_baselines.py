@@ -1,6 +1,9 @@
+import time
+
 import numpy as np
 import pytest
 
+from cempca import baselines
 from cempca.baselines import kmeans_pca, reduced_kmeans
 from cempca.data import gen_chang, gen_fcps, standardize
 from cempca.errors import InvalidInputError
@@ -40,6 +43,18 @@ def test_kmeans_pca_returns_bundle():
     assert fit.bundle.B.shape == (20, 3)
     assert fit.bundle.Q.shape == (5, 3)
     assert np.allclose(fit.bundle.B.T @ fit.bundle.B, np.eye(3), atol=1e-10)
+
+
+def test_kmeans_pca_wall_time_includes_the_pca(monkeypatch):
+    axes = baselines._principal_axes
+
+    def slow_axes(X, p):
+        time.sleep(0.05)
+        return axes(X, p)
+
+    monkeypatch.setattr(baselines, "_principal_axes", slow_axes)
+    X = np.random.default_rng(2).standard_normal((20, 5))
+    assert kmeans_pca(X, 2, 3, restarts=1, seed=0).wall_time >= 0.05
 
 
 def test_kmeans_pca_takes_p_by_keyword():

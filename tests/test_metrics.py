@@ -58,6 +58,12 @@ def test_accuracy_needs_a_row():
         accuracy([], [])
 
 
+def test_nmi_needs_a_row():
+    # with no rows there is no partition to score; 0.0 would read as one
+    with pytest.raises(InvalidInputError, match="nmi needs at least 1 row"):
+        nmi([], [])
+
+
 def test_nmi_identical():
     assert np.isclose(nmi([0, 0, 1, 1], [0, 0, 1, 1]), 1.0, atol=1e-12)
 

@@ -1,6 +1,7 @@
 """Property tests for the cached-factor mixture kernel against the
 single-point log_gaussian reference and scipy's triangular solve, for the
-one log-sum-exp reduction against scipy's, and for the restart engine."""
+one log-sum-exp reduction against scipy's, for the restart engine, and for
+the one empty-cluster repair that Lloyd and CEM share."""
 
 import operator
 import time
@@ -14,12 +15,15 @@ import scipy.special
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from cempca import baselines  # noqa: E402
+from cempca import cempca as core  # noqa: E402
 from cempca.errors import (DegenerateUpdateError,  # noqa: E402
                            EmptyClusterError, InvalidInputError,
                            NumericalError, SingularMatrixError)
 from cempca.mixture import (COV_MODELS, FitResult, MixtureParams,  # noqa: E402
-                            Partition, _posterior, best_of_restarts,
-                            complete_log_likelihood, e_step, log_joint, m_step)
+                            Partition, _posterior, _repair_empty,
+                            best_of_restarts, cem, complete_log_likelihood,
+                            e_step, kmeans, log_joint, m_step)
 from oracles import log_gaussian  # noqa: E402
 
 LOG_2PI = np.log(2 * np.pi)
@@ -295,3 +299,98 @@ def test_best_of_restarts_lets_other_errors_through():
     with pytest.raises(InvalidInputError, match="restarts must be >= 1"):
         best_of_restarts(lambda r: _restart_result(0, r), 0, operator.lt,
                          time.perf_counter())
+
+
+def _repair_reference(assign, score, g):
+    """Fill each empty label in increasing order with the first row, by
+    (score, index), that is not the last member of its cluster."""
+    assign = list(assign)
+    moved = []
+    for k in range(g):
+        if k in assign:
+            continue
+        for i in sorted(range(len(assign)), key=lambda i: (score[i], i)):
+            if assign.count(assign[i]) > 1:
+                assign[i] = k
+                moved.append((k, i))
+                break
+    return assign, moved
+
+
+@st.composite
+def _labels_and_scores(draw):
+    """n >= g labels drawn from a subset of range(g), and scores drawn from
+    a few values so that rows tie."""
+    g = draw(st.integers(1, 7))
+    n = draw(st.integers(g, 15))
+    used = draw(st.lists(st.integers(0, g - 1), min_size=1, max_size=g, unique=True))
+    assign = draw(st.lists(st.sampled_from(used), min_size=n, max_size=n))
+    score = draw(st.lists(st.sampled_from([-2.5, -1.0, 0.0, 1.0, 3.0]),
+                          min_size=n, max_size=n))
+    return np.array(assign), np.array(score), g
+
+
+@SETTINGS
+@given(case=_labels_and_scores())
+def test_repair_empty_matches_the_plain_rule(case):
+    assign, score, g = case
+    calls = []
+
+    def lazy_score():
+        calls.append(1)
+        return score
+
+    expected, expected_moved = _repair_reference(assign, score, g)
+    got = assign.copy()
+    moved = _repair_empty(got, lazy_score, g)
+    assert got.tolist() == expected
+    assert [(int(k), int(i)) for k, i in moved] == expected_moved
+    assert sorted(set(got.tolist())) == list(range(g))
+    # the score is computed only when some cluster is empty
+    assert len(calls) == (len(set(assign.tolist())) < g)
+
+
+@st.composite
+def _coincident_rows(draw):
+    """Integer-grid rows with fewer distinct values than clusters, each
+    value on at least one row and the columns not all constant."""
+    g = draw(st.integers(3, 5))
+    d = draw(st.integers(1, 3))
+    distinct = draw(st.integers(2, g - 1))
+    grid = draw(st.lists(st.lists(st.integers(-2, 2), min_size=d, max_size=d),
+                         min_size=distinct, max_size=distinct, unique_by=tuple))
+    extra = draw(st.lists(st.integers(0, distinct - 1), min_size=g - distinct,
+                          max_size=12))
+    X = np.array(grid + [grid[j] for j in extra], dtype=float)
+    return X[draw(st.permutations(range(X.shape[0])))], g
+
+
+COINCIDENT_FITS = {
+    "kmeans": lambda X, g, seed: kmeans(X, g, restarts=2, seed=seed),
+    "cem": lambda X, g, seed: cem(X, g, restarts=2, seed=seed),
+    "kmeans_pca": lambda X, g, seed: baselines.kmeans_pca(X, g, 1, restarts=2, seed=seed),
+    "reduced_kmeans": lambda X, g, seed: baselines.reduced_kmeans(
+        X, g, 1, restarts=2, seed=seed),
+    "fit_cempca": lambda X, g, seed: core.fit_cempca(
+        X, core.CempcaConfig(g=g, p=1, smoothing=0, restarts=2), seed=seed),
+}
+
+
+@SETTINGS
+@given(case=_coincident_rows(), seed=st.integers(0, 3))
+@pytest.mark.parametrize("method", list(COINCIDENT_FITS))
+def test_fits_fill_every_cluster_when_rows_coincide(method, case, seed):
+    # k-means++ runs out of distinct rows and seeds coincident centres, so
+    # the assignment step leaves clusters empty; the repair must refill
+    # them without emptying another (pytest turns numpy's empty-slice
+    # RuntimeWarning into an error)
+    X, g = case
+    fit = COINCIDENT_FITS[method](X, g, seed)
+    assert np.all(np.isfinite(fit.objective_trace))
+    assert sorted(set(fit.partition.assignments.tolist())) == list(range(g))
+
+
+def test_kmeans_fills_every_cluster_on_two_distinct_rows():
+    fit = kmeans(np.array([[0.0], [1.0], [1.0]]), 3, restarts=1)
+    assert sorted(fit.partition.assignments.tolist()) == [0, 1, 2]
+    assert fit.objective_trace == [0.0, 0.0, 0.0]
