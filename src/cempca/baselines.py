@@ -43,19 +43,17 @@ def reduced_kmeans(X, g, p=None, restarts=20, seed=0, max_iter=100, tol=1e-6):
     _, _, _, Q0 = _principal_axes(X, p)
     scores0 = X @ Q0
 
-    def fit_one(r):
-        # seed exactly like kmeans restart r so the p = d case reproduces
-        # the plain K-means partition for equal seeds
-        centers = mixture._seed_centers(scores0, g, mixture.restart_rng(seed, r))
-        assign, S, _, _ = mixture.lloyd(scores0, centers, max_iter=max_iter, tol=tol)
+    def tail(partition):
+        assign = partition.assignments
+        S = mixture._centroids(scores0, assign, g)
         Q = Q0
         trace = [_rkm_objective(X, assign, S, Q)]
         history = []
         for _ in range(max_iter):
             Q, _ = polar(X.T @ S[assign])
             scores = X @ Q
-            centers = np.vstack([scores[assign == k].mean(axis=0) for k in range(g)])
-            assign, S, _, _ = mixture.lloyd(scores, centers, max_iter=max_iter, tol=tol)
+            assign, S, _, _ = mixture.lloyd(scores, mixture._centroids(scores, assign, g),
+                                            max_iter=max_iter, tol=tol)
             trace.append(_rkm_objective(X, assign, S, Q))
             history.append({"Q": Q, "S": S, "assignments": assign})
             if mixture._converged(trace[-2], trace[-1], tol):
@@ -63,6 +61,15 @@ def reduced_kmeans(X, g, p=None, restarts=20, seed=0, max_iter=100, tol=1e-6):
         part = Partition(assignments=assign, g=g)
         return FitResult(partition=part, params=None, objective_trace=trace,
                          bundle=_rkm_bundle(X, Q, part, S), step_trace=history)
+
+    fit_tail = mixture.once_per_start(tail)
+
+    def fit_one(r):
+        # seed exactly like kmeans restart r so the p = d case reproduces
+        # the plain K-means partition for equal seeds
+        centers = mixture._seed_centers(scores0, g, mixture.restart_rng(seed, r))
+        assign, _, _, _ = mixture.lloyd(scores0, centers, max_iter=max_iter, tol=tol)
+        return fit_tail(Partition(assignments=assign, g=g))
 
     return mixture.best_of_restarts(fit_one, restarts, operator.lt, start)
 

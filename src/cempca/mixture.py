@@ -3,7 +3,7 @@
 import math
 import operator
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Optional
 
@@ -143,6 +143,28 @@ def best_of_restarts(fit_one, restarts, better, start):
     best.failed_restarts = failed
     best.wall_time = time.perf_counter() - start
     return best
+
+
+def once_per_start(tail):
+    """Wrap tail(partition) -> FitResult so that it runs once per distinct start.
+
+    A restart's work after seeding depends only on its starting labels, so a
+    start whose int64 labels repeat an earlier one byte for byte gets a
+    shallow copy of the earlier result. It is a copy because
+    best_of_restarts writes restart_index into each result. A repeat is
+    never kept, since ties go to the lowest restart index. A tail that
+    raises is not cached, so a repeated failing start raises again.
+    """
+    done = {}
+
+    def shared(partition):
+        key = np.asarray(partition.assignments, dtype=np.int64).tobytes()
+        if key in done:
+            return replace(done[key])
+        done[key] = result = tail(partition)
+        return result
+
+    return shared
 
 
 def _converged(prev, cur, tol):
@@ -331,6 +353,9 @@ def lloyd(X, centers, max_iter=100, tol=1e-6):
     X = np.asarray(X, dtype=float)
     centers = np.array(centers, dtype=float)
     g = centers.shape[0]
+    # _repair_empty can refill at most one cluster per row
+    if g > X.shape[0]:
+        raise InvalidInputError(f"need at least {g} rows for {g} centers, got {X.shape[0]}")
     trace = []
     prev_assign = None
     for _ in range(max_iter):
@@ -340,8 +365,7 @@ def lloyd(X, centers, max_iter=100, tol=1e-6):
             centers[k] = X[i]
         wcss = float(((X - centers[assign]) ** 2).sum())
         trace.append(wcss)
-        centers = np.vstack([X.take(np.flatnonzero(assign == k), axis=0).mean(axis=0)
-                             for k in range(g)])
+        centers = _centroids(X, assign, g)
         if prev_assign is not None and np.array_equal(assign, prev_assign):
             break
         if len(trace) >= 2 and _converged(trace[-2], trace[-1], tol):
@@ -350,6 +374,12 @@ def lloyd(X, centers, max_iter=100, tol=1e-6):
     wcss = float(((X - centers[assign]) ** 2).sum())
     trace.append(wcss)
     return assign, centers, trace, len(trace) - 1
+
+
+def _centroids(X, assign, g):
+    """(g, p) matrix of each cluster's mean row; every cluster must be non-empty."""
+    return np.vstack([X.take(np.flatnonzero(assign == k), axis=0).mean(axis=0)
+                      for k in range(g)])
 
 
 def kmeans(X, g, max_iter=100, tol=1e-6, restarts=20, seed=0):
@@ -383,9 +413,8 @@ def em_gmm(X, g, max_iter=100, tol=1e-6, restarts=20, seed=0, model="full"):
     _check_model(model)
     start = time.perf_counter()
 
-    def fit_one(r):
-        km = kmeans(X, g, max_iter=max_iter, restarts=1, seed=child_seed(seed, r))
-        params = m_step(X, km.partition, model)
+    def tail(partition):
+        params = m_step(X, partition, model)
         # One score matrix and one reduction of it per parameter set: they
         # give the trace entry, the next E-step and, for the last set, the
         # MAP partition.
@@ -398,6 +427,12 @@ def em_gmm(X, g, max_iter=100, tol=1e-6, restarts=20, seed=0, model="full"):
             if _converged(trace[-2], trace[-1], tol):
                 break
         return FitResult(partition=c_step(resp), params=params, objective_trace=trace)
+
+    fit_tail = once_per_start(tail)
+
+    def fit_one(r):
+        km = kmeans(X, g, max_iter=max_iter, restarts=1, seed=child_seed(seed, r))
+        return fit_tail(km.partition)
 
     return best_of_restarts(fit_one, restarts, operator.gt, start)
 
@@ -466,12 +501,17 @@ def cem(X, g, max_iter=100, tol=1e-6, restarts=20, seed=0, model="full"):
     _check_model(model)
     start = time.perf_counter()
 
+    def tail(partition):
+        params = m_step(X, partition, model)
+        partition, params, trace, _ = cem_refine(
+            X, partition, params, max_iter=max_iter, tol=tol)
+        return FitResult(partition=partition, params=params, objective_trace=trace)
+
+    fit_tail = once_per_start(tail)
+
     def fit_one(r):
         km = kmeans(X, g, max_iter=max_iter, restarts=1, seed=child_seed(seed, r))
-        params = m_step(X, km.partition, model)
-        partition, params, trace, _ = cem_refine(
-            X, km.partition, params, max_iter=max_iter, tol=tol)
-        return FitResult(partition=partition, params=params, objective_trace=trace)
+        return fit_tail(km.partition)
 
     return best_of_restarts(fit_one, restarts, operator.gt, start)
 

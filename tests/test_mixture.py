@@ -385,6 +385,13 @@ def test_em_gmm_scores_each_parameter_set_once(monkeypatch, seed, max_iter):
                           c_step(e_step(X, fit.params)).assignments)
 
 
+def test_lloyd_rejects_more_centers_than_rows():
+    # _repair_empty can refill at most one empty cluster per row; the third
+    # center would otherwise be the mean of an empty slice
+    with pytest.raises(InvalidInputError, match="need at least 3 rows for 3 centers, got 2"):
+        mixture.lloyd(np.array([[0.0], [1.0]]), np.array([[0.0], [1.0], [2.0]]))
+
+
 @pytest.mark.parametrize("max_iter", [0, -1])
 def test_lloyd_rejects_max_iter_below_one(max_iter):
     from cempca.baselines import kmeans_pca, reduced_kmeans

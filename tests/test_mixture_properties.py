@@ -1,8 +1,10 @@
 """Property tests for the cached-factor mixture kernel against the
 single-point log_gaussian reference and scipy's triangular solve, for the
-one log-sum-exp reduction against scipy's, for the restart engine, and for
-the one empty-cluster repair that Lloyd and CEM share."""
+one log-sum-exp reduction against scipy's, for the restart engine and its
+sharing of repeated starts, and for the one empty-cluster repair that Lloyd
+and CEM share."""
 
+import dataclasses
 import operator
 import time
 from dataclasses import replace
@@ -15,8 +17,9 @@ import scipy.special
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from cempca import baselines  # noqa: E402
+from cempca import baselines, mixture  # noqa: E402
 from cempca import cempca as core  # noqa: E402
+from cempca.data import gen_fcps, standardize  # noqa: E402
 from cempca.errors import (DegenerateUpdateError,  # noqa: E402
                            EmptyClusterError, InvalidInputError,
                            NumericalError, SingularMatrixError)
@@ -394,3 +397,128 @@ def test_kmeans_fills_every_cluster_on_two_distinct_rows():
     fit = kmeans(np.array([[0.0], [1.0], [1.0]]), 3, restarts=1)
     assert sorted(fit.partition.assignments.tolist()) == [0, 1, 2]
     assert fit.objective_trace == [0.0, 0.0, 0.0]
+
+
+SHARED_FITS = {
+    **{f"em_gmm-{model}": lambda X, g, restarts, seed, model=model: mixture.em_gmm(
+        X, g, restarts=restarts, seed=seed, model=model) for model in COV_MODELS},
+    **{f"cem-{model}": lambda X, g, restarts, seed, model=model: mixture.cem(
+        X, g, restarts=restarts, seed=seed, model=model) for model in COV_MODELS},
+    "reduced_kmeans": lambda X, g, restarts, seed: baselines.reduced_kmeans(
+        X, g, 1, restarts=restarts, seed=seed),
+}
+
+
+def _assert_identical(a, b):
+    """Equal bit for bit: every field of a dataclass but wall_time, every
+    element of a list, tuple or dict, and every array's dtype, shape and bytes."""
+    assert type(a) is type(b)
+    if dataclasses.is_dataclass(a):
+        for f in dataclasses.fields(a):
+            if f.name != "wall_time":
+                _assert_identical(getattr(a, f.name), getattr(b, f.name))
+    elif isinstance(a, np.ndarray):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    elif isinstance(a, (list, tuple)):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            _assert_identical(x, y)
+    elif isinstance(a, dict):
+        assert a.keys() == b.keys()
+        for k in a:
+            _assert_identical(a[k], b[k])
+    elif isinstance(a, float):
+        assert np.float64(a).tobytes() == np.float64(b).tobytes()
+    else:
+        assert a == b
+
+
+def _outcome(fit):
+    try:
+        return fit()
+    except NumericalError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _assert_sharing_changes_nothing(fit):
+    shared = _outcome(fit)
+    with pytest.MonkeyPatch.context() as mp:
+        # the fits look the helper up through the module when they run
+        mp.setattr(mixture, "once_per_start", lambda tail: tail)
+        alone = _outcome(fit)
+    _assert_identical(shared, alone)
+
+
+@st.composite
+def _grid_rows(draw):
+    """A few distinct integer-grid rows, each on one row or more, so that
+    K-means restarts often reach the same partition."""
+    g = draw(st.integers(2, 4))
+    d = draw(st.integers(1, 3))
+    grid = draw(st.lists(st.lists(st.integers(0, 2), min_size=d, max_size=d),
+                         min_size=2, max_size=6, unique_by=tuple))
+    extra = draw(st.lists(st.integers(0, len(grid) - 1),
+                          min_size=max(0, g - len(grid)), max_size=20))
+    X = np.array(grid + [grid[j] for j in extra], dtype=float)
+    return X[draw(st.permutations(range(X.shape[0])))], g
+
+
+@settings(max_examples=15, deadline=None)
+@given(case=_grid_rows(), seed=st.integers(0, 2**16))
+@pytest.mark.parametrize("method", list(SHARED_FITS))
+def test_sharing_starts_changes_no_fit_on_grid_data(method, case, seed):
+    X, g = case
+    _assert_sharing_changes_nothing(lambda: SHARED_FITS[method](X, g, 6, seed))
+
+
+TETRA = standardize(gen_fcps("tetra", seed=11).X)
+
+
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**16))
+@pytest.mark.parametrize("method", list(SHARED_FITS))
+def test_sharing_starts_changes_no_fit_on_tetra(method, seed):
+    _assert_sharing_changes_nothing(lambda: SHARED_FITS[method](TETRA, 4, 10, seed))
+
+
+def _two_blobs(rng):
+    return np.vstack([rng.standard_normal((24, 2)),
+                      rng.standard_normal((6, 2)) + [40.0, 0.0]])
+
+
+# Two far-apart blobs of 24 and 6 rows. At fit seed 6, every restart's
+# k-means++ draws its first center from the same blob (checked below), so
+# all five restarts start from one partition.
+BLOBS = _two_blobs(np.random.default_rng(0))
+BLOB_SEED = 6
+
+
+@pytest.mark.parametrize("fit, module, counted", [
+    (mixture.em_gmm, mixture, "m_step"),
+    (mixture.cem, mixture, "cem_refine"),
+    (baselines.reduced_kmeans, baselines, "polar"),
+])
+def test_a_repeated_start_runs_its_tail_once(monkeypatch, fit, module, counted):
+    calls = []
+    real = getattr(module, counted)
+    monkeypatch.setattr(module, counted,
+                        lambda *args, **kw: calls.append(1) or real(*args, **kw))
+    once = fit(BLOBS, 2, restarts=1, seed=BLOB_SEED)
+    calls_once = len(calls)
+
+    starts = []
+    real_once_per_start = mixture.once_per_start
+
+    def recording(tail):
+        shared = real_once_per_start(tail)
+        return lambda partition: starts.append(partition.assignments.copy()) or shared(partition)
+
+    monkeypatch.setattr(mixture, "once_per_start", recording)
+    calls.clear()
+    result = fit(BLOBS, 2, restarts=5, seed=BLOB_SEED)
+    assert len(starts) == 5 and all(np.array_equal(s, starts[0]) for s in starts)
+    assert len(calls) == calls_once > 0
+    # the kept result is restart 0's: a later repeat gets its own copy, so
+    # writing its restart_index leaves the kept one alone
+    assert result.restart_index == 0
+    _assert_identical(result, once)
