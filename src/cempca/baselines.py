@@ -39,12 +39,17 @@ def reduced_kmeans(X, g, p=None, restarts=20, seed=0, max_iter=100, tol=1e-6):
     """
     X = np.asarray(X, dtype=float)
     mixture._check_fit_args(X, g, tol)
-    start = time.perf_counter()
+    t0 = time.perf_counter()
     _, _, _, Q0 = _principal_axes(X, p)
     scores0 = X @ Q0
 
-    def tail(partition):
-        assign = partition.assignments
+    def start(r):
+        # seed exactly like kmeans restart r so the p = d case reproduces
+        # the plain K-means partition for equal seeds
+        centers = mixture._seed_centers(scores0, g, mixture.restart_rng(seed, r))
+        return mixture.lloyd(scores0, centers, max_iter=max_iter, tol=tol)[0]
+
+    def tail(assign):
         S = mixture._centroids(scores0, assign, g)
         Q = Q0
         trace = [_rkm_objective(X, assign, S, Q)]
@@ -62,16 +67,7 @@ def reduced_kmeans(X, g, p=None, restarts=20, seed=0, max_iter=100, tol=1e-6):
         return FitResult(partition=part, params=None, objective_trace=trace,
                          bundle=_rkm_bundle(X, Q, part, S), step_trace=history)
 
-    fit_tail = mixture.once_per_start(tail)
-
-    def fit_one(r):
-        # seed exactly like kmeans restart r so the p = d case reproduces
-        # the plain K-means partition for equal seeds
-        centers = mixture._seed_centers(scores0, g, mixture.restart_rng(seed, r))
-        assign, _, _, _ = mixture.lloyd(scores0, centers, max_iter=max_iter, tol=tol)
-        return fit_tail(Partition(assignments=assign, g=g))
-
-    return mixture.best_of_restarts(fit_one, restarts, operator.lt, start)
+    return mixture.best_of_restarts(start, tail, restarts, operator.lt, t0)
 
 
 def _rkm_objective(X, assign, S, Q):

@@ -164,7 +164,7 @@ def prepare_features(X, cfg):
 
 
 def _seed_partition(B, g, restart, seed):
-    """Seeding partition for the hard-assignment mixture on B.
+    """Seeding labels for the hard-assignment mixture on B.
 
     Restarts cycle through three styles: a uniformly random partition, a
     K-means partition, and a K-means partition of a single embedding
@@ -175,16 +175,17 @@ def _seed_partition(B, g, restart, seed):
     rng = mixture.restart_rng(seed, restart)
     style = restart % 3
     if style == 0:
-        return Partition(assignments=mixture.random_partition(n, g, rng), g=g)
+        return mixture.random_partition(n, g, rng)
     if style == 2:
         B = B[:, [p - 1 - ((restart // 3) % p)]]
     return mixture.kmeans(B, g, restarts=1,
-                          seed=mixture.child_seed(seed, restart)).partition
+                          seed=mixture.child_seed(seed, restart)).partition.assignments
 
 
-def _fit_single(X, B, Q, cfg, seed, restart):
-    """One restart from the principal embedding B and its loadings Q."""
-    part = _seed_partition(B, cfg.g, restart, seed)
+def _fit_single(X, B, Q, cfg, labels):
+    """One restart from the principal embedding B, its loadings Q and the
+    seeding labels."""
+    part = Partition(assignments=labels, g=cfg.g)
     params = mixture.m_step(B, part, cfg.model)
     part, params, _, _ = mixture.cem_refine(B, part, params, tol=cfg.tol)
     bundle = EmbeddingBundle(B=B, Q=Q, M=B.copy())
@@ -256,12 +257,13 @@ def fit_cempca(X_raw, cfg, seed=0):
     _embedding_dim(cfg.p, *X.shape)
     mixture._check_restarts(cfg.restarts)
     mixture._check_model(cfg.model)
-    start = time.perf_counter()
+    t0 = time.perf_counter()
     X = prepare_features(X, cfg)
     # The principal embedding and its loadings depend only on X and p, so
     # every restart starts from the same pair.
     B, _ = pca_embed(X, cfg.p)
     Q = update_Q(X, B)
     return mixture.best_of_restarts(
-        lambda r: _fit_single(X, B, Q, cfg, seed, r),
-        cfg.restarts, operator.lt, start)
+        lambda r: _seed_partition(B, cfg.g, r, seed),
+        lambda labels: _fit_single(X, B, Q, cfg, labels),
+        cfg.restarts, operator.lt, t0)

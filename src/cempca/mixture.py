@@ -3,7 +3,7 @@
 import math
 import operator
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
@@ -79,7 +79,8 @@ class FitResult:
     fit_cempca (the objective after every block update) and reduced_kmeans
     (the iterates). best_of_restarts sets restart_index (the kept restart),
     wall_time (seconds for all restarts) and failed_restarts (the restarts
-    that were skipped, as (restart index, "ErrorType: message")).
+    that raised, as (restart index, "ErrorType: message")). A restart that
+    repeats an earlier successful start is skipped and appears nowhere.
     """
 
     partition: Partition
@@ -115,56 +116,48 @@ def child_seed(seed, *key):
     return int(derive_seed(seed, *key).generate_state(1)[0])
 
 
-def best_of_restarts(fit_one, restarts, better, start):
-    """Run fit_one(r) for each restart r and keep the best FitResult.
+def best_of_restarts(start, tail, restarts, better, t0):
+    """Keep the best FitResult of tail(start(r)) over the restarts r.
+
+    start(r) gives restart r's starting array (labels, or K-means centres)
+    and tail(array) the fit from it, which must depend on the start alone.
+    So a restart whose start repeats, byte for byte, one whose tail
+    succeeded is skipped without being recorded: it would tie with that
+    earlier run. Only the starts' bytes are kept; no result is cached or
+    copied.
 
     better(a, b) compares final objectives (operator.lt to minimize,
     operator.gt to maximize); a restart replaces the kept one only when it
     is strictly better, so ties go to the lowest restart index. A restart
-    that raises a NumericalError is skipped and recorded in
-    failed_restarts; if every restart fails, NumericalError is raised from
-    the last error. The kept result gets restart_index and wall_time (from `start`).
+    whose start or tail raises a NumericalError is listed in
+    failed_restarts, and a later repeat of its start runs (and is listed)
+    again; if every restart fails, NumericalError is raised from the last
+    error. The kept result gets restart_index and wall_time (from t0).
     """
     _check_restarts(restarts)
     best = None
+    done = set()
     failed = []
     for r in range(restarts):
         try:
-            result = fit_one(r)
+            init = start(r)
+            key = init.tobytes()
+            if key in done:
+                continue
+            result = tail(init)
         except NumericalError as exc:
             failed.append((r, f"{type(exc).__name__}: {exc}"))
             last_error = exc
             continue
-        result.restart_index = r
+        done.add(key)
         if best is None or better(result.objective_trace[-1], best.objective_trace[-1]):
-            best = result
+            best, kept = result, r
     if best is None:
         raise NumericalError(f"all {restarts} restarts failed: {failed[-1][1]}") from last_error
+    best.restart_index = kept
     best.failed_restarts = failed
-    best.wall_time = time.perf_counter() - start
+    best.wall_time = time.perf_counter() - t0
     return best
-
-
-def once_per_start(tail):
-    """Wrap tail(partition) -> FitResult so that it runs once per distinct start.
-
-    A restart's work after seeding depends only on its starting labels, so a
-    start whose int64 labels repeat an earlier one byte for byte gets a
-    shallow copy of the earlier result. It is a copy because
-    best_of_restarts writes restart_index into each result. A repeat is
-    never kept, since ties go to the lowest restart index. A tail that
-    raises is not cached, so a repeated failing start raises again.
-    """
-    done = {}
-
-    def shared(partition):
-        key = np.asarray(partition.assignments, dtype=np.int64).tobytes()
-        if key in done:
-            return replace(done[key])
-        done[key] = result = tail(partition)
-        return result
-
-    return shared
 
 
 def _converged(prev, cur, tol):
@@ -387,15 +380,21 @@ def kmeans(X, g, max_iter=100, tol=1e-6, restarts=20, seed=0):
     within-cluster sum of squares."""
     X = np.asarray(X, dtype=float)
     _check_fit_args(X, g, tol)
-    start = time.perf_counter()
+    t0 = time.perf_counter()
 
-    def fit_one(r):
-        centers = _seed_centers(X, g, restart_rng(seed, r))
+    def tail(centers):
         assign, _, trace, _ = lloyd(X, centers, max_iter=max_iter, tol=tol)
         return FitResult(partition=Partition(assignments=assign, g=g), params=None,
                          objective_trace=trace)
 
-    return best_of_restarts(fit_one, restarts, operator.lt, start)
+    return best_of_restarts(lambda r: _seed_centers(X, g, restart_rng(seed, r)), tail,
+                            restarts, operator.lt, t0)
+
+
+def _kmeans_start(X, g, max_iter, seed):
+    """start(r) for em_gmm and cem: the labels of a one-run K-means."""
+    return lambda r: kmeans(X, g, max_iter=max_iter, restarts=1,
+                            seed=child_seed(seed, r)).partition.assignments
 
 
 # ---------------------------------------------------------------------------
@@ -411,10 +410,10 @@ def em_gmm(X, g, max_iter=100, tol=1e-6, restarts=20, seed=0, model="full"):
     X = np.asarray(X, dtype=float)
     _check_fit_args(X, g, tol)
     _check_model(model)
-    start = time.perf_counter()
+    t0 = time.perf_counter()
 
-    def tail(partition):
-        params = m_step(X, partition, model)
+    def tail(labels):
+        params = m_step(X, Partition(assignments=labels, g=g), model)
         # One score matrix and one reduction of it per parameter set: they
         # give the trace entry, the next E-step and, for the last set, the
         # MAP partition.
@@ -428,13 +427,8 @@ def em_gmm(X, g, max_iter=100, tol=1e-6, restarts=20, seed=0, model="full"):
                 break
         return FitResult(partition=c_step(resp), params=params, objective_trace=trace)
 
-    fit_tail = once_per_start(tail)
-
-    def fit_one(r):
-        km = kmeans(X, g, max_iter=max_iter, restarts=1, seed=child_seed(seed, r))
-        return fit_tail(km.partition)
-
-    return best_of_restarts(fit_one, restarts, operator.gt, start)
+    return best_of_restarts(_kmeans_start(X, g, max_iter, seed), tail, restarts,
+                            operator.gt, t0)
 
 
 def _repair_empty(assign, score, g):
@@ -499,21 +493,17 @@ def cem(X, g, max_iter=100, tol=1e-6, restarts=20, seed=0, model="full"):
     X = np.asarray(X, dtype=float)
     _check_fit_args(X, g, tol)
     _check_model(model)
-    start = time.perf_counter()
+    t0 = time.perf_counter()
 
-    def tail(partition):
+    def tail(labels):
+        partition = Partition(assignments=labels, g=g)
         params = m_step(X, partition, model)
         partition, params, trace, _ = cem_refine(
             X, partition, params, max_iter=max_iter, tol=tol)
         return FitResult(partition=partition, params=params, objective_trace=trace)
 
-    fit_tail = once_per_start(tail)
-
-    def fit_one(r):
-        km = kmeans(X, g, max_iter=max_iter, restarts=1, seed=child_seed(seed, r))
-        return fit_tail(km.partition)
-
-    return best_of_restarts(fit_one, restarts, operator.gt, start)
+    return best_of_restarts(_kmeans_start(X, g, max_iter, seed), tail, restarts,
+                            operator.gt, t0)
 
 
 def _check_fit_args(X, g, tol):

@@ -1,13 +1,15 @@
-"""Single-point references for the library's batched kernels.
+"""Plain references for the library's batched kernels and restart loop.
 
-They are written on scipy.linalg, which the library itself never calls, so
-a test compares two independent LAPACK paths.
+The kernel references are written on scipy.linalg, which the library itself
+never calls, so a test compares two independent LAPACK paths.
 """
+
+import time
 
 import numpy as np
 import scipy.linalg
 
-from cempca.errors import SingularMatrixError
+from cempca.errors import NumericalError, SettingError, SingularMatrixError
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -27,3 +29,29 @@ def log_gaussian(x, mean, cov):
     sol = scipy.linalg.solve_triangular(L, x - np.asarray(mean, dtype=float), lower=True)
     logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
     return float(-0.5 * (x.size * LOG_2PI + logdet + sol @ sol))
+
+
+def best_of_restarts(start, tail, restarts, better, t0):
+    """The restart rule with no sharing: every restart runs tail(start(r)),
+    a repeated start included, and the first restart with the strictly best
+    final objective is kept. It takes mixture.best_of_restarts' arguments
+    and fills the same fields of the kept result."""
+    if restarts < 1:
+        raise SettingError("restarts", "must be >= 1")
+    done, failed, errors = [], [], []
+    for r in range(restarts):
+        try:
+            done.append((r, tail(start(r))))
+        except NumericalError as exc:
+            failed.append((r, f"{type(exc).__name__}: {exc}"))
+            errors.append(exc)
+    if not done:
+        raise NumericalError(f"all {restarts} restarts failed: {failed[-1][1]}") from errors[-1]
+    kept, best = done[0]
+    for r, result in done[1:]:
+        if better(result.objective_trace[-1], best.objective_trace[-1]):
+            kept, best = r, result
+    best.restart_index = kept
+    best.failed_restarts = failed
+    best.wall_time = time.perf_counter() - t0
+    return best

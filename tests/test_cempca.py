@@ -9,7 +9,7 @@ from cempca.baselines import kmeans_pca, reduced_kmeans
 from cempca.cempca import (CempcaConfig, EmbeddingBundle, fit_cempca,
                            objective, pca_embed, prepare_features, update_B,
                            update_M, update_Q)
-from cempca.data import gen_fcps
+from cempca.data import gen_chang, gen_fcps, standardize
 from cempca.errors import (DegenerateUpdateError, InvalidInputError,
                            NumericalError, SettingError)
 from cempca.linalg import thin_svd
@@ -302,6 +302,27 @@ def test_fit_delta_zero_recovers_principal_subspace():
     Bp, _ = pca_embed(prepare_features(X, cfg), 3)
     P1 = B @ B.T @ Bp @ Bp.T
     assert np.linalg.norm(P1 - Bp @ Bp.T) <= 1e-6
+
+
+@pytest.mark.parametrize("X, g", [
+    (gen_fcps("hepta", seed=11).X, 7),
+    (gen_fcps("tetra", seed=11).X, 4),
+    (gen_chang(1000, seed=5).X, 2),
+], ids=["hepta", "tetra", "chang"])
+def test_full_cem_on_the_whitened_scores_matches_cem_on_the_data(X, g):
+    # At p = d the whitened PCA scores B are an invertible affine map of the
+    # centred data, and full-covariance CEM is equivariant under such maps,
+    # so the C-steps on B and on Xc agree. The ridge eps * t * I and the
+    # variance floor in m_step are not equivariant, so this pins the gate
+    # data rather than stating a property for all data.
+    Xc, B, _, _ = core._principal_axes(standardize(X), X.shape[1])
+    for seed in range(20):
+        start = mixture.random_partition(X.shape[0], g, np.random.default_rng(seed))
+        parts = []
+        for Y in (B, Xc):
+            part = Partition(assignments=start.copy(), g=g)
+            parts.append(mixture.cem_refine(Y, part, m_step(Y, part, "full"))[0])
+        assert np.array_equal(parts[0].assignments, parts[1].assignments), seed
 
 
 def test_fit_deterministic():

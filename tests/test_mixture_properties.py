@@ -27,7 +27,7 @@ from cempca.mixture import (COV_MODELS, FitResult, MixtureParams,  # noqa: E402
                             Partition, _posterior, _repair_empty,
                             best_of_restarts, cem, complete_log_likelihood,
                             e_step, kmeans, log_joint, m_step)
-from oracles import log_gaussian  # noqa: E402
+from oracles import best_of_restarts as every_restart, log_gaussian  # noqa: E402
 
 LOG_2PI = np.log(2 * np.pi)
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -240,68 +240,99 @@ def test_factor_cache_outside_repr_and_fields():
         "weights", "means", "covariances", "model"]
 
 
-# One of each error type that skips a restart, built from the restart index.
-SKIPPABLE = (lambda r: DegenerateUpdateError(f"degenerate at restart {r}"),
+# One of each error type that skips a restart, built from a start's key.
+SKIPPABLE = (lambda key: DegenerateUpdateError(f"degenerate from start {key}"),
              EmptyClusterError,
-             lambda r: NumericalError(f"overflow at restart {r}"),
-             lambda r: SingularMatrixError(f"singular at restart {r}"))
+             lambda key: NumericalError(f"overflow from start {key}"),
+             lambda key: SingularMatrixError(f"singular from start {key}"))
 
 
-def _restart_result(value, r):
+def _restart_result(value):
     return FitResult(partition=Partition(assignments=np.zeros(1, dtype=int), g=1),
-                     params=None, objective_trace=[float(value)],
-                     restart_index=r, wall_time=0.0)
+                     params=None, objective_trace=[float(value)])
 
 
 @SETTINGS
-@given(runs=st.lists(st.tuples(st.integers(-2, 2), st.booleans()), min_size=1,
-                     max_size=10),
+@given(outcomes=st.lists(st.tuples(st.integers(-2, 2), st.booleans()), min_size=1,
+                         max_size=4),
+       keys=st.lists(st.integers(0, 3), min_size=1, max_size=10),
        better=st.sampled_from([operator.lt, operator.gt]))
-def test_best_of_restarts_keeps_first_strict_optimum(runs, better):
+def test_best_of_restarts_keeps_first_strict_optimum(outcomes, keys, better):
+    # restart r starts from key keys[r], and a start's tail always gives
+    # its outcome: (final objective, whether it raises)
+    keys = [key % len(outcomes) for key in keys]
+    tails = []
     raised = []
 
-    def fit_one(r):
-        value, fails = runs[r]
+    def tail(init):
+        key = int(init[0])
+        tails.append(key)
+        value, fails = outcomes[key]
         if fails:
-            raised.append(SKIPPABLE[r % len(SKIPPABLE)](r))
+            raised.append(SKIPPABLE[key % len(SKIPPABLE)](key))
             raise raised[-1]
-        return _restart_result(value, r)
+        return _restart_result(value)
 
-    start = time.perf_counter()
-    ok = [r for r, (_, fails) in enumerate(runs) if not fails]
+    def start(r):
+        return np.array([keys[r]])
+
+    t0 = time.perf_counter()
+    ok = [r for r, key in enumerate(keys) if not outcomes[key][1]]
+    bad = [r for r, key in enumerate(keys) if outcomes[key][1]]
+    # a failing start runs again at every repeat, a successful one only once
+    expected_tails = [key for r, key in enumerate(keys) if r in bad or key not in keys[:r]]
     if not ok:
-        with pytest.raises(NumericalError, match=f"all {len(runs)} restarts failed") as err:
-            best_of_restarts(fit_one, len(runs), better, start)
+        with pytest.raises(NumericalError, match=f"all {len(keys)} restarts failed") as err:
+            best_of_restarts(start, tail, len(keys), better, t0)
         assert err.value.__cause__ is raised[-1]
+        assert tails == expected_tails
         return
-    result = best_of_restarts(fit_one, len(runs), better, start)
-    target = (min if better is operator.lt else max)(runs[r][0] for r in ok)
-    assert result.restart_index == next(r for r in ok if runs[r][0] == target)
+    result = best_of_restarts(start, tail, len(keys), better, t0)
+    assert tails == expected_tails
+    target = (min if better is operator.lt else max)(outcomes[keys[r]][0] for r in ok)
+    assert result.restart_index == next(r for r in ok if outcomes[keys[r]][0] == target)
     assert result.failed_restarts == [
-        (r, f"{type(exc).__name__}: {exc}")
-        for r, exc in zip([r for r, (_, fails) in enumerate(runs) if fails], raised)]
+        (r, f"{type(exc).__name__}: {exc}") for r, exc in zip(bad, raised)]
     assert result.wall_time >= 0.0
 
 
 def test_best_of_restarts_stamps_the_kept_restart():
-    # a fit built without restart_index gets the index of the restart kept
-    def fit_one(r):
-        return FitResult(partition=Partition(assignments=np.zeros(1, dtype=int), g=1),
-                         params=None, objective_trace=[float(abs(r - 2))])
+    # only the kept result gets restart_index: the others keep the default
+    results = []
 
-    result = best_of_restarts(fit_one, 5, operator.lt, time.perf_counter())
-    assert result.restart_index == 2 and result.objective_trace == [0.0]
+    def tail(init):
+        results.append(_restart_result(abs(int(init[0]) - 2)))
+        return results[-1]
+
+    result = best_of_restarts(lambda r: np.array([r + 1]), tail, 5, operator.lt,
+                              time.perf_counter())
+    assert result is results[1]
+    assert result.restart_index == 1 and result.objective_trace == [0.0]
+    assert [res.restart_index for res in results] == [0, 1, 0, 0, 0]
+
+
+def test_best_of_restarts_lists_a_failing_start():
+    def start(r):
+        if r == 1:
+            raise NumericalError("no seed for restart 1")
+        return np.array([r])
+
+    result = best_of_restarts(start, lambda init: _restart_result(-init[0]), 3,
+                              operator.lt, time.perf_counter())
+    assert result.restart_index == 2
+    assert result.failed_restarts == [(1, "NumericalError: no seed for restart 1")]
 
 
 def test_best_of_restarts_lets_other_errors_through():
-    def fit_one(r):
+    def tail(init):
         raise InvalidInputError("bad argument")
 
     with pytest.raises(InvalidInputError, match="bad argument"):
-        best_of_restarts(fit_one, 3, operator.lt, time.perf_counter())
-    with pytest.raises(InvalidInputError, match="restarts must be >= 1"):
-        best_of_restarts(lambda r: _restart_result(0, r), 0, operator.lt,
+        best_of_restarts(lambda r: np.array([r]), tail, 3, operator.lt,
                          time.perf_counter())
+    with pytest.raises(InvalidInputError, match="restarts must be >= 1"):
+        best_of_restarts(lambda r: np.array([r]), lambda init: _restart_result(0), 0,
+                         operator.lt, time.perf_counter())
 
 
 def _repair_reference(assign, score, g):
@@ -400,12 +431,16 @@ def test_kmeans_fills_every_cluster_on_two_distinct_rows():
 
 
 SHARED_FITS = {
+    "kmeans": lambda X, g, restarts, seed: kmeans(X, g, restarts=restarts, seed=seed),
     **{f"em_gmm-{model}": lambda X, g, restarts, seed, model=model: mixture.em_gmm(
         X, g, restarts=restarts, seed=seed, model=model) for model in COV_MODELS},
     **{f"cem-{model}": lambda X, g, restarts, seed, model=model: mixture.cem(
         X, g, restarts=restarts, seed=seed, model=model) for model in COV_MODELS},
     "reduced_kmeans": lambda X, g, restarts, seed: baselines.reduced_kmeans(
         X, g, 1, restarts=restarts, seed=seed),
+    # p = 1 and no graph, so that the grid data's few rows are enough
+    "fit_cempca": lambda X, g, restarts, seed: core.fit_cempca(
+        X, core.CempcaConfig(g=g, p=1, smoothing=0, restarts=restarts), seed=seed),
 }
 
 
@@ -443,8 +478,8 @@ def _outcome(fit):
 def _assert_sharing_changes_nothing(fit):
     shared = _outcome(fit)
     with pytest.MonkeyPatch.context() as mp:
-        # the fits look the helper up through the module when they run
-        mp.setattr(mixture, "once_per_start", lambda tail: tail)
+        # the fits look the loop up through the module when they run
+        mp.setattr(mixture, "best_of_restarts", every_restart)
         alone = _outcome(fit)
     _assert_identical(shared, alone)
 
@@ -506,19 +541,22 @@ def test_a_repeated_start_runs_its_tail_once(monkeypatch, fit, module, counted):
     once = fit(BLOBS, 2, restarts=1, seed=BLOB_SEED)
     calls_once = len(calls)
 
-    starts = []
-    real_once_per_start = mixture.once_per_start
+    # the starts of each restart loop, the fit's own first (em_gmm's and
+    # cem's starts run a one-restart kmeans loop each)
+    loops = []
+    real_loop = mixture.best_of_restarts
 
-    def recording(tail):
-        shared = real_once_per_start(tail)
-        return lambda partition: starts.append(partition.assignments.copy()) or shared(partition)
+    def recording(start, tail, restarts, better, t0):
+        starts = []
+        loops.append(starts)
+        return real_loop(lambda r: starts.append(start(r)) or starts[-1], tail,
+                         restarts, better, t0)
 
-    monkeypatch.setattr(mixture, "once_per_start", recording)
+    monkeypatch.setattr(mixture, "best_of_restarts", recording)
     calls.clear()
     result = fit(BLOBS, 2, restarts=5, seed=BLOB_SEED)
+    starts = loops[0]
     assert len(starts) == 5 and all(np.array_equal(s, starts[0]) for s in starts)
     assert len(calls) == calls_once > 0
-    # the kept result is restart 0's: a later repeat gets its own copy, so
-    # writing its restart_index leaves the kept one alone
     assert result.restart_index == 0
     _assert_identical(result, once)
