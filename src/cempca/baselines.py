@@ -18,7 +18,7 @@ def kmeans_pca(X, g, p=None, restarts=20, seed=0, max_iter=100, tol=1e-6):
     weighted); p=None means min(10, d). wall_time includes the PCA."""
     start = time.perf_counter()
     X = np.asarray(X, dtype=float)
-    mixture._check_fit_args(X, g, tol)
+    mixture._check_fit_args(X, g, tol, seed)
     Xc, B, s, _ = _principal_axes(X, p)
     scores = B * s
     km = mixture.kmeans(scores, g, max_iter=max_iter, tol=tol,
@@ -38,7 +38,7 @@ def reduced_kmeans(X, g, p=None, restarts=20, seed=0, max_iter=100, tol=1e-6):
     {"Q", "S", "assignments"} entry per iteration.
     """
     X = np.asarray(X, dtype=float)
-    mixture._check_fit_args(X, g, tol)
+    mixture._check_fit_args(X, g, tol, seed)
     t0 = time.perf_counter()
     _, _, _, Q0 = _principal_axes(X, p)
     scores0 = X @ Q0

@@ -246,7 +246,7 @@ def fit_cempca(X_raw, cfg, seed=0):
     # bad one would otherwise surface from a kernel under the kernel's name.
     X = np.asarray(X_raw, dtype=float)
     n = X.shape[0]
-    mixture._check_fit_args(X, cfg.g, cfg.tol)
+    mixture._check_fit_args(X, cfg.g, cfg.tol, seed)
     if not (math.isfinite(cfg.delta) and cfg.delta >= 0):
         raise SettingError("delta", f"must be finite and >= 0, got {cfg.delta}")
     for name in ("smoothing", "max_iter"):

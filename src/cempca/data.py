@@ -304,8 +304,9 @@ def knn_graph(X, k):
     normalization.
 
     Neighbors are the first k points j != i by (distance, index), so ties
-    go to the lowest index. They come from one k-d tree over the distinct
-    rows (+ 0.0 makes -0.0 a copy of 0.0): _group_neighbors gives each
+    go to the lowest index. They come from one k-d tree over each distinct
+    point's first k + 1 rows (+ 0.0 makes -0.0 a copy of 0.0), since no row
+    needs more of another point's copies: _group_neighbors gives each
     distinct point its first k + 1 rows by (distance, index), and a row
     takes its point's list without itself, or the first k of it when it is
     not in the list. Time is O(n log n) for low-dimensional X and memory is
@@ -339,50 +340,31 @@ def _group_neighbors(uniq, group, size, k):
     """First k + 1 rows by (distance, index) from each distinct point.
 
     uniq holds the distinct points, group maps each row to its point and
-    size counts its rows. Each point asks the tree for q distinct points,
-    q = k + 2 at first; each one returned stands for its min(size, k + 1)
-    lowest-index rows at its distance. A point is done once its (k + 1)-th
-    kept distance is below the farthest one returned, since every point
-    not returned is at least that far, or once every point was returned;
-    the rest ask again for twice as many. Candidates are laid out per
-    point, padded to the round's widest. Returns the (m, k + 1) row
-    indices and their distances.
+    size counts its rows. The tree holds each point's k + 1 lowest-index
+    rows. Each point asks it for q rows, q = k + 2 at first. A point is
+    done once its (k + 1)-th kept distance is below the farthest one
+    returned, since every row not returned is at least that far, or once
+    every row was returned; the rest ask again for twice as many. Returns
+    the (m, k + 1) row indices and their distances.
     """
     m = uniq.shape[0]
+    # each row's rank among its point's rows, taken in index order
     members = np.argsort(group, kind="stable")
-    first = np.cumsum(size) - size
-    tree = cKDTree(uniq)
+    rank = np.arange(group.size) - np.repeat(np.cumsum(size) - size, size)
+    rows = members[rank <= k]
+    tree = cKDTree(uniq[group[rows]])
     near = np.empty((m, k + 1), dtype=np.intp)
     near_d = np.empty((m, k + 1))
     todo = np.arange(m)
-    q = min(k + 2, m)
+    q = min(k + 2, rows.size)
     while todo.size:
         d, j = tree.query(uniq[todo], q)
-        d, j = d.reshape(todo.size, q), j.reshape(todo.size, q)
-        far = d[:, -1].copy()
-        count = np.minimum(size[j], k + 1)
-        width = count.sum(axis=1)
-        count = count.ravel()
-        # each candidate's place in members, and its slot in the padded rows
-        src = first[j].ravel() - np.cumsum(count) + count
-        del j
-        src = np.repeat(src, count)
-        src += np.arange(src.size)
-        wide = width.max()
-        slot = np.repeat(np.arange(todo.size) * wide - np.cumsum(width) + width, width)
-        slot += np.arange(slot.size)
-        cand = np.full((todo.size, wide), group.size)
-        cand.ravel()[slot] = members[src]
-        del src
-        cand_d = np.full(cand.shape, np.inf)
-        cand_d.ravel()[slot] = np.repeat(d.ravel(), count)
-        del d, count, slot
-        order = np.lexsort((cand, cand_d))[:, :k + 1]
-        near[todo] = np.take_along_axis(cand, order, axis=1)
-        near_d[todo] = kept_d = np.take_along_axis(cand_d, order, axis=1)
-        del cand, cand_d, order
-        todo = todo[(kept_d[:, -1] >= far) & (q < m)]
-        q = min(2 * q, m)
+        d, j = d.reshape(todo.size, q), rows[j].reshape(todo.size, q)
+        order = np.lexsort((j, d))[:, :k + 1]
+        near[todo] = np.take_along_axis(j, order, axis=1)
+        near_d[todo] = kept_d = np.take_along_axis(d, order, axis=1)
+        todo = todo[(kept_d[:, -1] >= d[:, -1]) & (q < rows.size)]
+        q = min(2 * q, rows.size)
     return near, near_d
 
 

@@ -379,7 +379,7 @@ def kmeans(X, g, max_iter=100, tol=1e-6, restarts=20, seed=0):
     """Lloyd's algorithm from k-means++ centers, best of `restarts` runs by
     within-cluster sum of squares."""
     X = np.asarray(X, dtype=float)
-    _check_fit_args(X, g, tol)
+    _check_fit_args(X, g, tol, seed)
     t0 = time.perf_counter()
 
     def tail(centers):
@@ -408,7 +408,7 @@ def em_gmm(X, g, max_iter=100, tol=1e-6, restarts=20, seed=0, model="full"):
     final hard partition applies the MAP rule to the last E-step.
     """
     X = np.asarray(X, dtype=float)
-    _check_fit_args(X, g, tol)
+    _check_fit_args(X, g, tol, seed)
     _check_model(model)
     t0 = time.perf_counter()
 
@@ -491,7 +491,7 @@ def cem(X, g, max_iter=100, tol=1e-6, restarts=20, seed=0, model="full"):
     restart by final complete-data log-likelihood.
     """
     X = np.asarray(X, dtype=float)
-    _check_fit_args(X, g, tol)
+    _check_fit_args(X, g, tol, seed)
     _check_model(model)
     t0 = time.perf_counter()
 
@@ -506,13 +506,15 @@ def cem(X, g, max_iter=100, tol=1e-6, restarts=20, seed=0, model="full"):
                             operator.gt, t0)
 
 
-def _check_fit_args(X, g, tol):
-    """Check X, g and tol, the arguments every fit shares.
+def _check_fit_args(X, g, tol, seed):
+    """Check X, g, tol and seed, the arguments every fit shares.
 
     A NaN or infinite cell would spread through every fit's sums and come
     out as a numerical failure or a meaningless partition, so it is a data
     error here. A negative or non-finite tol would never let _converged
-    hold, so the fit would run to max_iter without a word.
+    hold, so the fit would run to max_iter without a word. derive_seed
+    would reject a negative seed only at the first start, after the graph
+    and the SVD.
     """
     if g < 1:
         raise SettingError("g", "must be >= 1")
@@ -522,6 +524,8 @@ def _check_fit_args(X, g, tol):
         raise InvalidInputError("X contains non-finite entries")
     if not (math.isfinite(tol) and tol >= 0):
         raise SettingError("tol", f"must be finite and >= 0, got {tol}")
+    if int(seed) < 0:
+        raise SettingError("seed", f"must be >= 0, got {seed}")
 
 
 def _check_model(model):

@@ -507,6 +507,23 @@ def test_mixture_fits_check_the_model_before_any_work(monkeypatch, fit):
     assert err.value.setting == "model"
 
 
+@pytest.mark.parametrize("fit", [
+    lambda X, seed: fit_cempca(X, CempcaConfig(g=2), seed=seed),
+    lambda X, seed: kmeans_pca(X, 2, seed=seed),
+    lambda X, seed: reduced_kmeans(X, 2, seed=seed),
+], ids=["fit_cempca", "kmeans_pca", "reduced_kmeans"])
+def test_fits_reject_a_negative_seed_before_any_work(monkeypatch, fit):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the seed was checked after the work started")
+
+    monkeypatch.setattr(core, "knn_graph", no_work)
+    monkeypatch.setattr(core, "thin_svd", no_work)
+    X = np.random.default_rng(9).standard_normal((40, 3))
+    with pytest.raises(SettingError) as err:
+        fit(X, -1)
+    assert (str(err.value), err.value.setting) == ("seed must be >= 0, got -1", "seed")
+
+
 def test_fit_reads_neighbors_only_when_it_builds_the_graph():
     rng = np.random.default_rng(6)
     X = np.vstack([rng.standard_normal((10, 3)), rng.standard_normal((10, 3)) + 5.0])

@@ -277,8 +277,8 @@ def test_knn_graph_tie_rule_on_integer_grids(case):
 
 
 def test_knn_graph_more_copies_than_candidates():
-    # nine copies of one point: the tree returns the point once, and it
-    # stands for its k + 1 = 3 lowest-index copies
+    # nine copies of one point: the tree holds only its k + 1 = 3
+    # lowest-index copies
     X = np.vstack([np.zeros((9, 2)), [[5.0, 5.0]]])
     W = knn_graph(X, 2)
     assert set(W.indices[W.indptr[0]:W.indptr[1]]) == {1, 2}
