@@ -18,7 +18,7 @@ def kmeans_pca(X, g, p=None, restarts=20, seed=0, max_iter=100, tol=1e-6):
     weighted); p=None means min(10, d). wall_time includes the PCA."""
     start = time.perf_counter()
     X = np.asarray(X, dtype=float)
-    mixture._check_fit_args(X, g, tol, seed)
+    mixture._check_fit_args(X, g, tol, seed, restarts, max_iter)
     Xc, B, s, _ = _principal_axes(X, p)
     scores = B * s
     km = mixture.kmeans(scores, g, max_iter=max_iter, tol=tol,
@@ -38,16 +38,10 @@ def reduced_kmeans(X, g, p=None, restarts=20, seed=0, max_iter=100, tol=1e-6):
     {"Q", "S", "assignments"} entry per iteration.
     """
     X = np.asarray(X, dtype=float)
-    mixture._check_fit_args(X, g, tol, seed)
+    mixture._check_fit_args(X, g, tol, seed, restarts, max_iter)
     t0 = time.perf_counter()
     _, _, _, Q0 = _principal_axes(X, p)
     scores0 = X @ Q0
-
-    def start(r):
-        # seed exactly like kmeans restart r so the p = d case reproduces
-        # the plain K-means partition for equal seeds
-        centers = mixture._seed_centers(scores0, g, mixture.restart_rng(seed, r))
-        return mixture.lloyd(scores0, centers, max_iter=max_iter, tol=tol)[0]
 
     def tail(assign):
         S = mixture._centroids(scores0, assign, g)
@@ -67,7 +61,11 @@ def reduced_kmeans(X, g, p=None, restarts=20, seed=0, max_iter=100, tol=1e-6):
         return FitResult(partition=part, params=None, objective_trace=trace,
                          bundle=_rkm_bundle(X, Q, part, S), step_trace=history)
 
-    return mixture.best_of_restarts(start, tail, restarts, operator.lt, t0)
+    # kmeans' restart r, so the p = d case reproduces the plain K-means
+    # partition for equal seeds
+    return mixture.best_of_restarts(
+        lambda r: mixture.kmeans_labels(scores0, g, seed, r, max_iter, tol), tail,
+        restarts, operator.lt, t0)
 
 
 def _rkm_objective(X, assign, S, Q):

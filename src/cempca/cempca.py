@@ -172,14 +172,11 @@ def _seed_partition(B, g, restart, seed):
     ranks last is exactly what the joint fit is meant to recover).
     """
     n, p = B.shape
-    rng = mixture.restart_rng(seed, restart)
-    style = restart % 3
-    if style == 0:
-        return mixture.random_partition(n, g, rng)
-    if style == 2:
+    if restart % 3 == 0:
+        return mixture.random_partition(n, g, mixture.restart_rng(seed, restart))
+    if restart % 3 == 2:
         B = B[:, [p - 1 - ((restart // 3) % p)]]
-    return mixture.kmeans(B, g, restarts=1,
-                          seed=mixture.child_seed(seed, restart)).partition.assignments
+    return mixture.kmeans_labels(B, g, mixture.child_seed(seed, restart), 0)
 
 
 def _fit_single(X, B, Q, cfg, labels):
@@ -246,7 +243,7 @@ def fit_cempca(X_raw, cfg, seed=0):
     # bad one would otherwise surface from a kernel under the kernel's name.
     X = np.asarray(X_raw, dtype=float)
     n = X.shape[0]
-    mixture._check_fit_args(X, cfg.g, cfg.tol, seed)
+    mixture._check_fit_args(X, cfg.g, cfg.tol, seed, cfg.restarts, model=cfg.model)
     if not (math.isfinite(cfg.delta) and cfg.delta >= 0):
         raise SettingError("delta", f"must be finite and >= 0, got {cfg.delta}")
     for name in ("smoothing", "max_iter"):
@@ -255,8 +252,6 @@ def fit_cempca(X_raw, cfg, seed=0):
     if cfg.smoothing > 0 and not 1 <= cfg.neighbors <= n - 1:
         raise SettingError("neighbors", f"must be in [1, {n - 1}], got {cfg.neighbors}")
     _embedding_dim(cfg.p, *X.shape)
-    mixture._check_restarts(cfg.restarts)
-    mixture._check_model(cfg.model)
     t0 = time.perf_counter()
     X = prepare_features(X, cfg)
     # The principal embedding and its loadings depend only on X and p, so

@@ -61,12 +61,10 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
 
-_DATA_ERRORS = (DataError, InvalidInputError)
-
 
 def _generate_dataset(shape, n, seed):
     if shape == "chang":
-        return gen_chang(n=n if n is not None else 1000, seed=seed)
+        return gen_chang(n=n, seed=seed)
     return gen_fcps(shape, n=n, seed=seed)
 
 
@@ -288,11 +286,12 @@ def cmd_benchmark(args):
         datasets.append((ds, ds.n_classes if g is None else g))
     _check_unique("dataset", [ds.name for ds, _ in datasets])
 
+    # before the first cell, so an OUT_DIR that cannot be written wastes none
+    os.makedirs(args.out_dir, exist_ok=True)
     rows = [_result_row(ds, g, name, entry, child_seed(base_seed, i, j))
             for i, (ds, g) in enumerate(datasets)
             for j, (name, entry) in enumerate(zip(names, methods))]
 
-    os.makedirs(args.out_dir, exist_ok=True)
     csv_path = os.path.join(args.out_dir, "results.csv")
     txt_path = os.path.join(args.out_dir, "results.txt")
     with open(csv_path, "w", newline="") as fh:
@@ -397,8 +396,12 @@ def main(argv=None):
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except _DATA_ERRORS as exc:
+    except (DataError, InvalidInputError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except OSError as exc:  # the readers raise DataError, so this is a write
+        print(f"data error: cannot write {exc.filename or 'output'}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
         return EXIT_DATA
 
 

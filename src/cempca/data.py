@@ -195,15 +195,16 @@ def _generator_rng(name, seed):
     return np.random.default_rng(np.random.SeedSequence((_GEN_TAGS[name], int(seed))))
 
 
-def gen_chang(n=1000, seed=0):
+def gen_chang(n=None, seed=0):
     """Two 15-dimensional Gaussian classes whose separation hides in a
-    trailing principal component.
+    trailing principal component; n=None means the standard 1000 rows.
 
     The leading two components carry block variance only; the class mean
     offset lies along the within-class direction of smallest variance
     (6 sigma apart), so a plane through the last component separates the
     classes while the leading-component plane does not.
     """
+    n = 1000 if n is None else n
     if n % 2 != 0 or n < 4:
         raise InvalidInputError("n must be even and >= 4")
     cov, v, lam_v = _chang_covariance()

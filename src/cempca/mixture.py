@@ -77,8 +77,8 @@ class FitResult:
     for the mixture fits, and the three-term joint objective for the
     alternating embedding fit (non-increasing there). step_trace is set by
     fit_cempca (the objective after every block update) and reduced_kmeans
-    (the iterates). best_of_restarts sets restart_index (the kept restart),
-    wall_time (seconds for all restarts) and failed_restarts (the restarts
+    (the iterates). A fit's one best_of_restarts loop sets restart_index,
+    wall_time (seconds for the whole fit) and failed_restarts (the restarts
     that raised, as (restart index, "ErrorType: message")). A restart that
     repeats an earlier successful start is skipped and appears nowhere.
     """
@@ -119,8 +119,9 @@ def child_seed(seed, *key):
 def best_of_restarts(start, tail, restarts, better, t0):
     """Keep the best FitResult of tail(start(r)) over the restarts r.
 
-    start(r) gives restart r's starting array (labels, or K-means centres)
-    and tail(array) the fit from it, which must depend on the start alone.
+    Each fit's one restart loop, run once restarts >= 1 is checked. start(r)
+    gives restart r's starting array (labels, or K-means centres) and
+    tail(array) the fit from it, which must depend on the start alone.
     So a restart whose start repeats, byte for byte, one whose tail
     succeeded is skipped without being recorded: it would tie with that
     earlier run. Only the starts' bytes are kept; no result is cached or
@@ -134,7 +135,6 @@ def best_of_restarts(start, tail, restarts, better, t0):
     again; if every restart fails, NumericalError is raised from the last
     error. The kept result gets restart_index and wall_time (from t0).
     """
-    _check_restarts(restarts)
     best = None
     done = set()
     failed = []
@@ -379,7 +379,7 @@ def kmeans(X, g, max_iter=100, tol=1e-6, restarts=20, seed=0):
     """Lloyd's algorithm from k-means++ centers, best of `restarts` runs by
     within-cluster sum of squares."""
     X = np.asarray(X, dtype=float)
-    _check_fit_args(X, g, tol, seed)
+    _check_fit_args(X, g, tol, seed, restarts, max_iter)
     t0 = time.perf_counter()
 
     def tail(centers):
@@ -391,10 +391,12 @@ def kmeans(X, g, max_iter=100, tol=1e-6, restarts=20, seed=0):
                             restarts, operator.lt, t0)
 
 
-def _kmeans_start(X, g, max_iter, seed):
-    """start(r) for em_gmm and cem: the labels of a one-run K-means."""
-    return lambda r: kmeans(X, g, max_iter=max_iter, restarts=1,
-                            seed=child_seed(seed, r)).partition.assignments
+def kmeans_labels(X, g, seed, restart, max_iter=100, tol=1e-6):
+    """Restart `restart` of kmeans(X, g, max_iter, tol, seed=seed) as labels:
+    one Lloyd run from k-means++ centres. It seeds em_gmm, cem,
+    reduced_kmeans and fit_cempca, which have checked X."""
+    centers = _seed_centers(X, g, restart_rng(seed, restart))
+    return lloyd(X, centers, max_iter=max_iter, tol=tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +410,7 @@ def em_gmm(X, g, max_iter=100, tol=1e-6, restarts=20, seed=0, model="full"):
     final hard partition applies the MAP rule to the last E-step.
     """
     X = np.asarray(X, dtype=float)
-    _check_fit_args(X, g, tol, seed)
-    _check_model(model)
+    _check_fit_args(X, g, tol, seed, restarts, max_iter, model)
     t0 = time.perf_counter()
 
     def tail(labels):
@@ -427,8 +428,8 @@ def em_gmm(X, g, max_iter=100, tol=1e-6, restarts=20, seed=0, model="full"):
                 break
         return FitResult(partition=c_step(resp), params=params, objective_trace=trace)
 
-    return best_of_restarts(_kmeans_start(X, g, max_iter, seed), tail, restarts,
-                            operator.gt, t0)
+    return best_of_restarts(lambda r: kmeans_labels(X, g, child_seed(seed, r), 0, max_iter),
+                            tail, restarts, operator.gt, t0)
 
 
 def _repair_empty(assign, score, g):
@@ -491,8 +492,7 @@ def cem(X, g, max_iter=100, tol=1e-6, restarts=20, seed=0, model="full"):
     restart by final complete-data log-likelihood.
     """
     X = np.asarray(X, dtype=float)
-    _check_fit_args(X, g, tol, seed)
-    _check_model(model)
+    _check_fit_args(X, g, tol, seed, restarts, max_iter, model)
     t0 = time.perf_counter()
 
     def tail(labels):
@@ -502,19 +502,19 @@ def cem(X, g, max_iter=100, tol=1e-6, restarts=20, seed=0, model="full"):
             X, partition, params, max_iter=max_iter, tol=tol)
         return FitResult(partition=partition, params=params, objective_trace=trace)
 
-    return best_of_restarts(_kmeans_start(X, g, max_iter, seed), tail, restarts,
-                            operator.gt, t0)
+    return best_of_restarts(lambda r: kmeans_labels(X, g, child_seed(seed, r), 0, max_iter),
+                            tail, restarts, operator.gt, t0)
 
 
-def _check_fit_args(X, g, tol, seed):
-    """Check X, g, tol and seed, the arguments every fit shares.
+def _check_fit_args(X, g, tol, seed, restarts, max_iter=None, model=None):
+    """Check a fit's settings before any work (max_iter and model if given).
 
     A NaN or infinite cell would spread through every fit's sums and come
     out as a numerical failure or a meaningless partition, so it is a data
     error here. A negative or non-finite tol would never let _converged
-    hold, so the fit would run to max_iter without a word. derive_seed
-    would reject a negative seed only at the first start, after the graph
-    and the SVD.
+    hold, so the fit would run to max_iter without a word. A bad seed,
+    restarts or max_iter would surface only at the first start, after the
+    graph and the SVD. fit_cempca, whose max_iter may be 0, checks its own.
     """
     if g < 1:
         raise SettingError("g", "must be >= 1")
@@ -526,13 +526,14 @@ def _check_fit_args(X, g, tol, seed):
         raise SettingError("tol", f"must be finite and >= 0, got {tol}")
     if int(seed) < 0:
         raise SettingError("seed", f"must be >= 0, got {seed}")
+    if restarts < 1:
+        raise SettingError("restarts", "must be >= 1")
+    if max_iter is not None and max_iter < 1:
+        raise SettingError("max_iter", "must be >= 1")
+    if model is not None:
+        _check_model(model)
 
 
 def _check_model(model):
     if model not in COV_MODELS:
         raise SettingError("model", f"must be one of {COV_MODELS}, got {model!r}")
-
-
-def _check_restarts(restarts):
-    if restarts < 1:
-        raise SettingError("restarts", "must be >= 1")

@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from cempca.baselines import kmeans_pca, reduced_kmeans
 from cempca.cempca import (CempcaConfig, EmbeddingBundle, fit_cempca,
                            objective, pca_embed, prepare_features, update_B,
                            update_M, update_Q)
-from cempca.data import gen_chang, gen_fcps, standardize
+from cempca.data import (FCPS_CLASS_COUNTS, FCPS_SHAPES, gen_chang, gen_fcps,
+                         standardize)
 from cempca.errors import (DegenerateUpdateError, InvalidInputError,
                            NumericalError, SettingError)
 from cempca.linalg import thin_svd
@@ -325,6 +327,37 @@ def test_full_cem_on_the_whitened_scores_matches_cem_on_the_data(X, g):
         assert np.array_equal(parts[0].assignments, parts[1].assignments), seed
 
 
+# starts, of 20, from which cem_refine with the fitted proportions keeps the
+# K-means partition; chainlink (1 of 20) is left unpinned
+KMEANS_PARTITIONS_KEPT = {"atom": 0, "hepta": 20, "lsun3d": 20, "tetra": 20}
+
+
+@pytest.mark.parametrize("shape", FCPS_SHAPES)
+def test_spherical_tied_c_step_with_equal_proportions_is_kmeans(shape):
+    # On each gate shape's B under the default config, a spherical-tied
+    # mixture fitted to the Lloyd labels of K-means seeds 0-19, with its
+    # proportions set equal, scores every point by its squared distance to
+    # the cluster means: its C-step moves no point. m_step fits the
+    # proportions, though, and their log pi_k term is what moves points.
+    # On atom it moves some from every start, and cem_refine then leaves
+    # the K-means partition on all 20.
+    g = FCPS_CLASS_COUNTS[shape]
+    cfg = CempcaConfig(g=g)
+    B, _ = pca_embed(prepare_features(gen_fcps(shape, seed=11).X, cfg), cfg.p)
+    kept = 0
+    for seed in range(20):
+        labels = mixture.kmeans_labels(B, g, seed, 0)
+        part = Partition(assignments=labels, g=g)
+        params = m_step(B, part, "spherical-tied")
+        equal = replace(params, weights=np.full(g, 1.0 / g))
+        assert np.array_equal(np.argmax(mixture.log_joint(B, equal), axis=1), labels)
+        fitted = np.argmax(mixture.log_joint(B, params), axis=1)
+        if shape == "atom":
+            assert not np.array_equal(fitted, labels), seed
+        kept += np.array_equal(mixture.cem_refine(B, part, params)[0].assignments, labels)
+    assert kept == KMEANS_PARTITIONS_KEPT.get(shape, kept)
+
+
 def test_fit_deterministic():
     rng = np.random.default_rng(17)
     X = rng.standard_normal((30, 4))
@@ -500,7 +533,7 @@ def test_mixture_fits_check_the_model_before_any_work(monkeypatch, fit):
     def no_work(*args, **kwargs):
         raise AssertionError("the model was checked after the work started")
 
-    monkeypatch.setattr(mixture, "kmeans", no_work)
+    monkeypatch.setattr(mixture, "_seed_centers", no_work)
     X = np.random.default_rng(8).standard_normal((40, 3))
     with pytest.raises(SettingError) as err:
         fit(X, 2, model="bogus")
@@ -522,6 +555,35 @@ def test_fits_reject_a_negative_seed_before_any_work(monkeypatch, fit):
     with pytest.raises(SettingError) as err:
         fit(X, -1)
     assert (str(err.value), err.value.setting) == ("seed must be >= 0, got -1", "seed")
+
+
+SETTING_FITS = {
+    "fit_cempca": lambda X, **kw: fit_cempca(X, CempcaConfig(g=2, **kw), seed=0),
+    "kmeans": lambda X, **kw: mixture.kmeans(X, 2, **kw),
+    "em_gmm": lambda X, **kw: mixture.em_gmm(X, 2, **kw),
+    "cem": lambda X, **kw: mixture.cem(X, 2, **kw),
+    "kmeans_pca": lambda X, **kw: kmeans_pca(X, 2, **kw),
+    "reduced_kmeans": lambda X, **kw: reduced_kmeans(X, 2, **kw),
+}
+
+
+@pytest.mark.parametrize("fit, field, value, message", [
+    *((fit, "restarts", 0, "restarts must be >= 1") for fit in SETTING_FITS),
+    *((fit, "max_iter", 0, "max_iter must be >= 1") for fit in SETTING_FITS
+      if fit != "fit_cempca"),  # fit_cempca's max_iter=0 skips the sweeps
+])
+def test_fits_reject_restarts_and_max_iter_before_any_work(monkeypatch, fit, field,
+                                                           value, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{field} was checked after the work started")
+
+    monkeypatch.setattr(core, "knn_graph", no_work)
+    monkeypatch.setattr(core, "thin_svd", no_work)
+    monkeypatch.setattr(mixture, "_seed_centers", no_work)
+    X = np.random.default_rng(9).standard_normal((40, 3))
+    with pytest.raises(SettingError) as err:
+        SETTING_FITS[fit](X, **{field: value})
+    assert (str(err.value), err.value.setting) == (message, field)
 
 
 def test_fit_reads_neighbors_only_when_it_builds_the_graph():

@@ -1,10 +1,12 @@
 import csv
 import json
+import os
 import warnings
 
 import numpy as np
 import pytest
 
+from cempca import cli
 from cempca.cli import main
 from cempca.data import load_csv, standardize
 
@@ -39,6 +41,57 @@ def test_generate_default_sizes(tmp_path):
     out = tmp_path / "hepta.csv"
     run(["generate", "--shape", "hepta", "--seed", 1, "--out", out])
     assert len(out.read_text().strip().split("\n")) == 213
+    out = tmp_path / "chang.csv"
+    run(["generate", "--shape", "chang", "--seed", 1, "--out", out])
+    assert len(out.read_text().strip().split("\n")) == 1001
+
+
+def _assert_cannot_write(capsys, code, path, reason):
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == f"data error: cannot write {path}: {reason}\n"
+
+
+def test_generate_to_a_missing_directory_is_a_data_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "t.csv"
+    code = run(["generate", "--shape", "tetra", "--n", 40, "--out", out])
+    _assert_cannot_write(capsys, code, out, "No such file or directory")
+
+
+@pytest.mark.parametrize("flag", ["--out", "--emit-embedding"])
+def test_fit_output_to_a_missing_directory_is_a_data_error(tmp_path, capsys, flag):
+    data = tmp_path / "d.csv"
+    run(["generate", "--shape", "tetra", "--n", 40, "--seed", 1, "--out", data])
+    capsys.readouterr()
+    out = tmp_path / "missing" / "f.out"
+    code = run(["fit", "kmeans-pca", data, "--g", 4, "--restarts", 1, flag, out])
+    _assert_cannot_write(capsys, code, out, "No such file or directory")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_write_that_fails_after_open_is_a_data_error(tmp_path, capsys):
+    # the error comes from the write, not from open, so it names no file
+    code = run(["generate", "--shape", "tetra", "--n", 40, "--out", "/dev/full"])
+    _assert_cannot_write(capsys, code, "output", "No space left on device")
+
+
+@pytest.mark.parametrize("below, reason", [(False, "File exists"),
+                                           (True, "Not a directory")])
+def test_benchmark_to_an_unwritable_out_dir_fails_before_any_cell(
+        tmp_path, capsys, monkeypatch, below, reason):
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"datasets": [{"shape": "tetra", "n": 40}],
+                                 "methods": [{"method": "kmeans"}]}))
+    out_dir = tmp_path / "afile"
+    out_dir.write_text("")
+    out_dir = out_dir / "sub" if below else out_dir
+
+    def no_cell(*args):
+        raise AssertionError("a cell ran before OUT_DIR was made")
+
+    monkeypatch.setattr(cli, "_result_row", no_cell)
+    code = run(["benchmark", suite, out_dir])
+    _assert_cannot_write(capsys, code, out_dir, reason)
 
 
 def test_fit_kmeans_single_cluster_wcss(tmp_path):

@@ -122,6 +122,14 @@ def test_gen_chang_shape_and_counts():
     assert np.array_equal(np.bincount(ds.labels), [500, 500])
 
 
+def test_gen_chang_defaults_to_its_standard_size():
+    # n=None is the 1000 rows that used to be the default value of n
+    for seed in (0, 5):
+        ds, standard = gen_chang(seed=seed), gen_chang(1000, seed=seed)
+        assert ds.X.tobytes() == standard.X.tobytes()
+        assert ds.labels.tobytes() == standard.labels.tobytes()
+
+
 def test_gen_chang_minimal():
     ds = gen_chang(4, seed=0)
     assert ds.X.shape == (4, 15)

@@ -330,9 +330,18 @@ def test_best_of_restarts_lets_other_errors_through():
     with pytest.raises(InvalidInputError, match="bad argument"):
         best_of_restarts(lambda r: np.array([r]), tail, 3, operator.lt,
                          time.perf_counter())
-    with pytest.raises(InvalidInputError, match="restarts must be >= 1"):
-        best_of_restarts(lambda r: np.array([r]), lambda init: _restart_result(0), 0,
-                         operator.lt, time.perf_counter())
+
+
+@SETTINGS
+@given(seed=seeds, g=st.integers(1, 5), n=st.integers(5, 30), d=st.integers(1, 3),
+       max_iter=st.integers(1, 5))
+def test_kmeans_labels_are_a_one_restart_kmeans(seed, g, n, d, max_iter):
+    # the identity that the starts of em_gmm, cem, reduced_kmeans and
+    # fit_cempca rely on: the helper's restart 0 is kmeans(restarts=1)
+    X = np.random.default_rng(seed).standard_normal((n, d)).round(1)
+    expected = kmeans(X, g, max_iter=max_iter, restarts=1, seed=seed)
+    got = mixture.kmeans_labels(X, g, seed, 0, max_iter)
+    assert np.array_equal(got, expected.partition.assignments)
 
 
 def _repair_reference(assign, score, g):
