@@ -61,9 +61,11 @@ class CempcaConfig:
 
 
 def _embedding_dim(p, n, d):
-    """p, or min(10, d) for None; SettingError unless 1 <= p <= min(n - 1, d)."""
+    """p, or min(10, d) for None; SettingError unless p is an integer in
+    [1, min(n - 1, d)]."""
     if p is None:
         p = min(10, d)
+    mixture._check_ints(p=p)
     if not 1 <= p <= min(n - 1, d):
         raise SettingError("p", f"must be in [1, {min(n - 1, d)}], got {p}")
     return p
@@ -246,11 +248,14 @@ def fit_cempca(X_raw, cfg, seed=0):
     mixture._check_fit_args(X, cfg.g, cfg.tol, seed, cfg.restarts, model=cfg.model)
     if not (math.isfinite(cfg.delta) and cfg.delta >= 0):
         raise SettingError("delta", f"must be finite and >= 0, got {cfg.delta}")
+    mixture._check_ints(smoothing=cfg.smoothing, max_iter=cfg.max_iter)
     for name in ("smoothing", "max_iter"):
         if getattr(cfg, name) < 0:
             raise SettingError(name, "must be >= 0")
-    if cfg.smoothing > 0 and not 1 <= cfg.neighbors <= n - 1:
-        raise SettingError("neighbors", f"must be in [1, {n - 1}], got {cfg.neighbors}")
+    if cfg.smoothing > 0:
+        mixture._check_ints(neighbors=cfg.neighbors)
+        if not 1 <= cfg.neighbors <= n - 1:
+            raise SettingError("neighbors", f"must be in [1, {n - 1}], got {cfg.neighbors}")
     _embedding_dim(cfg.p, *X.shape)
     t0 = time.perf_counter()
     X = prepare_features(X, cfg)

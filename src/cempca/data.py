@@ -5,8 +5,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.spatial import cKDTree
 
 from .errors import DataError, InvalidInputError, ParseError
 
@@ -297,12 +295,11 @@ def gen_fcps(shape, n=None, seed=0):
 
 def knn_graph(X, k):
     """Directed k-nearest-neighbor graph with Gaussian kernel weights, as
-    the n x n CSR weight matrix W that smooth takes.
+    the (n, k) arrays (idx, w) that smooth takes, each row in index order.
 
-    W[i, j] = exp(-||x_i - x_j||^2) for the k nearest neighbors j of i,
-    zero elsewhere and on the diagonal; each row is then scaled to sum to
-    one. A row-constant kernel shift keeps exp in range and cancels in the
-    normalization.
+    w[i, j] = exp(-||x_i - x_idx[i, j]||^2) over the k nearest neighbors of
+    i, scaled to sum to one across the row. A row-constant kernel shift
+    keeps exp in range and cancels in the normalization.
 
     Neighbors are the first k points j != i by (distance, index), so ties
     go to the lowest index. They come from one k-d tree over each distinct
@@ -312,12 +309,12 @@ def knn_graph(X, k):
     takes its point's list without itself, or the first k of it when it is
     not in the list. Time is O(n log n) for low-dimensional X and memory is
     O(n k), however many copies a point has; no n x n array is formed.
-    Non-finite X is rejected.
+    Non-finite X and a k that is not an integer are rejected.
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
-    if not 1 <= k <= n - 1:
-        raise InvalidInputError(f"k must be in [1, {n - 1}], got {k}")
+    if not isinstance(k, (int, np.integer)) or not 1 <= k <= n - 1:
+        raise InvalidInputError(f"k must be an integer in [1, {n - 1}], got {k!r}")
     if not np.all(np.isfinite(X)):
         raise InvalidInputError("X contains non-finite entries")
     uniq, group, size = np.unique(X + 0.0, axis=0, return_inverse=True,
@@ -333,8 +330,8 @@ def knn_graph(X, k):
     d2 = dist * dist
     w = np.exp(-(d2 - d2.min(axis=1, keepdims=True)))
     w /= w.sum(axis=1, keepdims=True)
-    rows = np.repeat(np.arange(n), k)
-    return sp.csr_matrix((w.ravel(), (rows, idx.ravel())), shape=(n, n))
+    order = np.argsort(idx, axis=1)
+    return np.take_along_axis(idx, order, axis=1), np.take_along_axis(w, order, axis=1)
 
 
 def _group_neighbors(uniq, group, size, k):
@@ -348,6 +345,7 @@ def _group_neighbors(uniq, group, size, k):
     every row was returned; the rest ask again for twice as many. Returns
     the (m, k + 1) row indices and their distances.
     """
+    from scipy.spatial import cKDTree   # imported here: most fits build no graph
     m = uniq.shape[0]
     # each row's rank among its point's rows, taken in index order
     members = np.argsort(group, kind="stable")
@@ -369,16 +367,17 @@ def _group_neighbors(uniq, group, size, k):
     return near, near_d
 
 
-def smooth(X, W, m):
-    """Neighborhood averaging with the knn_graph weights W applied m times:
-    returns W^m X."""
+def smooth(X, graph, m):
+    """Neighborhood averaging with the knn_graph arrays (idx, w) applied m
+    times: returns W^m X, each row's k terms summed from zero in ascending
+    neighbor order, as a sparse row-times-matrix product sums them."""
     X = np.asarray(X, dtype=float)
-    m = int(m)
-    if m < 0:
-        raise InvalidInputError("smoothing power must be >= 0")
-    if W.shape[0] != X.shape[0]:
-        raise InvalidInputError(f"graph has {W.shape[0]} rows but X has {X.shape[0]}")
+    if not isinstance(m, (int, np.integer)) or m < 0:
+        raise InvalidInputError(f"smoothing power must be an integer >= 0, got {m!r}")
+    idx, w = graph
+    if idx.shape[0] != X.shape[0]:
+        raise InvalidInputError(f"graph has {idx.shape[0]} rows but X has {X.shape[0]}")
     out = X.copy()
     for _ in range(m):
-        out = W @ out
+        out = sum(w[:, j, None] * out[idx[:, j]] for j in range(idx.shape[1]))
     return out

@@ -1,7 +1,6 @@
 """External clustering agreement: matched accuracy, NMI, and ARI."""
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import InvalidInputError
 from .mixture import Partition
@@ -35,6 +34,7 @@ def accuracy(truth, pred):
     Partitions with unequal cluster counts are matched on the rectangular
     table: the surplus clusters of either side match nothing.
     """
+    from scipy.optimize import linear_sum_assignment   # imported on first use
     counts = contingency(truth, pred)
     if counts.sum() == 0:
         raise InvalidInputError("accuracy needs at least 1 row")

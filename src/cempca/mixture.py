@@ -515,7 +515,9 @@ def _check_fit_args(X, g, tol, seed, restarts, max_iter=None, model=None):
     hold, so the fit would run to max_iter without a word. A bad seed,
     restarts or max_iter would surface only at the first start, after the
     graph and the SVD. fit_cempca, whose max_iter may be 0, checks its own.
+    A count that is not an integer (numpy's pass) is a SettingError too.
     """
+    _check_ints(g=g, seed=seed, restarts=restarts, max_iter=max_iter)
     if g < 1:
         raise SettingError("g", "must be >= 1")
     if X.shape[0] < g:
@@ -532,6 +534,13 @@ def _check_fit_args(X, g, tol, seed, restarts, max_iter=None, model=None):
         raise SettingError("max_iter", "must be >= 1")
     if model is not None:
         _check_model(model)
+
+
+def _check_ints(**settings):
+    """SettingError naming the first setting that is neither None nor an integer."""
+    for name, value in settings.items():
+        if value is not None and not isinstance(value, (int, np.integer)):
+            raise SettingError(name, f"must be an integer, got {value!r}")
 
 
 def _check_model(model):

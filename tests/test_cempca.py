@@ -363,7 +363,9 @@ def test_fit_deterministic():
     X = rng.standard_normal((30, 4))
     cfg = CempcaConfig(g=2, p=2, restarts=3, smoothing=0)
     a = fit_cempca(X, cfg, seed=9)
-    b = fit_cempca(X, cfg, seed=9)
+    # numpy integers are counts too
+    b = fit_cempca(X, CempcaConfig(g=np.int64(2), p=np.int32(2), restarts=np.int64(3),
+                                   smoothing=np.int64(0)), seed=np.uint8(9))
     assert np.array_equal(a.partition.assignments, b.partition.assignments)
     assert a.objective_trace == b.objective_trace
     assert np.array_equal(a.bundle.B, b.bundle.B)
@@ -516,6 +518,8 @@ def test_fit_checks_each_setting_by_name_before_any_work(monkeypatch, field, val
                       "'spherical-tied'), got 'diag'"),
     ("restarts", 0, "restarts must be >= 1"),
     ("p", 50, "p must be in [1, 3], got 50"),
+    ("neighbors", 2.5, "neighbors must be an integer, got 2.5"),
+    ("smoothing", 1.5, "smoothing must be an integer, got 1.5"),
 ])
 def test_fit_checks_each_setting_before_the_graph(monkeypatch, field, value, message):
     def no_graph(*args):
@@ -558,12 +562,13 @@ def test_fits_reject_a_negative_seed_before_any_work(monkeypatch, fit):
 
 
 SETTING_FITS = {
-    "fit_cempca": lambda X, **kw: fit_cempca(X, CempcaConfig(g=2, **kw), seed=0),
-    "kmeans": lambda X, **kw: mixture.kmeans(X, 2, **kw),
-    "em_gmm": lambda X, **kw: mixture.em_gmm(X, 2, **kw),
-    "cem": lambda X, **kw: mixture.cem(X, 2, **kw),
-    "kmeans_pca": lambda X, **kw: kmeans_pca(X, 2, **kw),
-    "reduced_kmeans": lambda X, **kw: reduced_kmeans(X, 2, **kw),
+    "fit_cempca": lambda X, g=2, seed=0, **kw: fit_cempca(X, CempcaConfig(g=g, **kw),
+                                                          seed=seed),
+    "kmeans": lambda X, g=2, **kw: mixture.kmeans(X, g, **kw),
+    "em_gmm": lambda X, g=2, **kw: mixture.em_gmm(X, g, **kw),
+    "cem": lambda X, g=2, **kw: mixture.cem(X, g, **kw),
+    "kmeans_pca": lambda X, g=2, **kw: kmeans_pca(X, g, **kw),
+    "reduced_kmeans": lambda X, g=2, **kw: reduced_kmeans(X, g, **kw),
 }
 
 
@@ -571,6 +576,13 @@ SETTING_FITS = {
     *((fit, "restarts", 0, "restarts must be >= 1") for fit in SETTING_FITS),
     *((fit, "max_iter", 0, "max_iter must be >= 1") for fit in SETTING_FITS
       if fit != "fit_cempca"),  # fit_cempca's max_iter=0 skips the sweeps
+    # a count that is not an integer, numpy's float included
+    *((fit, field, value, f"{field} must be an integer, got {value!r}")
+      for fit in SETTING_FITS
+      for field, value in (("restarts", 2.5), ("max_iter", 2.5), ("g", 2.5),
+                           ("seed", 2.5), ("seed", np.float64(2.0)))),
+    *((fit, "p", 2.5, "p must be an integer, got 2.5")
+      for fit in ("fit_cempca", "kmeans_pca", "reduced_kmeans")),
 ])
 def test_fits_reject_restarts_and_max_iter_before_any_work(monkeypatch, fit, field,
                                                            value, message):

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
 from cempca.data import (FCPS_CLASS_COUNTS, LabeledDataset, gen_chang,
@@ -215,41 +216,38 @@ def test_generators_reject_negative_seed(make):
 
 def test_knn_graph_collinear_points():
     X = np.array([[0.0], [1.0], [10.0]])
-    W = knn_graph(X, 1).toarray()
-    assert W[0, 1] == 1.0 and W[1, 0] == 1.0 and W[2, 1] == 1.0
-    assert np.allclose(W.sum(axis=1), 1.0, atol=1e-12)
-    assert np.allclose(np.diag(W), 0.0)
+    idx, w = knn_graph(X, 1)
+    assert idx.tolist() == [[1], [0], [1]]
+    assert w.tolist() == [[1.0], [1.0], [1.0]]
 
 
 def test_knn_graph_duplicate_points():
-    W = knn_graph(np.array([[1.0, 2.0], [1.0, 2.0]]), 1).toarray()
-    assert W[0, 1] == 1.0 and W[1, 0] == 1.0
+    idx, w = knn_graph(np.array([[1.0, 2.0], [1.0, 2.0]]), 1)
+    assert idx.tolist() == [[1], [0]] and w.tolist() == [[1.0], [1.0]]
 
 
 def test_knn_graph_brute_force_oracle():
     rng = np.random.default_rng(8)
     X = rng.standard_normal((30, 2))
     k = 5
-    W = knn_graph(X, k)
+    idx, _ = knn_graph(X, k)
     for i in range(30):
-        found = set(W.indices[W.indptr[i]:W.indptr[i + 1]])
         dists = sorted((np.sum((X[i] - X[j]) ** 2), j) for j in range(30) if j != i)
-        expected = {j for _, j in dists[:k]}
-        assert found == expected
+        assert list(idx[i]) == sorted(j for _, j in dists[:k])
 
 
 def test_knn_graph_rows_sum_to_one():
     rng = np.random.default_rng(9)
     X = rng.standard_normal((25, 3))
     for k in (1, 4, 24):
-        W = knn_graph(X, k)
-        assert np.allclose(np.asarray(W.sum(axis=1)).ravel(), 1.0, atol=1e-12)
-        assert W.nnz == 25 * k
+        idx, w = knn_graph(X, k)
+        assert np.allclose(w.sum(axis=1), 1.0, atol=1e-12)
+        assert idx.shape == w.shape == (25, k)
 
 
 def test_knn_graph_k_out_of_range():
     X = np.zeros((4, 2))
-    for k in (0, 4):
+    for k in (0, 4, 2.5, 2.0):
         with pytest.raises(InvalidInputError):
             knn_graph(X, k)
 
@@ -263,11 +261,10 @@ def _knn_oracle(X, k):
 
 
 def _assert_matches_oracle(X, k):
-    W = knn_graph(X, k)
+    idx, w = knn_graph(X, k)
     for i, expected in enumerate(_knn_oracle(X, k)):
-        found = W.indices[W.indptr[i]:W.indptr[i + 1]]
-        assert set(found) == set(expected)
-    assert np.allclose(np.asarray(W.sum(axis=1)).ravel(), 1.0, atol=1e-12)
+        assert list(idx[i]) == sorted(expected)
+    assert np.allclose(w.sum(axis=1), 1.0, atol=1e-12)
 
 
 @st.composite
@@ -288,10 +285,8 @@ def test_knn_graph_more_copies_than_candidates():
     # nine copies of one point: the tree holds only its k + 1 = 3
     # lowest-index copies
     X = np.vstack([np.zeros((9, 2)), [[5.0, 5.0]]])
-    W = knn_graph(X, 2)
-    assert set(W.indices[W.indptr[0]:W.indptr[1]]) == {1, 2}
-    assert set(W.indices[W.indptr[5]:W.indptr[6]]) == {0, 1}
-    assert set(W.indices[W.indptr[9]:W.indptr[10]]) == {0, 1}
+    idx, _ = knn_graph(X, 2)
+    assert idx[[0, 5, 9]].tolist() == [[1, 2], [0, 1], [0, 1]]
     _assert_matches_oracle(X, 2)
 
 
@@ -322,12 +317,11 @@ def test_knn_graph_many_copies_of_one_point():
     X = np.vstack([np.zeros((3000, 3)), rng.standard_normal((3000, 3))])
     tracemalloc.start()
     try:
-        W = knn_graph(X, 15)
+        found, _ = knn_graph(X, 15)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 50 * 2**20
-    found = np.sort(W.indices.reshape(-1, 15), axis=1)
     for start in range(0, len(X), 250):
         # brute force: a stable sort by squared distance breaks ties by index
         d2 = ((X[start:start + 250, None, :] - X[None, :, :]) ** 2).sum(axis=2)
@@ -345,7 +339,7 @@ def test_knn_graph_tie_with_a_copy_group_matches_oracle():
     U = rng.standard_normal((200, 50))
     U /= np.linalg.norm(U, axis=1, keepdims=True)
     X = np.vstack([2.0 * U[:1], np.zeros((300, 50)), U])
-    found = np.sort(knn_graph(X, 15).indices.reshape(-1, 15), axis=1)
+    found, _ = knn_graph(X, 15)
     d2 = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
     np.fill_diagonal(d2, np.inf)
     # a stable sort by squared distance breaks ties by index
@@ -400,12 +394,11 @@ def test_knn_graph_tie_with_two_copy_groups():
     X = _two_copy_groups(1500, 1000)
     tracemalloc.start()
     try:
-        W = knn_graph(X, 15)
+        found, _ = knn_graph(X, 15)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 50 * 2**20
-    found = np.sort(W.indices.reshape(-1, 15), axis=1)
     # brute force from rows 0, 1 and 3000 on: a copy's distances are its group's
     distinct = np.r_[0, 1, 3000:4000]
     d2 = np.vstack([((X[distinct[s:s + 20], None, :] - X[None, :, :]) ** 2).sum(axis=2)
@@ -443,8 +436,26 @@ def test_smooth_composition_oracle():
     assert smooth(X, graph, 3).shape == X.shape
 
 
+@pytest.mark.parametrize("shape, n, m", [("atom", None, 2), ("hepta", None, 2),
+                                         ("lsun3d", None, 3), ("chainlink", 2000, 2)])
+def test_smooth_matches_the_sparse_product_bit_for_bit(shape, n, m):
+    # scipy's CSR product sums each row's terms from zero in ascending
+    # column order, as smooth does
+    X = standardize(gen_fcps(shape, n, seed=11).X)
+    idx, w = graph = knn_graph(X, 15)
+    rows = np.repeat(np.arange(len(X)), 15)
+    W = scipy.sparse.csr_matrix((w.ravel(), (rows, idx.ravel())), shape=(len(X), len(X)))
+    expected = X
+    for _ in range(m):
+        expected = W @ expected
+    assert smooth(X, graph, m).tobytes() == expected.tobytes()
+
+
 def test_smooth_dimension_mismatch():
     X = np.zeros((5, 2))
     graph = knn_graph(X + np.arange(5)[:, None], 2)
     with pytest.raises(InvalidInputError):
         smooth(np.zeros((4, 2)), graph, 1)
+    for m in (-1, 1.5):
+        with pytest.raises(InvalidInputError, match="smoothing power"):
+            smooth(X, graph, m)

@@ -1,4 +1,6 @@
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -143,10 +145,16 @@ def test_no_module_imports_scipy_linalg():
     # calls both numpy's and scipy's LAPACK hands every iteration from one
     # pool to the other, about 10 ms a switch on 2 vCPUs. scipy.special's
     # logsumexp reduces a score matrix that mixture._posterior has already
-    # reduced, and took a third of em_gmm's time.
+    # reduced, and took a third of em_gmm's time. The neighbor graph is an
+    # (n, k) table that needs no scipy.sparse. Any other scipy import is made
+    # inside the function that uses it, so that `import cempca` costs no scipy.
     offenders = []
     for path in sorted(Path(cempca.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        tree = ast.parse(path.read_text(), str(path))
+        in_function = {id(node) for fn in ast.walk(tree)
+                       if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                       for node in ast.walk(fn)}
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
@@ -154,9 +162,21 @@ def test_no_module_imports_scipy_linalg():
             else:
                 continue
             offenders += [f"{path.name}:{node.lineno} imports {name}" for name in names
-                          if name.split(".")[:2] in (["scipy", "linalg"], ["scipy", "special"])]
+                          if name.split(".")[0] == "scipy" and (
+                              id(node) not in in_function
+                              or name.split(".")[1:2] in (["linalg"], ["special"], ["sparse"]))]
     assert not offenders, (
         "use numpy.linalg: scipy.linalg runs on a second OpenBLAS thread pool, and "
         "switching pools costs about 10 ms per call on 2 vCPUs; use mixture._posterior "
         "for log-sum-exp: scipy.special.logsumexp reduces each score matrix a second "
-        "time; " + "; ".join(offenders))
+        "time; keep the neighbor graph a table, not scipy.sparse; import any other "
+        "scipy name inside the function that uses it; " + "; ".join(offenders))
+
+
+def test_import_loads_no_scipy():
+    # scipy costs about 0.6 s of import time on top of numpy's 0.2 s
+    code = (f"import sys; sys.path.insert(0, {str(Path(cempca.__file__).parents[1])!r}); "
+            "import cempca; print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out == "[]\n"
