@@ -7,6 +7,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DataError, InvalidInputError, ParseError
+from .mixture import _check_ints
 
 FCPS_SHAPES = ("atom", "chainlink", "hepta", "lsun3d", "tetra")
 FCPS_CLASS_COUNTS = {"atom": 2, "chainlink": 2, "hepta": 7, "lsun3d": 4, "tetra": 4}
@@ -188,7 +189,9 @@ def _chang_covariance():
 
 
 def _generator_rng(name, seed):
-    if int(seed) < 0:
+    # a float seed would be truncated to another seed's stream
+    _check_ints(seed=seed)
+    if seed < 0:
         raise InvalidInputError(f"seed must be >= 0, got {seed}")
     return np.random.default_rng(np.random.SeedSequence((_GEN_TAGS[name], int(seed))))
 
@@ -203,6 +206,7 @@ def gen_chang(n=None, seed=0):
     classes while the leading-component plane does not.
     """
     n = 1000 if n is None else n
+    _check_ints(n=n)
     if n % 2 != 0 or n < 4:
         raise InvalidInputError("n must be even and >= 4")
     cov, v, lam_v = _chang_covariance()
@@ -284,6 +288,7 @@ def gen_fcps(shape, n=None, seed=0):
     g = FCPS_CLASS_COUNTS[shape]
     if n is None:
         n = FCPS_DEFAULT_SIZES[shape]
+    _check_ints(n=n)
     if n < 10 * g:
         raise InvalidInputError(f"{shape} needs n >= {10 * g}, got {n}")
     counts = _split_counts(n, g)

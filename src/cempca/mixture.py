@@ -102,7 +102,8 @@ class FitResult:
 def derive_seed(seed, *key):
     """Counter-based seed for `key`: a restart index, or a suite cell's
     dataset and method indices. It is stable as the counts grow."""
-    if int(seed) < 0:
+    _check_ints(seed=seed)
+    if seed < 0:
         raise InvalidInputError(f"seed must be >= 0, got {seed}")
     return np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(map(int, key)))
 
@@ -164,26 +165,53 @@ def _converged(prev, cur, tol):
     return abs(cur - prev) <= tol * (1.0 + abs(prev))
 
 
-def _component_log_joint(X, params, k):
-    """log pi_k + log phi_k(x_i) for every row of X, from the cached factors.
+def _feature_major(X):
+    """(p, n) contiguous copy of the rows of X. The kernels work on it, so
+    each numpy call sweeps n contiguous values rather than n rows of p."""
+    return np.ascontiguousarray(np.asarray(X, dtype=float).T)
+
+
+def _first_best(scores, better):
+    """(index, value) of the best of the g rows of a (g, n) score array, per
+    column: better is np.less for the minimum, np.greater for the maximum.
+    The comparison is strict, so a tie goes to the lowest index, as with
+    np.argmin and np.argmax."""
+    best = scores[0].copy()
+    index = np.zeros(scores.shape[1], dtype=np.intp)
+    won = np.empty(scores.shape[1], dtype=bool)
+    for k in range(1, scores.shape[0]):
+        better(scores[k], best, out=won)
+        index[won] = k
+        np.copyto(best, scores[k], where=won)
+    return index, best
+
+
+def _component_log_joint(XT, params, k):
+    """log pi_k + log phi_k(x_i) for every column x_i of the feature-major
+    (p, n) data XT, from the cached factors.
 
     A row far outside a near-singular component overflows to a -inf score
     (zero density) rather than warning; e_step reports such rows.
     """
     log_w, inv_chol, logdet = params._factors
     with np.errstate(over="ignore"):
-        sol = (X - params.means[k]) @ inv_chol[k].T
-        maha = np.einsum("ij,ij->i", sol, sol)
+        sol = inv_chol[k] @ (XT - params.means[k][:, None])
+        sol *= sol
+        maha = sol.sum(axis=0)
     return log_w[k] - 0.5 * (params.p * _LOG_2PI + logdet[k] + maha)
 
 
 def log_joint(X, params):
-    """Matrix of log pi_k + log phi_k(x_i), one column per component."""
-    X = np.asarray(X, dtype=float)
-    lp = np.empty((X.shape[0], params.g))
+    """Matrix of log pi_k + log phi_k(x_i), one column per component.
+
+    The (n, g) matrix is column-contiguous: it is the transpose of the
+    (g, n) array the components fill, one contiguous row each.
+    """
+    XT = _feature_major(X)
+    lp = np.empty((params.g, XT.shape[1]))
     for k in range(params.g):
-        lp[:, k] = _component_log_joint(X, params, k)
-    return lp
+        lp[k] = _component_log_joint(XT, params, k)
+    return lp.T
 
 
 def e_step(X, params):
@@ -222,9 +250,10 @@ def m_step(X, weights, model="full"):
     """Parameter update from soft responsibilities or a hard Partition.
 
     weights is an (n, g) responsibility matrix or a Partition. A Partition
-    is read as its labels: each cluster's rows are gathered once, so no
-    n x g one-hot matrix is formed, and the result equals the one-hot
-    matrix's up to rounding. An empty cluster raises EmptyClusterError.
+    is read as its labels: each cluster's rows are gathered once, as columns
+    of a feature-major copy of X, so no n x g one-hot matrix is formed, and
+    the result equals the one-hot matrix's up to rounding. An empty cluster
+    raises EmptyClusterError.
 
     Covariances are the weighted scatter divided by the column weight sum,
     ridge-regularized with eps * (trace / p) * I (eps = 1e-6), then
@@ -234,9 +263,9 @@ def m_step(X, weights, model="full"):
     would otherwise shrink its covariance below floating-point resolution
     and poison every later Mahalanobis term.
     """
-    X = np.asarray(X, dtype=float)
+    XT = _feature_major(X)
     _check_model(model)
-    n, p = X.shape
+    p, n = XT.shape
     hard = isinstance(weights, Partition)
     if hard:
         g = weights.g
@@ -251,19 +280,19 @@ def m_step(X, weights, model="full"):
     pi = totals / n
     # The mean feature variance as one centred sum of squares: np.var's
     # per-column reductions cost more than the rest of a hard m_step.
-    centred = X - np.ones(n) @ X / n
+    centred = XT - (XT @ np.ones(n) / n)[:, None]
     floor = max(1e-3 * float(np.vdot(centred, centred)) / (n * p), 1e-12)
-    means = np.empty((g, p)) if hard else (W.T @ X) / totals[:, None]
+    means = np.empty((g, p)) if hard else (XT @ W).T / totals[:, None]
     covs = np.empty((g, p, p))
     for k in range(g):
         if hard:
-            rows = X.take(np.flatnonzero(weights.assignments == k), axis=0)
-            means[k] = np.ones(rows.shape[0]) @ rows / totals[k]
-            diff = rows - means[k]
-            cov = diff.T @ diff / totals[k]
+            cols = XT.take(np.flatnonzero(weights.assignments == k), axis=1)
+            means[k] = cols @ np.ones(cols.shape[1]) / totals[k]
+            diff = cols - means[k][:, None]
+            cov = diff @ diff.T / totals[k]
         else:
-            diff = X - means[k]
-            cov = (diff * W[:, k:k + 1]).T @ diff / totals[k]
+            diff = XT - means[k][:, None]
+            cov = (diff * W[:, k]) @ diff.T / totals[k]
         cov = 0.5 * (cov + cov.T)
         t = max(float(np.trace(cov)) / p, floor)
         covs[k] = cov + _COV_EPS * t * np.eye(p)
@@ -284,12 +313,12 @@ def complete_log_likelihood(X, partition, params):
 
     Each row is scored only under its own cluster.
     """
-    X = np.asarray(X, dtype=float)
+    XT = _feature_major(X)
     assign = partition.assignments
-    own = np.empty(X.shape[0])
+    own = np.empty(XT.shape[1])
     for k in range(params.g):
         rows = assign == k
-        own[rows] = _component_log_joint(X[rows], params, k)
+        own[rows] = _component_log_joint(XT[:, rows], params, k)
     # Summing in row order keeps the value independent of the cluster
     # labels, so restarts that reach one partition under different labels
     # tie exactly and the lowest restart index wins.
@@ -337,42 +366,53 @@ def random_partition(n, g, rng):
 def lloyd(X, centers, max_iter=100, tol=1e-6):
     """Lloyd rounds from the given centers until assignments stabilize.
 
-    Returns (assignments, centers, wcss_trace, iterations). _repair_empty
-    refills an empty cluster, farthest point from its center first, and the
-    cluster is centered on that point, so the objective cannot increase.
+    Returns (assignments, centers, wcss_trace, iterations), centers (g, p).
+    _repair_empty refills an empty cluster, farthest point from its center
+    first, and the cluster is centered on that point, so the objective
+    cannot increase. The rounds work on the (p, n) feature-major copy of X:
+    a squared distance sums its p terms in feature order, and a tie between
+    centers goes to the lowest index.
     """
     if max_iter < 1:
         raise SettingError("max_iter", "must be >= 1")
-    X = np.asarray(X, dtype=float)
+    XT = _feature_major(X)
     centers = np.array(centers, dtype=float)
     g = centers.shape[0]
     # _repair_empty can refill at most one cluster per row
-    if g > X.shape[0]:
-        raise InvalidInputError(f"need at least {g} rows for {g} centers, got {X.shape[0]}")
+    if g > XT.shape[1]:
+        raise InvalidInputError(f"need at least {g} rows for {g} centers, got {XT.shape[1]}")
     trace = []
     prev_assign = None
     for _ in range(max_iter):
-        d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        assign = np.argmin(d2, axis=1)
-        for k, i in _repair_empty(assign, lambda: -d2.min(axis=1), g):
-            centers[k] = X[i]
-        wcss = float(((X - centers[assign]) ** 2).sum())
-        trace.append(wcss)
-        centers = _centroids(X, assign, g)
+        D = XT[None] - centers[:, :, None]
+        D *= D
+        assign, nearest = _first_best(D.sum(axis=1), np.less)
+        for k, i in _repair_empty(assign, lambda: -nearest, g):
+            centers[k] = XT[:, i]
+        trace.append(_wcss(XT, centers, assign))
+        centers = _centroids(XT.T, assign, g)
         if prev_assign is not None and np.array_equal(assign, prev_assign):
             break
         if len(trace) >= 2 and _converged(trace[-2], trace[-1], tol):
             break
         prev_assign = assign
-    wcss = float(((X - centers[assign]) ** 2).sum())
-    trace.append(wcss)
+    trace.append(_wcss(XT, centers, assign))
     return assign, centers, trace, len(trace) - 1
 
 
+def _wcss(XT, centers, assign):
+    """Within-cluster sum of squares of the feature-major XT about centers."""
+    resid = XT - centers.T.take(assign, axis=1)
+    resid *= resid
+    return float(resid.sum())
+
+
 def _centroids(X, assign, g):
-    """(g, p) matrix of each cluster's mean row; every cluster must be non-empty."""
-    return np.vstack([X.take(np.flatnonzero(assign == k), axis=0).mean(axis=0)
-                      for k in range(g)])
+    """(g, p) matrix of each cluster's mean row; every cluster must be
+    non-empty. It sums one feature at a time, so X may be a transposed
+    view of the feature-major data."""
+    sums = np.stack([np.bincount(assign, weights=col, minlength=g) for col in X.T], axis=1)
+    return sums / np.bincount(assign, minlength=g)[:, None]
 
 
 def kmeans(X, g, max_iter=100, tol=1e-6, restarts=20, seed=0):
@@ -471,7 +511,7 @@ def cem_refine(X, partition, params, max_iter=100, tol=1e-6):
     lp = log_joint(X, params)
     trace = [float(lp[rows, partition.assignments].sum())]
     for _ in range(max_iter):
-        assign = np.argmax(lp, axis=1)
+        assign = _first_best(lp.T, np.greater)[0]
         _repair_empty(assign, lambda: _posterior(lp)[0], partition.g)
         new_part = Partition(assignments=assign, g=partition.g)
         params = m_step(X, new_part, params.model)
@@ -526,7 +566,7 @@ def _check_fit_args(X, g, tol, seed, restarts, max_iter=None, model=None):
         raise InvalidInputError("X contains non-finite entries")
     if not (math.isfinite(tol) and tol >= 0):
         raise SettingError("tol", f"must be finite and >= 0, got {tol}")
-    if int(seed) < 0:
+    if seed < 0:
         raise SettingError("seed", f"must be >= 0, got {seed}")
     if restarts < 1:
         raise SettingError("restarts", "must be >= 1")

@@ -1,7 +1,9 @@
 """Plain references for the library's batched kernels and restart loop.
 
-The kernel references are written on scipy.linalg, which the library itself
-never calls, so a test compares two independent LAPACK paths.
+The density references are written on scipy.linalg, which the library itself
+never calls, so a test compares two independent LAPACK paths. The Lloyd
+reference works row-major, on the (n, p) rows, where the library works on
+one feature-major (p, n) copy.
 """
 
 import time
@@ -9,6 +11,7 @@ import time
 import numpy as np
 import scipy.linalg
 
+from cempca import mixture
 from cempca.errors import NumericalError, SettingError, SingularMatrixError
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -55,3 +58,35 @@ def best_of_restarts(start, tail, restarts, better, t0):
     best.failed_restarts = failed
     best.wall_time = time.perf_counter() - t0
     return best
+
+
+def lloyd(X, centers, max_iter=100, tol=1e-6):
+    """Lloyd rounds on the (n, p) rows: the squared distances are summed per
+    row and np.argmin picks the nearest centre. It takes mixture.lloyd's
+    arguments, refills empty clusters by the same rule, and returns the same
+    (assignments, centers, wcss_trace, iterations)."""
+    X = np.asarray(X, dtype=float)
+    centers = np.array(centers, dtype=float)
+    g = centers.shape[0]
+    trace = []
+    prev_assign = None
+    for _ in range(max_iter):
+        d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        assign = np.argmin(d2, axis=1)
+        for k, i in mixture._repair_empty(assign, lambda: -d2.min(axis=1), g):
+            centers[k] = X[i]
+        trace.append(float(((X - centers[assign]) ** 2).sum()))
+        centers = centroids(X, assign, g)
+        if prev_assign is not None and np.array_equal(assign, prev_assign):
+            break
+        if len(trace) >= 2 and mixture._converged(trace[-2], trace[-1], tol):
+            break
+        prev_assign = assign
+    trace.append(float(((X - centers[assign]) ** 2).sum()))
+    return assign, centers, trace, len(trace) - 1
+
+
+def centroids(X, assign, g):
+    """(g, p) matrix of each cluster's mean row of the (n, p) rows X."""
+    return np.vstack([X.take(np.flatnonzero(assign == k), axis=0).mean(axis=0)
+                      for k in range(g)])

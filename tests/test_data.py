@@ -200,17 +200,25 @@ def test_gen_fcps_nearest_centroid_consistency(shape):
 def test_generators_deterministic_per_seed():
     for make in (lambda s: gen_chang(100, seed=s),
                  lambda s: gen_fcps("atom", 100, seed=s)):
-        a, b, c = make(9), make(9), make(10)
+        a, b, c = make(9), make(np.int64(9)), make(10)
         assert np.array_equal(a.X, b.X)
         assert np.array_equal(a.labels, b.labels)
         assert not np.array_equal(a.X, c.X)
 
 
-@pytest.mark.parametrize("make", [lambda: gen_chang(n=10, seed=-1),
-                                  lambda: gen_fcps("tetra", 40, seed=-2)],
-                         ids=["chang", "fcps"])
-def test_generators_reject_negative_seed(make):
-    with pytest.raises(InvalidInputError, match="seed must be >= 0"):
+@pytest.mark.parametrize("make, message", [
+    (lambda: gen_chang(n=10, seed=-1), "seed must be >= 0"),
+    (lambda: gen_fcps("tetra", 40, seed=-2), "seed must be >= 0"),
+    # a float seed is refused rather than truncated to another seed's data,
+    # and a float size is named rather than failing inside numpy
+    (lambda: gen_chang(seed=0.9), "seed must be an integer, got 0.9"),
+    (lambda: gen_fcps("tetra", seed=2.5), "seed must be an integer, got 2.5"),
+    (lambda: gen_chang(n=100.0), "n must be an integer, got 100.0"),
+    (lambda: gen_fcps("tetra", n=100.5), "n must be an integer, got 100.5"),
+], ids=["chang", "fcps", "chang-float-seed", "fcps-float-seed", "chang-float-n",
+        "fcps-float-n"])
+def test_generators_reject_negative_seed(make, message):
+    with pytest.raises(InvalidInputError, match=message):
         make()
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cempca import mixture
-from cempca.errors import EmptyClusterError, InvalidInputError
+from cempca.errors import EmptyClusterError, InvalidInputError, SettingError
 from cempca.metrics import ari
 from cempca.mixture import (MixtureParams, Partition, c_step, cem, cem_refine,
                             complete_log_likelihood, e_step, em_gmm, kmeans,
@@ -367,6 +367,14 @@ def test_restart_seeds_reject_negative_seed():
         mixture.restart_rng(-1, 0)
     with pytest.raises(InvalidInputError, match="seed must be >= 0"):
         kmeans(np.arange(8.0).reshape(4, 2), 2, seed=-3)
+    # the seeding helpers skip the fits' settings check, so they refuse a
+    # float seed themselves rather than truncate it; numpy integers pass
+    X = np.arange(8.0).reshape(4, 2)
+    for start in (lambda seed: mixture.restart_rng(seed, 0).integers(100, size=4),
+                  lambda seed: mixture.kmeans_labels(X, 2, seed, 0)):
+        with pytest.raises(SettingError, match="seed must be an integer, got 2.5"):
+            start(2.5)
+        assert np.array_equal(start(np.int64(2)), start(2))
 
 
 @pytest.mark.parametrize("seed,max_iter", [(31, 100), (32, 1), (33, 3)])

@@ -1,8 +1,9 @@
 """Property tests for the cached-factor mixture kernel against the
 single-point log_gaussian reference and scipy's triangular solve, for the
-one log-sum-exp reduction against scipy's, for the restart engine and its
-sharing of repeated starts, and for the one empty-cluster repair that Lloyd
-and CEM share."""
+one log-sum-exp reduction against scipy's, for the feature-major Lloyd
+kernel and its tie rule against the row-major reference and numpy's
+argmin/argmax, for the restart engine and its sharing of repeated starts,
+and for the one empty-cluster repair that Lloyd and CEM share."""
 
 import dataclasses
 import operator
@@ -27,7 +28,8 @@ from cempca.mixture import (COV_MODELS, FitResult, MixtureParams,  # noqa: E402
                             Partition, _posterior, _repair_empty,
                             best_of_restarts, cem, complete_log_likelihood,
                             e_step, kmeans, log_joint, m_step)
-from oracles import best_of_restarts as every_restart, log_gaussian  # noqa: E402
+from oracles import best_of_restarts as every_restart  # noqa: E402
+from oracles import centroids, log_gaussian, lloyd as row_major_lloyd  # noqa: E402
 
 LOG_2PI = np.log(2 * np.pi)
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -72,14 +74,14 @@ seeds = st.integers(0, 2**32 - 1)
 
 
 @SETTINGS
-@given(seed=seeds, model=models, g=st.integers(1, 7), p=st.integers(1, 15))
+@given(seed=seeds, model=models, g=st.integers(1, 9), p=st.integers(1, 15))
 def test_log_joint_matches_log_gaussian(seed, model, g, p):
     params, X, _ = _instance(seed, model, g, p)
     _assert_close(log_joint(X, params), _oracle(X, params), p)
 
 
 @SETTINGS
-@given(seed=seeds, model=models, g=st.integers(1, 7), p=st.integers(1, 15))
+@given(seed=seeds, model=models, g=st.integers(1, 9), p=st.integers(1, 15))
 def test_complete_log_likelihood_matches_log_gaussian(seed, model, g, p):
     params, X, rng = _instance(seed, model, g, p)
     assign = rng.integers(0, g, X.shape[0])
@@ -112,7 +114,7 @@ def _assert_rel_close(got, expected):
 
 
 @SETTINGS
-@given(seed=seeds, model=models, g=st.integers(1, 7), p=st.integers(1, 15),
+@given(seed=seeds, model=models, g=st.integers(1, 9), p=st.integers(1, 15),
        shuffle=st.booleans())
 def test_m_step_on_a_partition_matches_one_hot_weights(seed, model, g, p, shuffle):
     X, assign = _rank_deficient_clusters(seed, g, p)
@@ -129,7 +131,7 @@ def test_m_step_on_a_partition_matches_one_hot_weights(seed, model, g, p, shuffl
 
 
 @SETTINGS
-@given(seed=seeds, model=models, g=st.integers(1, 7), p=st.integers(1, 15),
+@given(seed=seeds, model=models, g=st.integers(1, 9), p=st.integers(1, 15),
        data=st.data())
 def test_m_step_reports_the_empty_cluster_in_both_forms(seed, model, g, p, data):
     X, assign = _rank_deficient_clusters(seed, g, p)
@@ -142,7 +144,7 @@ def test_m_step_reports_the_empty_cluster_in_both_forms(seed, model, g, p, data)
 
 
 @SETTINGS
-@given(seed=seeds, g=st.integers(1, 7), p=st.integers(1, 15))
+@given(seed=seeds, g=st.integers(1, 9), p=st.integers(1, 15))
 def test_m_step_ridge_floor_is_the_mean_feature_variance(seed, g, p):
     # a last cluster of coincident rows has zero scatter, so its covariance
     # is the ridge alone: 1e-6 times the floor, times I
@@ -205,7 +207,7 @@ def test_replace_never_scores_with_stale_factors(seed, model, g, p):
 def _score_matrices(draw):
     """Score matrices whose rows tie at the maximum and hold -inf entries,
     with at least one finite entry per row."""
-    n, g = draw(st.integers(1, 6)), draw(st.integers(1, 7))
+    n, g = draw(st.integers(1, 6)), draw(st.integers(1, 9))
     rng = np.random.default_rng(draw(seeds))
     lp = rng.standard_normal((n, g)) * 10.0 ** draw(st.integers(-3, 4)) + draw(
         st.floats(-1e4, 1e4))
@@ -221,14 +223,64 @@ def _score_matrices(draw):
 
 
 @SETTINGS
-@given(lp=_score_matrices())
-def test_posterior_density_matches_scipy_logsumexp(lp):
+@given(lp=_score_matrices(), fortran=st.booleans())
+def test_posterior_density_matches_scipy_logsumexp(lp, fortran):
     # a tolerance, not bitwise equality: older scipy releases sum the
-    # terms in another order
+    # terms in another order; log_joint's matrices are column-contiguous
+    if fortran:
+        lp = np.asfortranarray(lp)
     density, resp = _posterior(lp)
     assert np.allclose(density, scipy.special.logsumexp(lp, axis=1), rtol=1e-12, atol=1e-12)
     assert np.allclose(resp.sum(axis=1), 1.0, rtol=0, atol=1e-12)
     assert np.all(resp[np.isneginf(lp)] == 0.0)
+
+
+@SETTINGS
+@given(lp=_score_matrices())
+def test_first_best_breaks_ties_as_numpy(lp):
+    # lp's rows tie at the maximum and hold repeated -inf entries, so both
+    # directions meet ties; the helper scans the (g, n) transpose
+    for better, reference in ((np.greater, np.argmax), (np.less, np.argmin)):
+        index, value = mixture._first_best(lp.T, better)
+        assert np.array_equal(index, reference(lp, axis=1))
+        assert np.array_equal(value, lp[np.arange(lp.shape[0]), index])
+
+
+@st.composite
+def _lloyd_inputs(draw):
+    """Rows, some repeated, and centres drawn from the rows with replacement,
+    so that coincident centres leave clusters for the repair.
+
+    The rows are normal draws rounded to 10 bits and scaled by a power of
+    two, so every centroid sum is exact in any order: the two kernels' centres
+    agree, and rows that tie about a centre (the two values of a two-value
+    cluster, or copies split across clusters) tie in both. What differs is
+    the order of each distance's p terms.
+    """
+    p, g = draw(st.integers(1, 16)), draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(seeds))
+    X = np.ldexp(np.round(rng.standard_normal((draw(st.integers(1, 40)), p)) * 1024.0),
+                 draw(st.integers(-12, -6)))
+    X = np.vstack([X, X[rng.integers(0, X.shape[0], draw(st.integers(0, 20)))]])
+    X = np.tile(X, (-(-g // X.shape[0]), 1))
+    X = X[rng.permutation(X.shape[0])]
+    return X, X[rng.integers(0, X.shape[0], g)]
+
+
+@SETTINGS
+@given(case=_lloyd_inputs())
+def test_lloyd_matches_the_row_major_reference(case):
+    # the feature-major kernel sums each distance in another order, so the
+    # values agree to rounding and the assignments exactly
+    X, centers = case
+    assign, got_centers, trace, iterations = mixture.lloyd(X, centers)
+    ref_assign, ref_centers, ref_trace, ref_iterations = row_major_lloyd(X, centers)
+    assert np.array_equal(assign, ref_assign)
+    assert iterations == ref_iterations
+    _assert_rel_close(got_centers, ref_centers)
+    _assert_rel_close(np.array(trace), np.array(ref_trace))
+    _assert_rel_close(mixture._centroids(X, assign, centers.shape[0]),
+                      centroids(X, assign, centers.shape[0]))
 
 
 def test_factor_cache_outside_repr_and_fields():
@@ -523,6 +575,16 @@ TETRA = standardize(gen_fcps("tetra", seed=11).X)
 @pytest.mark.parametrize("method", list(SHARED_FITS))
 def test_sharing_starts_changes_no_fit_on_tetra(method, seed):
     _assert_sharing_changes_nothing(lambda: SHARED_FITS[method](TETRA, 4, 10, seed))
+
+
+@pytest.mark.parametrize("model", COV_MODELS)
+def test_cem_refine_returns_the_m_step_of_its_partition(model):
+    # cem_refine's last M-step is the one it returns: bit for bit the
+    # parameters of m_step on the returned partition
+    for seed in range(3):
+        start = Partition(assignments=mixture.kmeans_labels(TETRA, 4, seed, 0), g=4)
+        partition, params, _, _ = mixture.cem_refine(TETRA, start, m_step(TETRA, start, model))
+        _assert_identical(params, m_step(TETRA, partition, model))
 
 
 def _two_blobs(rng):
