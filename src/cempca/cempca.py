@@ -181,12 +181,9 @@ def _seed_partition(B, g, restart, seed):
     return mixture.kmeans_labels(B, g, mixture.child_seed(seed, restart), 0)
 
 
-def _fit_single(X, B, Q, cfg, labels):
-    """One restart from the principal embedding B, its loadings Q and the
-    seeding labels."""
-    part = Partition(assignments=labels, g=cfg.g)
-    params = mixture.m_step(B, part, cfg.model)
-    part, params, _, _ = mixture.cem_refine(B, part, params, tol=cfg.tol)
+def _fit_single(X, B, Q, cfg, part, params):
+    """One restart's joint loop from the principal embedding B, its loadings
+    Q and the partition CEM refined on B, with params its m_step."""
     bundle = EmbeddingBundle(B=B, Q=Q, M=B.copy())
     trace = [objective(X, bundle, part, params, cfg.delta)]
     steps = []
@@ -232,11 +229,17 @@ def fit_cempca(X_raw, cfg, seed=0):
 
     The pipeline standardizes and graph-smooths the input per the config,
     initializes B and Q from the principal embedding, seeds the mixture by
-    a partition that varies per restart, then sweeps the four block updates
-    until the objective stalls or a sweep reaches the fixed point: it keeps
-    the partition and moves B by at most tol relative. step_trace holds the
-    objective after every block update, as ("M" | "cem" | "B" | "Q", value),
-    four per sweep.
+    a partition that varies per restart and refines it by CEM on B, then
+    sweeps the four block updates until the objective stalls or a sweep
+    reaches the fixed point: it keeps the partition and moves B by at most
+    tol relative. step_trace holds the objective after every block update,
+    as ("M" | "cem" | "B" | "Q", value), four per sweep.
+    A restart's start is its refined partition: the loop after it depends
+    on nothing else, since cem_refine returns the m_step of the partition it
+    returns. So the loop runs once per distinct refined partition, and a
+    per-fit map from each distinct seeding partition to its refined labels
+    keeps a repeated one from being refined again. The kept result is the
+    one every restart run in full would give.
     Restarts that hit a degenerate update are skipped and listed in
     failed_restarts; the fit fails only if every restart does. A setting
     out of range raises SettingError, naming it, before any work.
@@ -263,7 +266,19 @@ def fit_cempca(X_raw, cfg, seed=0):
     # every restart starts from the same pair.
     B, _ = pca_embed(X, cfg.p)
     Q = update_Q(X, B)
-    return mixture.best_of_restarts(
-        lambda r: _seed_partition(B, cfg.g, r, seed),
-        lambda labels: _fit_single(X, B, Q, cfg, labels),
-        cfg.restarts, operator.lt, t0)
+    refined = {}
+
+    def start(r):
+        labels = _seed_partition(B, cfg.g, r, seed)
+        key = labels.tobytes()
+        if key not in refined:
+            part = Partition(assignments=labels, g=cfg.g)
+            refined[key] = mixture.cem_refine(
+                B, part, mixture.m_step(B, part, cfg.model), tol=cfg.tol)[0].assignments
+        return refined[key]
+
+    def tail(labels):
+        part = Partition(assignments=labels, g=cfg.g)
+        return _fit_single(X, B, Q, cfg, part, mixture.m_step(B, part, cfg.model))
+
+    return mixture.best_of_restarts(start, tail, cfg.restarts, operator.lt, t0)

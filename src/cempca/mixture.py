@@ -81,6 +81,8 @@ class FitResult:
     wall_time (seconds for the whole fit) and failed_restarts (the restarts
     that raised, as (restart index, "ErrorType: message")). A restart that
     repeats an earlier successful start is skipped and appears nowhere.
+    fit_cempca's start is the partition CEM refines from the seeding
+    labels, so a restart whose refined partition repeats is skipped too.
     """
 
     partition: Partition
@@ -172,18 +174,22 @@ def _feature_major(X):
 
 
 def _first_best(scores, better):
-    """(index, value) of the best of the g rows of a (g, n) score array, per
-    column: better is np.less for the minimum, np.greater for the maximum.
-    The comparison is strict, so a tie goes to the lowest index, as with
+    """Index of the best of the g rows of a (g, n) score array, per column:
+    better is np.less for the minimum, np.greater for the maximum. The
+    comparison is strict, so a tie goes to the lowest index, as with
     np.argmin and np.argmax."""
-    best = scores[0].copy()
-    index = np.zeros(scores.shape[1], dtype=np.intp)
-    won = np.empty(scores.shape[1], dtype=bool)
-    for k in range(1, scores.shape[0]):
-        better(scores[k], best, out=won)
-        index[won] = k
-        np.copyto(best, scores[k], where=won)
-    return index, best
+    if scores.shape[0] == 1:
+        return np.zeros(scores.shape[1], dtype=np.intp)
+    won = better(scores[1], scores[0])
+    index = won.astype(np.intp)
+    best = scores[0]
+    # the running best is formed only when a third component is compared;
+    # np.where costs less than a masked write at a random half of n
+    for k in range(2, scores.shape[0]):
+        best = np.where(won, scores[k - 1], best)
+        won = better(scores[k], best)
+        index = np.where(won, k, index)
+    return index
 
 
 def _component_log_joint(XT, params, k):
@@ -386,8 +392,9 @@ def lloyd(X, centers, max_iter=100, tol=1e-6):
     for _ in range(max_iter):
         D = XT[None] - centers[:, :, None]
         D *= D
-        assign, nearest = _first_best(D.sum(axis=1), np.less)
-        for k, i in _repair_empty(assign, lambda: -nearest, g):
+        dist = D.sum(axis=1)
+        assign = _first_best(dist, np.less)
+        for k, i in _repair_empty(assign, lambda: -dist[assign, np.arange(len(assign))], g):
             centers[k] = XT[:, i]
         trace.append(_wcss(XT, centers, assign))
         centers = _centroids(XT.T, assign, g)
@@ -504,19 +511,25 @@ def cem_refine(X, partition, params, max_iter=100, tol=1e-6):
     Returns (partition, params, complete-log-likelihood trace, iterations).
     The trace is non-decreasing up to the covariance regularization slack.
     """
-    X = np.asarray(X, dtype=float)
-    rows = np.arange(X.shape[0])
+    # One feature-major copy for the whole refinement: log_joint and m_step
+    # get its transposed view, and their own _feature_major copies nothing.
+    XT = _feature_major(X)
+    X = XT.T
+    n = XT.shape[1]
+    rows = np.arange(n)
     # One score matrix per parameter set: it gives the trace entry for the
-    # partition it was fitted to and the C-step of the next iteration.
+    # partition it was fitted to and the C-step of the next iteration. Its
+    # (g, n) transpose is contiguous, so a row's own score is read from the
+    # flat array at assign * n + row.
     lp = log_joint(X, params)
-    trace = [float(lp[rows, partition.assignments].sum())]
+    trace = [float(lp.T.ravel().take(np.asarray(partition.assignments) * n + rows).sum())]
     for _ in range(max_iter):
-        assign = _first_best(lp.T, np.greater)[0]
+        assign = _first_best(lp.T, np.greater)
         _repair_empty(assign, lambda: _posterior(lp)[0], partition.g)
         new_part = Partition(assignments=assign, g=partition.g)
         params = m_step(X, new_part, params.model)
         lp = log_joint(X, params)
-        trace.append(float(lp[rows, assign].sum()))
+        trace.append(float(lp.T.ravel().take(assign * n + rows).sum()))
         unchanged = np.array_equal(new_part.assignments, partition.assignments)
         partition = new_part
         if unchanged or _converged(trace[-2], trace[-1], tol):

@@ -1,16 +1,19 @@
-"""Plain references for the library's batched kernels and restart loop.
+"""Plain references for the library's batched kernels and restart loops.
 
 The density references are written on scipy.linalg, which the library itself
 never calls, so a test compares two independent LAPACK paths. The Lloyd
 reference works row-major, on the (n, p) rows, where the library works on
-one feature-major (p, n) copy.
+one feature-major (p, n) copy. The fit_cempca reference runs every restart
+in full, from its seeding partition.
 """
 
+import operator
 import time
 
 import numpy as np
 import scipy.linalg
 
+from cempca import cempca as core
 from cempca import mixture
 from cempca.errors import NumericalError, SettingError, SingularMatrixError
 
@@ -58,6 +61,26 @@ def best_of_restarts(start, tail, restarts, better, t0):
     best.failed_restarts = failed
     best.wall_time = time.perf_counter() - t0
     return best
+
+
+def fit_cempca(X_raw, cfg, seed=0):
+    """fit_cempca with no sharing between restarts: every restart seeds,
+    refines by CEM on B and runs the joint loop from cem_refine's own
+    parameters, under best_of_restarts above. It skips the settings checks,
+    so it takes valid settings only."""
+    t0 = time.perf_counter()
+    X = core.prepare_features(np.asarray(X_raw, dtype=float), cfg)
+    B, _ = core.pca_embed(X, cfg.p)
+    Q = core.update_Q(X, B)
+
+    def tail(labels):
+        part = mixture.Partition(assignments=labels, g=cfg.g)
+        part, params, _, _ = mixture.cem_refine(
+            B, part, mixture.m_step(B, part, cfg.model), tol=cfg.tol)
+        return core._fit_single(X, B, Q, cfg, part, params)
+
+    return best_of_restarts(lambda r: core._seed_partition(B, cfg.g, r, seed), tail,
+                            cfg.restarts, operator.lt, t0)
 
 
 def lloyd(X, centers, max_iter=100, tol=1e-6):

@@ -3,7 +3,9 @@ single-point log_gaussian reference and scipy's triangular solve, for the
 one log-sum-exp reduction against scipy's, for the feature-major Lloyd
 kernel and its tie rule against the row-major reference and numpy's
 argmin/argmax, for the restart engine and its sharing of repeated starts,
-and for the one empty-cluster repair that Lloyd and CEM share."""
+for fit_cempca's one joint loop per refined partition against the reference
+that runs every restart in full, and for the one empty-cluster repair that
+Lloyd and CEM share."""
 
 import dataclasses
 import operator
@@ -30,6 +32,7 @@ from cempca.mixture import (COV_MODELS, FitResult, MixtureParams,  # noqa: E402
                             e_step, kmeans, log_joint, m_step)
 from oracles import best_of_restarts as every_restart  # noqa: E402
 from oracles import centroids, log_gaussian, lloyd as row_major_lloyd  # noqa: E402
+from oracles import fit_cempca as every_joint_loop  # noqa: E402
 
 LOG_2PI = np.log(2 * np.pi)
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -241,9 +244,17 @@ def test_first_best_breaks_ties_as_numpy(lp):
     # lp's rows tie at the maximum and hold repeated -inf entries, so both
     # directions meet ties; the helper scans the (g, n) transpose
     for better, reference in ((np.greater, np.argmax), (np.less, np.argmin)):
-        index, value = mixture._first_best(lp.T, better)
+        index = mixture._first_best(lp.T, better)
+        assert index.dtype == np.intp
         assert np.array_equal(index, reference(lp, axis=1))
-        assert np.array_equal(value, lp[np.arange(lp.shape[0]), index])
+
+
+def test_first_best_of_one_component_is_zero():
+    # with g = 1 there is nothing to compare: every column picks row 0
+    scores = np.array([[np.nan, -np.inf, 0.0, 3.5]])
+    for better in (np.greater, np.less):
+        index = mixture._first_best(scores, better)
+        assert index.dtype == np.intp and index.tolist() == [0, 0, 0, 0]
 
 
 @st.composite
@@ -577,6 +588,47 @@ def test_sharing_starts_changes_no_fit_on_tetra(method, seed):
     _assert_sharing_changes_nothing(lambda: SHARED_FITS[method](TETRA, 4, 10, seed))
 
 
+@settings(max_examples=15, deadline=None)
+@given(case=_grid_rows(), seed=st.integers(0, 2**16), model=models)
+def test_fit_cempca_matches_every_restart_in_full_on_grid_data(case, seed, model):
+    # fit_cempca runs the joint loop once per refined partition and refines
+    # a seeding partition once; the reference runs every restart in full
+    X, g = case
+    cfg = core.CempcaConfig(g=g, p=1, smoothing=0, restarts=6, model=model)
+    _assert_identical(_outcome(lambda: core.fit_cempca(X, cfg, seed=seed)),
+                      _outcome(lambda: every_joint_loop(X, cfg, seed=seed)))
+
+
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**16), model=st.sampled_from(["full", "spherical-tied"]))
+def test_fit_cempca_matches_every_restart_in_full_on_tetra(seed, model):
+    cfg = core.CempcaConfig(g=4, p=2, restarts=10, model=model)
+    _assert_identical(_outcome(lambda: core.fit_cempca(TETRA, cfg, seed=seed)),
+                      _outcome(lambda: every_joint_loop(TETRA, cfg, seed=seed)))
+
+
+@pytest.mark.parametrize("model", COV_MODELS)
+def test_cem_refine_ignores_the_memory_layout_of_its_data(monkeypatch, model):
+    # C-order, Fortran-order and every other column of a wider array: the
+    # one feature-major copy makes them the same data, and log_joint and
+    # m_step get a view of that copy, so they copy nothing more
+    wide = np.zeros((TETRA.shape[0], 2 * TETRA.shape[1]))
+    wide[:, ::2] = TETRA
+    start = Partition(assignments=mixture.kmeans_labels(TETRA, 4, 0, 0), g=4)
+    expected = mixture.cem_refine(TETRA, start, m_step(TETRA, start, model))
+    for X in (np.ascontiguousarray(TETRA), np.asfortranarray(TETRA), wide[:, ::2]):
+        seen = []
+        with monkeypatch.context() as mp:
+            for name in ("log_joint", "m_step"):
+                real = getattr(mixture, name)
+                mp.setattr(mixture, name, lambda Y, *args, real=real: seen.append(Y)
+                           or real(Y, *args))
+            got = mixture.cem_refine(X, start, m_step(TETRA, start, model))
+        _assert_identical(got, expected)
+        assert len(seen) == 2 * got[3] + 1
+        assert all(Y.T.flags.c_contiguous and Y.base is seen[0].base for Y in seen)
+
+
 @pytest.mark.parametrize("model", COV_MODELS)
 def test_cem_refine_returns_the_m_step_of_its_partition(model):
     # cem_refine's last M-step is the one it returns: bit for bit the
@@ -631,3 +683,33 @@ def test_a_repeated_start_runs_its_tail_once(monkeypatch, fit, module, counted):
     assert len(calls) == calls_once > 0
     assert result.restart_index == 0
     _assert_identical(result, once)
+
+
+@pytest.mark.parametrize("model", ["full", "spherical-tied"])
+def test_fit_cempca_refines_a_start_and_runs_a_loop_once(monkeypatch, model):
+    # On BLOBS at fit seed 0 some of the six seeding partitions repeat, and
+    # distinct ones refine to one partition (checked below). A fit must
+    # refine each distinct seeding partition once and run the joint loop
+    # once per distinct refined partition.
+    cfg = core.CempcaConfig(g=2, p=1, smoothing=0, restarts=6, model=model)
+    B, _ = core.pca_embed(core.prepare_features(BLOBS, cfg), cfg.p)
+    seeding = {core._seed_partition(B, 2, r, 0).tobytes(): r for r in range(cfg.restarts)}
+    refined = set()
+    for r in seeding.values():
+        part = Partition(assignments=core._seed_partition(B, 2, r, 0), g=2)
+        part = mixture.cem_refine(B, part, m_step(B, part, model))[0]
+        refined.add(part.assignments.tobytes())
+    assert len(refined) < len(seeding) < cfg.restarts
+
+    calls = {"update_B": 0, "cem_refine": 0}
+    for module, name in ((core, "update_B"), (mixture, "cem_refine")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, real=real, name=name, **kw: (
+            calls.__setitem__(name, calls[name] + 1) or real(*args, **kw)))
+    # no sweep: the only refines are the starts'
+    core.fit_cempca(BLOBS, replace(cfg, max_iter=0), seed=0)
+    assert calls == {"update_B": 0, "cem_refine": len(seeding)}
+    # one sweep: one update_B and one more refine per loop
+    calls.update(update_B=0, cem_refine=0)
+    core.fit_cempca(BLOBS, replace(cfg, max_iter=1), seed=0)
+    assert calls == {"update_B": len(refined), "cem_refine": len(seeding) + len(refined)}
