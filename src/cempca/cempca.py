@@ -11,7 +11,6 @@ mixture parameters with hard-assignment EM on M, recomputes B as the polar
 factor of X Q + delta M, and sets Q = X^T B.
 """
 
-import math
 import operator
 import time
 from dataclasses import dataclass, replace
@@ -241,24 +240,21 @@ def fit_cempca(X_raw, cfg, seed=0):
     keeps a repeated one from being refined again. The kept result is the
     one every restart run in full would give.
     Restarts that hit a degenerate update are skipped and listed in
-    failed_restarts; the fit fails only if every restart does. A setting
-    out of range raises SettingError, naming it, before any work.
+    failed_restarts; the fit fails only if every restart does. A setting of
+    a wrong type or range raises SettingError, naming it, before any work.
     """
-    # Every setting is checked here, by its own name, before any work: a
-    # bad one would otherwise surface from a kernel under the kernel's name.
     X = np.asarray(X_raw, dtype=float)
     n = X.shape[0]
-    mixture._check_fit_args(X, cfg.g, cfg.tol, seed, cfg.restarts, model=cfg.model)
-    if not (math.isfinite(cfg.delta) and cfg.delta >= 0):
-        raise SettingError("delta", f"must be finite and >= 0, got {cfg.delta}")
-    mixture._check_ints(smoothing=cfg.smoothing, max_iter=cfg.max_iter)
-    for name in ("smoothing", "max_iter"):
-        if getattr(cfg, name) < 0:
-            raise SettingError(name, "must be >= 0")
-    if cfg.smoothing > 0:
-        mixture._check_ints(neighbors=cfg.neighbors)
-        if not 1 <= cfg.neighbors <= n - 1:
-            raise SettingError("neighbors", f"must be in [1, {n - 1}], got {cfg.neighbors}")
+    mixture._check_fit_args(X, cfg.g, cfg.tol, seed, cfg.restarts, cfg.max_iter,
+                            cfg.model, min_iter=0)
+    mixture._check_nonnegative(delta=cfg.delta)
+    mixture._check_ints(smoothing=cfg.smoothing, neighbors=cfg.neighbors)
+    if cfg.smoothing < 0:
+        raise SettingError("smoothing", "must be >= 0")
+    if not isinstance(cfg.standardize, (bool, np.bool_)):
+        raise SettingError("standardize", f"must be bool, got {cfg.standardize!r}")
+    if cfg.smoothing > 0 and not 1 <= cfg.neighbors <= n - 1:
+        raise SettingError("neighbors", f"must be in [1, {n - 1}], got {cfg.neighbors}")
     _embedding_dim(cfg.p, *X.shape)
     t0 = time.perf_counter()
     X = prepare_features(X, cfg)

@@ -72,9 +72,9 @@ def run_method(method, dataset, config, seed):
     """Fit one method on one dataset; returns (settings, scores, FitResult).
 
     config holds "g" and any of the method's SETTINGS; the rest take their
-    defaults. A key the method does not read, or a value whose type is not
-    its default's (g and p are ints, p may be None), raises InvalidInputError;
-    a value out of range raises SettingError under its SETTINGS name.
+    defaults. A key the method does not read raises InvalidInputError; the
+    library checks each setting's type and range (standardize, here) and
+    raises SettingError, renamed to the SETTINGS name.
     settings holds every setting the fit ran with, plus "g" and "seed", so
     it replays the fit; scores holds acc, nmi and ari when the dataset has
     labels.
@@ -87,10 +87,6 @@ def run_method(method, dataset, config, seed):
     if unknown:
         raise InvalidInputError(f"method {method!r} does not read "
                                 + ", ".join(map(repr, unknown)))
-    for key, value in {"g": g, **given}.items():
-        default = SETTINGS[method].get(key, 0)  # g is an int
-        if value is not None or default is not None:
-            _checked(key, value, int if default is None else type(default))
     s = {**SETTINGS[method], **given}
     kwargs = {_LIBRARY_NAMES.get(key, key): value for key, value in s.items()}
     if s.get("cov") in ("diag", "diagonal"):  # one model, spelled diag in config
@@ -101,7 +97,7 @@ def run_method(method, dataset, config, seed):
             result = fit_cempca(dataset.X, CempcaConfig(g=g, **kwargs), seed=seed)
         else:
             X = np.asarray(dataset.X, dtype=float)
-            X = standardize(X) if kwargs.pop("standardize") else X
+            X = standardize(X) if _checked("standardize", kwargs.pop("standardize"), bool) else X
             # by name, so a wrapper set over this module's names (bench/spans.py) runs
             fit = globals()[_ENTRY_POINTS[method].__name__]
             result = fit(X, g, seed=seed, **kwargs)
@@ -210,10 +206,9 @@ def cmd_evaluate(args):
 
 
 def _checked(name, value, kind):
-    """Return value if of a `kind` type: ints pass for floats, bools only for bools."""
+    """Return value if of a `kind` type; a bool passes only for bool."""
     kinds = kind if isinstance(kind, tuple) else (kind,)
-    if isinstance(value, bool) != (bool in kinds) or not isinstance(
-            value, kinds + (int,) * (float in kinds)):
+    if isinstance(value, bool) != (bool in kinds) or not isinstance(value, kinds):
         names = " or ".join(k.__name__ for k in kinds)
         raise InvalidInputError(f"{name} must be {names}, got {value!r}")
     return value

@@ -7,7 +7,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DataError, InvalidInputError, ParseError
-from .mixture import _check_ints
+from .mixture import _check_ints, _check_seed, _is_int
 
 FCPS_SHAPES = ("atom", "chainlink", "hepta", "lsun3d", "tetra")
 FCPS_CLASS_COUNTS = {"atom": 2, "chainlink": 2, "hepta": 7, "lsun3d": 4, "tetra": 4}
@@ -189,10 +189,7 @@ def _chang_covariance():
 
 
 def _generator_rng(name, seed):
-    # a float seed would be truncated to another seed's stream
-    _check_ints(seed=seed)
-    if seed < 0:
-        raise InvalidInputError(f"seed must be >= 0, got {seed}")
+    _check_seed(seed)
     return np.random.default_rng(np.random.SeedSequence((_GEN_TAGS[name], int(seed))))
 
 
@@ -318,7 +315,7 @@ def knn_graph(X, k):
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
-    if not isinstance(k, (int, np.integer)) or not 1 <= k <= n - 1:
+    if not _is_int(k) or not 1 <= k <= n - 1:
         raise InvalidInputError(f"k must be an integer in [1, {n - 1}], got {k!r}")
     if not np.all(np.isfinite(X)):
         raise InvalidInputError("X contains non-finite entries")
@@ -377,7 +374,7 @@ def smooth(X, graph, m):
     times: returns W^m X, each row's k terms summed from zero in ascending
     neighbor order, as a sparse row-times-matrix product sums them."""
     X = np.asarray(X, dtype=float)
-    if not isinstance(m, (int, np.integer)) or m < 0:
+    if not _is_int(m) or m < 0:
         raise InvalidInputError(f"smoothing power must be an integer >= 0, got {m!r}")
     idx, w = graph
     if idx.shape[0] != X.shape[0]:

@@ -104,9 +104,7 @@ class FitResult:
 def derive_seed(seed, *key):
     """Counter-based seed for `key`: a restart index, or a suite cell's
     dataset and method indices. It is stable as the counts grow."""
-    _check_ints(seed=seed)
-    if seed < 0:
-        raise InvalidInputError(f"seed must be >= 0, got {seed}")
+    _check_seed(seed)
     return np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(map(int, key)))
 
 
@@ -349,9 +347,9 @@ def _seed_centers(X, g, rng):
     n = X.shape[0]
     centers = np.empty((g, X.shape[1]))
     centers[0] = X[rng.integers(n)]
+    d2 = np.inf  # each row's running squared distance to its nearest center
     for k in range(1, g):
-        d2 = np.min(((X[:, None, :] - centers[None, :k, :]) ** 2).sum(axis=2),
-                    axis=1)
+        d2 = np.minimum(d2, ((X - centers[k - 1]) ** 2).sum(axis=1))
         total = d2.sum()
         if total > 0:
             centers[k] = X[rng.choice(n, p=d2 / total)]
@@ -459,17 +457,19 @@ def em_gmm(X, g, max_iter=100, tol=1e-6, restarts=20, seed=0, model="full"):
     X = np.asarray(X, dtype=float)
     _check_fit_args(X, g, tol, seed, restarts, max_iter, model)
     t0 = time.perf_counter()
+    # one feature-major copy per call, as in cem_refine; the seeding reads rows
+    XF = _feature_major(X).T
 
     def tail(labels):
-        params = m_step(X, Partition(assignments=labels, g=g), model)
+        params = m_step(XF, Partition(assignments=labels, g=g), model)
         # One score matrix and one reduction of it per parameter set: they
         # give the trace entry, the next E-step and, for the last set, the
         # MAP partition.
-        density, resp = _posterior(log_joint(X, params))
+        density, resp = _posterior(log_joint(XF, params))
         trace = [float(density.sum())]
         for _ in range(max_iter):
-            params = m_step(X, resp, model)
-            density, resp = _posterior(log_joint(X, params))
+            params = m_step(XF, resp, model)
+            density, resp = _posterior(log_joint(XF, params))
             trace.append(float(density.sum()))
             if _converged(trace[-2], trace[-1], tol):
                 break
@@ -559,41 +559,53 @@ def cem(X, g, max_iter=100, tol=1e-6, restarts=20, seed=0, model="full"):
                             tail, restarts, operator.gt, t0)
 
 
-def _check_fit_args(X, g, tol, seed, restarts, max_iter=None, model=None):
-    """Check a fit's settings before any work (max_iter and model if given).
-
-    A NaN or infinite cell would spread through every fit's sums and come
-    out as a numerical failure or a meaningless partition, so it is a data
-    error here. A negative or non-finite tol would never let _converged
-    hold, so the fit would run to max_iter without a word. A bad seed,
-    restarts or max_iter would surface only at the first start, after the
-    graph and the SVD. fit_cempca, whose max_iter may be 0, checks its own.
-    A count that is not an integer (numpy's pass) is a SettingError too.
-    """
-    _check_ints(g=g, seed=seed, restarts=restarts, max_iter=max_iter)
+def _check_fit_args(X, g, tol, seed, restarts, max_iter, model="full", min_iter=1):
+    """Check the settings every fit shares, before any work: a bad seed,
+    restarts or max_iter would surface only at the first start, a negative
+    or non-finite tol would never let _converged hold, and a non-finite cell
+    of X would spread through every sum. fit_cempca's max_iter may be 0."""
+    _check_ints(g=g, restarts=restarts, max_iter=max_iter)
     if g < 1:
         raise SettingError("g", "must be >= 1")
     if X.shape[0] < g:
         raise InvalidInputError(f"need at least g={g} rows, got {X.shape[0]}")
     if not np.all(np.isfinite(X)):
         raise InvalidInputError("X contains non-finite entries")
-    if not (math.isfinite(tol) and tol >= 0):
-        raise SettingError("tol", f"must be finite and >= 0, got {tol}")
-    if seed < 0:
-        raise SettingError("seed", f"must be >= 0, got {seed}")
+    _check_nonnegative(tol=tol)
+    _check_seed(seed)
     if restarts < 1:
         raise SettingError("restarts", "must be >= 1")
-    if max_iter is not None and max_iter < 1:
-        raise SettingError("max_iter", "must be >= 1")
-    if model is not None:
-        _check_model(model)
+    if max_iter < min_iter:
+        raise SettingError("max_iter", f"must be >= {min_iter}")
+    _check_model(model)
+
+
+def _is_int(value):
+    """The count rule: an integer, numpy's included, but not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _check_ints(**settings):
-    """SettingError naming the first setting that is neither None nor an integer."""
+    """SettingError naming the first setting that is not an integer."""
     for name, value in settings.items():
-        if value is not None and not isinstance(value, (int, np.integer)):
+        if not _is_int(value):
             raise SettingError(name, f"must be an integer, got {value!r}")
+
+
+def _check_nonnegative(**settings):
+    """SettingError naming the first setting that is not a finite number >= 0."""
+    for name, value in settings.items():
+        number = (isinstance(value, (int, float, np.integer, np.floating))
+                  and not isinstance(value, bool))
+        if not (number and math.isfinite(value) and value >= 0):
+            raise SettingError(name, f"must be finite and >= 0, got {value}")
+
+
+def _check_seed(seed):
+    """SettingError unless seed is an integer >= 0 (a float is refused, not truncated)."""
+    _check_ints(seed=seed)
+    if seed < 0:
+        raise SettingError("seed", f"must be >= 0, got {seed}")
 
 
 def _check_model(model):

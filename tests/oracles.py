@@ -3,8 +3,10 @@
 The density references are written on scipy.linalg, which the library itself
 never calls, so a test compares two independent LAPACK paths. The Lloyd
 reference works row-major, on the (n, p) rows, where the library works on
-one feature-major (p, n) copy. The fit_cempca reference runs every restart
-in full, from its seeding partition.
+one feature-major (p, n) copy. The k-means++ reference recomputes every
+row's distances to all earlier centres at each draw, where the library keeps
+a running nearest distance. The fit_cempca reference runs every restart in
+full, from its seeding partition.
 """
 
 import operator
@@ -107,6 +109,22 @@ def lloyd(X, centers, max_iter=100, tol=1e-6):
         prev_assign = assign
     trace.append(float(((X - centers[assign]) ** 2).sum()))
     return assign, centers, trace, len(trace) - 1
+
+
+def seed_centers(X, g, rng):
+    """k-means++ centres as mixture._seed_centers draws them, from an (n, k, p)
+    array of each row's distances to the k centres chosen so far."""
+    n = X.shape[0]
+    centers = np.empty((g, X.shape[1]))
+    centers[0] = X[rng.integers(n)]
+    for k in range(1, g):
+        d2 = np.min(((X[:, None, :] - centers[None, :k, :]) ** 2).sum(axis=2), axis=1)
+        total = d2.sum()
+        if total > 0:
+            centers[k] = X[rng.choice(n, p=d2 / total)]
+        else:
+            centers[k] = X[rng.integers(n)]
+    return centers
 
 
 def centroids(X, assign, g):

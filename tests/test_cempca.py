@@ -468,7 +468,8 @@ def test_fit_rejects_a_negative_or_non_finite_tol(fit):
     # run to max_iter without a word
     rng = np.random.default_rng(5)
     X = np.vstack([rng.standard_normal((15, 3)), rng.standard_normal((15, 3)) + 5.0])
-    for tol in (-1.0, -1e-12, np.nan, np.inf):
+    # nor is a value that is not a number, a bool included
+    for tol in (-1.0, -1e-12, np.nan, np.inf, "x", None, True):
         with pytest.raises(SettingError, match="tol must be finite and >= 0") as err:
             FITS[fit](X, tol)
         assert err.value.setting == "tol"
@@ -499,6 +500,10 @@ def test_fit_rejects_non_finite_X(fit):
     ("smoothing", -1, "smoothing must be >= 0"),
     ("max_iter", -1, "max_iter must be >= 0"),
     ("tol", np.nan, "tol must be finite and >= 0, got nan"),
+    ("delta", "x", "delta must be finite and >= 0, got x"),
+    ("neighbors", True, "neighbors must be an integer, got True"),
+    ("smoothing", True, "smoothing must be an integer, got True"),
+    ("standardize", "no", "standardize must be bool, got 'no'"),
 ])
 def test_fit_checks_each_setting_by_name_before_any_work(monkeypatch, field, value,
                                                          message):
@@ -576,11 +581,13 @@ SETTING_FITS = {
     *((fit, "restarts", 0, "restarts must be >= 1") for fit in SETTING_FITS),
     *((fit, "max_iter", 0, "max_iter must be >= 1") for fit in SETTING_FITS
       if fit != "fit_cempca"),  # fit_cempca's max_iter=0 skips the sweeps
-    # a count that is not an integer, numpy's float included
+    # a count that is not an integer, numpy's float and a bool included
     *((fit, field, value, f"{field} must be an integer, got {value!r}")
       for fit in SETTING_FITS
       for field, value in (("restarts", 2.5), ("max_iter", 2.5), ("g", 2.5),
-                           ("seed", 2.5), ("seed", np.float64(2.0)))),
+                           ("seed", 2.5), ("seed", np.float64(2.0)),
+                           ("restarts", True), ("max_iter", True), ("g", True),
+                           ("seed", True))),
     *((fit, "p", 2.5, "p must be an integer, got 2.5")
       for fit in ("fit_cempca", "kmeans_pca", "reduced_kmeans")),
 ])
@@ -603,3 +610,6 @@ def test_fit_reads_neighbors_only_when_it_builds_the_graph():
     X = np.vstack([rng.standard_normal((10, 3)), rng.standard_normal((10, 3)) + 5.0])
     res = fit_cempca(X, CempcaConfig(g=2, restarts=1, smoothing=0, neighbors=0), seed=0)
     assert res.partition.n == 20
+    # its type is checked all the same
+    with pytest.raises(SettingError, match="neighbors must be an integer, got True"):
+        fit_cempca(X, CempcaConfig(g=2, smoothing=0, neighbors=True), seed=0)

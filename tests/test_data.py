@@ -215,8 +215,9 @@ def test_generators_deterministic_per_seed():
     (lambda: gen_fcps("tetra", seed=2.5), "seed must be an integer, got 2.5"),
     (lambda: gen_chang(n=100.0), "n must be an integer, got 100.0"),
     (lambda: gen_fcps("tetra", n=100.5), "n must be an integer, got 100.5"),
+    (lambda: gen_fcps("tetra", seed=True), "seed must be an integer, got True"),
 ], ids=["chang", "fcps", "chang-float-seed", "fcps-float-seed", "chang-float-n",
-        "fcps-float-n"])
+        "fcps-float-n", "fcps-bool-seed"])
 def test_generators_reject_negative_seed(make, message):
     with pytest.raises(InvalidInputError, match=message):
         make()
@@ -255,7 +256,7 @@ def test_knn_graph_rows_sum_to_one():
 
 def test_knn_graph_k_out_of_range():
     X = np.zeros((4, 2))
-    for k in (0, 4, 2.5, 2.0):
+    for k in (0, 4, 2.5, 2.0, True):
         with pytest.raises(InvalidInputError):
             knn_graph(X, k)
 
@@ -464,6 +465,6 @@ def test_smooth_dimension_mismatch():
     graph = knn_graph(X + np.arange(5)[:, None], 2)
     with pytest.raises(InvalidInputError):
         smooth(np.zeros((4, 2)), graph, 1)
-    for m in (-1, 1.5):
+    for m in (-1, 1.5, True):
         with pytest.raises(InvalidInputError, match="smoothing power"):
             smooth(X, graph, m)

@@ -375,6 +375,9 @@ def test_restart_seeds_reject_negative_seed():
         with pytest.raises(SettingError, match="seed must be an integer, got 2.5"):
             start(2.5)
         assert np.array_equal(start(np.int64(2)), start(2))
+    # a bool is not a seed either, where it would pass as 1
+    with pytest.raises(SettingError, match="seed must be an integer, got True"):
+        mixture.derive_seed(True, 0)
 
 
 @pytest.mark.parametrize("seed,max_iter", [(31, 100), (32, 1), (33, 3)])

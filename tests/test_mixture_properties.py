@@ -2,10 +2,12 @@
 single-point log_gaussian reference and scipy's triangular solve, for the
 one log-sum-exp reduction against scipy's, for the feature-major Lloyd
 kernel and its tie rule against the row-major reference and numpy's
-argmin/argmax, for the restart engine and its sharing of repeated starts,
-for fit_cempca's one joint loop per refined partition against the reference
-that runs every restart in full, and for the one empty-cluster repair that
-Lloyd and CEM share."""
+argmin/argmax, for the k-means++ running distance against the broadcast
+reference, for the restart engine and its sharing of repeated starts, for
+fit_cempca's one joint loop per refined partition against the reference
+that runs every restart in full, for fit_cempca at max_iter=0 against CEM
+on the embedding, and for the one empty-cluster repair that Lloyd and CEM
+share."""
 
 import dataclasses
 import operator
@@ -32,6 +34,7 @@ from cempca.mixture import (COV_MODELS, FitResult, MixtureParams,  # noqa: E402
                             e_step, kmeans, log_joint, m_step)
 from oracles import best_of_restarts as every_restart  # noqa: E402
 from oracles import centroids, log_gaussian, lloyd as row_major_lloyd  # noqa: E402
+from oracles import seed_centers as broadcast_seed_centers  # noqa: E402
 from oracles import fit_cempca as every_joint_loop  # noqa: E402
 
 LOG_2PI = np.log(2 * np.pi)
@@ -292,6 +295,26 @@ def test_lloyd_matches_the_row_major_reference(case):
     _assert_rel_close(np.array(trace), np.array(ref_trace))
     _assert_rel_close(mixture._centroids(X, assign, centers.shape[0]),
                       centroids(X, assign, centers.shape[0]))
+
+
+@SETTINGS
+@given(seed=seeds, g=st.integers(1, 9), p=st.integers(1, 16), n=st.integers(1, 40),
+       copies=st.integers(0, 20), layout=st.sampled_from(["C", "F", "strided"]))
+def test_seed_centers_match_the_broadcast_reference(seed, g, p, n, copies, layout):
+    # the running nearest distance sums each row's p terms as the (n, k, p)
+    # array does, and the minimum is exact, so every draw is the same
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, p)) * rng.uniform(0.1, 10.0)
+    X = np.vstack([X, X[rng.integers(0, n, copies)]])
+    if layout == "F":
+        X = np.asfortranarray(X)
+    elif layout == "strided":
+        wide = np.zeros((X.shape[0], 2 * p))
+        wide[:, ::2] = X
+        X = wide[:, ::2]
+    got = mixture._seed_centers(X, g, np.random.default_rng(seed))
+    expected = broadcast_seed_centers(X, g, np.random.default_rng(seed))
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_factor_cache_outside_repr_and_fields():
@@ -713,3 +736,49 @@ def test_fit_cempca_refines_a_start_and_runs_a_loop_once(monkeypatch, model):
     calls.update(update_B=0, cem_refine=0)
     core.fit_cempca(BLOBS, replace(cfg, max_iter=1), seed=0)
     assert calls == {"update_B": len(refined), "cem_refine": len(seeding) + len(refined)}
+
+
+def _cem_on_the_embedding(B, cfg, seed):
+    """Best-of-restarts CEM on B from _seed_partition's labels: each restart
+    refines them as fit_cempca's start does, and the highest complete
+    log-likelihood is kept, ties going to the lowest restart."""
+    def tail(labels):
+        part = Partition(assignments=labels, g=cfg.g)
+        part, params, _, _ = mixture.cem_refine(B, part, m_step(B, part, cfg.model),
+                                                tol=cfg.tol)
+        return FitResult(partition=part, params=params,
+                         objective_trace=[complete_log_likelihood(B, part, params)])
+
+    return every_restart(lambda r: core._seed_partition(B, cfg.g, r, seed), tail,
+                         cfg.restarts, operator.gt, time.perf_counter())
+
+
+@st.composite
+def _small_blobs(draw):
+    """g Gaussian blobs of 3 to 10 rows in d = 1 to 3 dimensions, and p."""
+    g, d = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(seeds))
+    X = np.vstack([c + rng.standard_normal((draw(st.integers(3, 10)), d))
+                   for c in rng.uniform(-6.0, 6.0, (g, d))])
+    return X, g, draw(st.integers(1, d))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.one_of(_small_blobs(), _grid_rows().map(lambda case: (*case, 1))),
+       seed=st.integers(0, 2**16), model=models)
+def test_fit_cempca_without_sweeps_keeps_the_cem_restart_on_the_embedding(case, seed,
+                                                                          model):
+    # At max_iter=0 the objective is ||X - B Q^T||^2, the same for every
+    # restart, minus the complete log-likelihood of B (M = B), so the kept
+    # restart is the one CEM on B keeps
+    X, g, p = case
+    cfg = core.CempcaConfig(g=g, p=p, smoothing=0, restarts=6, max_iter=0, model=model)
+    B, _ = core.pca_embed(core.prepare_features(X, cfg), cfg.p)
+    fit = _outcome(lambda: core.fit_cempca(X, cfg, seed=seed))
+    cem_fit = _outcome(lambda: _cem_on_the_embedding(B, cfg, seed))
+    if isinstance(fit, str) or isinstance(cem_fit, str):
+        assert fit == cem_fit
+        return
+    assert fit.restart_index == cem_fit.restart_index
+    assert np.array_equal(fit.partition.assignments, cem_fit.partition.assignments)
+    assert fit.failed_restarts == cem_fit.failed_restarts
