@@ -235,10 +235,12 @@ def fit_cempca(X_raw, cfg, seed=0):
     as ("M" | "cem" | "B" | "Q", value), four per sweep.
     A restart's start is its refined partition: the loop after it depends
     on nothing else, since cem_refine returns the m_step of the partition it
-    returns. So the loop runs once per distinct refined partition, and a
-    per-fit map from each distinct seeding partition to its refined labels
-    keeps a repeated one from being refined again. The kept result is the
-    one every restart run in full would give.
+    returns. So the loop runs once per refined partition up to relabelling,
+    and a per-fit map from each seeding partition, up to relabelling, to its
+    refined labels keeps a relabelled or repeated one from being refined
+    again. The kept result is the one every restart run in full would give
+    if a restart whose seeding relabels an earlier successful one did not
+    compete.
     Restarts that hit a degenerate update are skipped and listed in
     failed_restarts; the fit fails only if every restart does. A setting of
     a wrong type or range raises SettingError, naming it, before any work.
@@ -266,7 +268,7 @@ def fit_cempca(X_raw, cfg, seed=0):
 
     def start(r):
         labels = _seed_partition(B, cfg.g, r, seed)
-        key = labels.tobytes()
+        key = mixture._start_key(labels)
         if key not in refined:
             part = Partition(assignments=labels, g=cfg.g)
             refined[key] = mixture.cem_refine(

@@ -79,10 +79,11 @@ class FitResult:
     fit_cempca (the objective after every block update) and reduced_kmeans
     (the iterates). A fit's one best_of_restarts loop sets restart_index,
     wall_time (seconds for the whole fit) and failed_restarts (the restarts
-    that raised, as (restart index, "ErrorType: message")). A restart that
-    repeats an earlier successful start is skipped and appears nowhere.
-    fit_cempca's start is the partition CEM refines from the seeding
-    labels, so a restart whose refined partition repeats is skipped too.
+    that raised, as (restart index, "ErrorType: message")). A restart whose
+    start repeats an earlier successful start, up to relabelling for label
+    starts, is skipped and appears nowhere. fit_cempca's start is the
+    partition CEM refines from the seeding labels, so a restart whose
+    refined partition relabels an earlier one is skipped too.
     """
 
     partition: Partition
@@ -121,12 +122,13 @@ def best_of_restarts(start, tail, restarts, better, t0):
     """Keep the best FitResult of tail(start(r)) over the restarts r.
 
     Each fit's one restart loop, run once restarts >= 1 is checked. start(r)
-    gives restart r's starting array (labels, or K-means centres) and
-    tail(array) the fit from it, which must depend on the start alone.
-    So a restart whose start repeats, byte for byte, one whose tail
-    succeeded is skipped without being recorded: it would tie with that
-    earlier run. Only the starts' bytes are kept; no result is cached or
-    copied.
+    gives restart r's starting array (integer labels, or K-means centres)
+    and tail(array) the fit from it, which must depend on the start alone.
+    So a restart whose start repeats one whose tail succeeded is skipped
+    without being recorded: labels repeat up to relabelling, centres byte
+    for byte (_start_key). A relabelled start would only tie with the
+    earlier run, and ties keep the lowest restart index. Only the starts'
+    keys are kept; no result is cached or copied.
 
     better(a, b) compares final objectives (operator.lt to minimize,
     operator.gt to maximize); a restart replaces the kept one only when it
@@ -142,7 +144,7 @@ def best_of_restarts(start, tail, restarts, better, t0):
     for r in range(restarts):
         try:
             init = start(r)
-            key = init.tobytes()
+            key = _start_key(init)
             if key in done:
                 continue
             result = tail(init)
@@ -159,6 +161,21 @@ def best_of_restarts(start, tail, restarts, better, t0):
     best.failed_restarts = failed
     best.wall_time = time.perf_counter() - t0
     return best
+
+
+def _start_key(init):
+    """best_of_restarts' key for a start: integer labels renumbered in order
+    of first appearance, so that the label vectors of one partition share
+    it; the bytes of any other start (K-means centres)."""
+    if init.dtype.kind not in "iu":
+        return init.tobytes()
+    # each label's first row (n if unused), then its rank among those rows;
+    # g scans of n labels, and no sort, whose code pages alone would add
+    # about 0.4 MB to the peak RSS of a fit that sorts nothing else
+    first = np.array([np.argmax(init == k) if count else init.size
+                      for k, count in enumerate(np.bincount(init))])
+    rank = (first[None, :] < first[:, None]).sum(axis=1)
+    return rank[init].tobytes()
 
 
 def _converged(prev, cur, tol):
@@ -598,7 +615,8 @@ def _check_nonnegative(**settings):
         number = (isinstance(value, (int, float, np.integer, np.floating))
                   and not isinstance(value, bool))
         if not (number and math.isfinite(value) and value >= 0):
-            raise SettingError(name, f"must be finite and >= 0, got {value}")
+            shown = value if number else repr(value)
+            raise SettingError(name, f"must be finite and >= 0, got {shown}")
 
 
 def _check_seed(seed):

@@ -5,8 +5,9 @@ never calls, so a test compares two independent LAPACK paths. The Lloyd
 reference works row-major, on the (n, p) rows, where the library works on
 one feature-major (p, n) copy. The k-means++ reference recomputes every
 row's distances to all earlier centres at each draw, where the library keeps
-a running nearest distance. The fit_cempca reference runs every restart in
-full, from its seeding partition.
+a running nearest distance. The restart references run every restart in
+full and tell a relabelled start by its contingency table rather than by a
+renumbering.
 """
 
 import operator
@@ -39,20 +40,42 @@ def log_gaussian(x, mean, cov):
     return float(-0.5 * (x.size * LOG_2PI + logdet + sol @ sol))
 
 
-def best_of_restarts(start, tail, restarts, better, t0):
+def relabels(a, b):
+    """Whether the label vectors a and b name one partition: their
+    contingency table has one nonzero cell in each used row and column."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape != b.shape:
+        return False
+    table = np.zeros((a.max() + 1, b.max() + 1), dtype=int)
+    np.add.at(table, (a, b), 1)
+    nonzero = table > 0
+    return bool(np.all(nonzero.sum(axis=1)[nonzero.any(axis=1)] == 1)
+                and np.all(nonzero.sum(axis=0)[nonzero.any(axis=0)] == 1))
+
+
+def best_of_restarts(start, tail, restarts, better, t0, relabelled_compete=False):
     """The restart rule with no sharing: every restart runs tail(start(r)),
     a repeated start included, and the first restart with the strictly best
-    final objective is kept. It takes mixture.best_of_restarts' arguments
-    and fills the same fields of the kept result."""
+    final objective is kept. A restart whose integer labels relabel the
+    start of an earlier successful restart does not compete, unless
+    relabelled_compete (the rule before starts were compared up to
+    relabelling). It takes mixture.best_of_restarts' arguments and fills the
+    same fields of the kept result."""
     if restarts < 1:
         raise SettingError("restarts", "must be >= 1")
-    done, failed, errors = [], [], []
+    done, starts, failed, errors = [], [], [], []
     for r in range(restarts):
         try:
-            done.append((r, tail(start(r))))
+            init = start(r)
+            result = tail(init)
         except NumericalError as exc:
             failed.append((r, f"{type(exc).__name__}: {exc}"))
             errors.append(exc)
+            continue
+        labels = init.dtype.kind in "iu" and not relabelled_compete
+        if not (labels and any(relabels(init, earlier) for earlier in starts)):
+            done.append((r, result))
+        starts.append(init)
     if not done:
         raise NumericalError(f"all {restarts} restarts failed: {failed[-1][1]}") from errors[-1]
     kept, best = done[0]
@@ -65,24 +88,28 @@ def best_of_restarts(start, tail, restarts, better, t0):
     return best
 
 
-def fit_cempca(X_raw, cfg, seed=0):
-    """fit_cempca with no sharing between restarts: every restart seeds,
-    refines by CEM on B and runs the joint loop from cem_refine's own
-    parameters, under best_of_restarts above. It skips the settings checks,
-    so it takes valid settings only."""
+def fit_cempca(X_raw, cfg, seed=0, relabelled_compete=False):
+    """fit_cempca with no sharing between restarts, under best_of_restarts
+    above: every restart seeds and refines by CEM on B, which gives its start
+    (the refined partition), then runs the joint loop from the m_step of
+    that partition. It skips the settings checks, so it takes valid
+    settings only."""
     t0 = time.perf_counter()
     X = core.prepare_features(np.asarray(X_raw, dtype=float), cfg)
     B, _ = core.pca_embed(X, cfg.p)
     Q = core.update_Q(X, B)
 
+    def start(r):
+        part = mixture.Partition(assignments=core._seed_partition(B, cfg.g, r, seed),
+                                 g=cfg.g)
+        return mixture.cem_refine(B, part, mixture.m_step(B, part, cfg.model),
+                                  tol=cfg.tol)[0].assignments
+
     def tail(labels):
         part = mixture.Partition(assignments=labels, g=cfg.g)
-        part, params, _, _ = mixture.cem_refine(
-            B, part, mixture.m_step(B, part, cfg.model), tol=cfg.tol)
-        return core._fit_single(X, B, Q, cfg, part, params)
+        return core._fit_single(X, B, Q, cfg, part, mixture.m_step(B, part, cfg.model))
 
-    return best_of_restarts(lambda r: core._seed_partition(B, cfg.g, r, seed), tail,
-                            cfg.restarts, operator.lt, t0)
+    return best_of_restarts(start, tail, cfg.restarts, operator.lt, t0, relabelled_compete)
 
 
 def lloyd(X, centers, max_iter=100, tol=1e-6):

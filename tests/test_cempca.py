@@ -473,6 +473,9 @@ def test_fit_rejects_a_negative_or_non_finite_tol(fit):
         with pytest.raises(SettingError, match="tol must be finite and >= 0") as err:
             FITS[fit](X, tol)
         assert err.value.setting == "tol"
+    # a string that reads as a number is quoted, so the message shows why
+    with pytest.raises(SettingError, match="tol must be finite and >= 0, got '1e-3'$"):
+        FITS[fit](X, "1e-3")
     result = FITS[fit](X, 0.0)
     assert result.partition.n == 30
     # every trace starts at the initial state, then one entry per iteration
@@ -500,7 +503,7 @@ def test_fit_rejects_non_finite_X(fit):
     ("smoothing", -1, "smoothing must be >= 0"),
     ("max_iter", -1, "max_iter must be >= 0"),
     ("tol", np.nan, "tol must be finite and >= 0, got nan"),
-    ("delta", "x", "delta must be finite and >= 0, got x"),
+    ("delta", "x", "delta must be finite and >= 0, got 'x'"),
     ("neighbors", True, "neighbors must be an integer, got True"),
     ("smoothing", True, "smoothing must be an integer, got True"),
     ("standardize", "no", "standardize must be bool, got 'no'"),

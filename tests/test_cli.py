@@ -768,7 +768,7 @@ def test_benchmark_null_entry_value_means_absent(tmp_path):
     ({"restarts": 2.5}, None, "restarts must be an integer, got 2.5"),
     ({"restarts": True}, None, "restarts must be an integer, got True"),
     ({"restarts": 2}, "3", "g must be an integer, got '3'"),
-    ({"restarts": 2, "tol": "x"}, None, "tol must be finite and >= 0, got x"),
+    ({"restarts": 2, "tol": "x"}, None, "tol must be finite and >= 0, got 'x'"),
 ])
 def test_benchmark_cell_with_a_wrong_typed_setting_fails_alone(tmp_path, params, g,
                                                                message):

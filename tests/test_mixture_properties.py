@@ -3,13 +3,16 @@ single-point log_gaussian reference and scipy's triangular solve, for the
 one log-sum-exp reduction against scipy's, for the feature-major Lloyd
 kernel and its tie rule against the row-major reference and numpy's
 argmin/argmax, for the k-means++ running distance against the broadcast
-reference, for the restart engine and its sharing of repeated starts, for
+reference, for the restart engine and its sharing of repeated and
+relabelled starts, for the start key against a contingency table, for
 fit_cempca's one joint loop per refined partition against the reference
-that runs every restart in full, for fit_cempca at max_iter=0 against CEM
+that runs every restart in full, for both against the rule under which a
+relabelled start competed, for fit_cempca at max_iter=0 against CEM
 on the embedding, and for the one empty-cluster repair that Lloyd and CEM
 share."""
 
 import dataclasses
+import functools
 import operator
 import time
 from dataclasses import replace
@@ -24,7 +27,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from cempca import baselines, mixture  # noqa: E402
 from cempca import cempca as core  # noqa: E402
-from cempca.data import gen_fcps, standardize  # noqa: E402
+from cempca.data import gen_chang, gen_fcps, standardize  # noqa: E402
 from cempca.errors import (DegenerateUpdateError,  # noqa: E402
                            EmptyClusterError, InvalidInputError,
                            NumericalError, SingularMatrixError)
@@ -33,6 +36,7 @@ from cempca.mixture import (COV_MODELS, FitResult, MixtureParams,  # noqa: E402
                             best_of_restarts, cem, complete_log_likelihood,
                             e_step, kmeans, log_joint, m_step)
 from oracles import best_of_restarts as every_restart  # noqa: E402
+from oracles import relabels  # noqa: E402
 from oracles import centroids, log_gaussian, lloyd as row_major_lloyd  # noqa: E402
 from oracles import seed_centers as broadcast_seed_centers  # noqa: E402
 from oracles import fit_cempca as every_joint_loop  # noqa: E402
@@ -338,6 +342,16 @@ def _restart_result(value):
                      params=None, objective_trace=[float(value)])
 
 
+def _labels(key):
+    """Labels for start key in [0, 8): row key in cluster 1 and the other
+    seven rows in cluster 0, so no two keys' labels relabel each other."""
+    return (np.arange(8) == key).astype(np.intp)
+
+
+def _key(labels):
+    return int(np.flatnonzero(labels)[0])
+
+
 @SETTINGS
 @given(outcomes=st.lists(st.tuples(st.integers(-2, 2), st.booleans()), min_size=1,
                          max_size=4),
@@ -351,7 +365,7 @@ def test_best_of_restarts_keeps_first_strict_optimum(outcomes, keys, better):
     raised = []
 
     def tail(init):
-        key = int(init[0])
+        key = _key(init)
         tails.append(key)
         value, fails = outcomes[key]
         if fails:
@@ -360,7 +374,7 @@ def test_best_of_restarts_keeps_first_strict_optimum(outcomes, keys, better):
         return _restart_result(value)
 
     def start(r):
-        return np.array([keys[r]])
+        return _labels(keys[r])
 
     t0 = time.perf_counter()
     ok = [r for r, key in enumerate(keys) if not outcomes[key][1]]
@@ -387,10 +401,10 @@ def test_best_of_restarts_stamps_the_kept_restart():
     results = []
 
     def tail(init):
-        results.append(_restart_result(abs(int(init[0]) - 2)))
+        results.append(_restart_result(abs(_key(init) - 2)))
         return results[-1]
 
-    result = best_of_restarts(lambda r: np.array([r + 1]), tail, 5, operator.lt,
+    result = best_of_restarts(lambda r: _labels(r + 1), tail, 5, operator.lt,
                               time.perf_counter())
     assert result is results[1]
     assert result.restart_index == 1 and result.objective_trace == [0.0]
@@ -401,12 +415,42 @@ def test_best_of_restarts_lists_a_failing_start():
     def start(r):
         if r == 1:
             raise NumericalError("no seed for restart 1")
-        return np.array([r])
+        return _labels(r)
 
-    result = best_of_restarts(start, lambda init: _restart_result(-init[0]), 3,
+    result = best_of_restarts(start, lambda init: _restart_result(-_key(init)), 3,
                               operator.lt, time.perf_counter())
     assert result.restart_index == 2
     assert result.failed_restarts == [(1, "NumericalError: no seed for restart 1")]
+
+
+@st.composite
+def _label_pairs(draw):
+    """Two label vectors of one length: the second is the first with its
+    values mapped one to one onto [0, 6), which can leave values unused, or
+    drawn on its own, which is mostly another partition."""
+    n = draw(st.integers(1, 12))
+    a = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)), dtype=np.intp)
+    if draw(st.booleans()):
+        values = draw(st.permutations(range(6)))
+        b = np.array(values, dtype=np.intp)[a]
+    else:
+        b = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)),
+                     dtype=np.intp)
+    return a, b
+
+
+@SETTINGS
+@given(pair=_label_pairs())
+def test_start_keys_match_exactly_when_the_labels_relabel(pair):
+    # the key is a renumbering; the reference reads the contingency table
+    a, b = pair
+    assert (mixture._start_key(a) == mixture._start_key(b)) == relabels(a, b)
+
+
+def test_start_keys_of_centres_are_their_bytes():
+    centres = np.array([[0.0, 1.0], [2.0, 3.0]])
+    assert mixture._start_key(centres) == centres.tobytes()
+    assert mixture._start_key(centres[::-1]) != centres.tobytes()
 
 
 def test_best_of_restarts_lets_other_errors_through():
@@ -630,6 +674,50 @@ def test_fit_cempca_matches_every_restart_in_full_on_tetra(seed, model):
                       _outcome(lambda: every_joint_loop(TETRA, cfg, seed=seed)))
 
 
+# Data for the old rule, under which a relabelled start competed: tetra's
+# four classes and chang's two, the latter at p = 15 = d with no graph
+OLD_RULE_DATA = {"tetra": (TETRA, 4, core.CempcaConfig(g=4, p=2, restarts=10)),
+                 "chang": (standardize(gen_chang(300, seed=5).X), 2,
+                           core.CempcaConfig(g=2, p=15, smoothing=0, restarts=10))}
+
+
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**16))
+@pytest.mark.parametrize("data", list(OLD_RULE_DATA))
+@pytest.mark.parametrize("method", [name for name in SHARED_FITS
+                                    if name not in ("kmeans", "fit_cempca")])
+def test_skipping_relabelled_starts_keeps_the_fit_of_the_old_rule(method, data, seed):
+    # A relabelled start ends at a relabelled fit. Its objective ties with
+    # the earlier one's, except that em_gmm's log-sum-exp over components
+    # runs in label order: under a model that is not full, the old rule
+    # could then keep another labelling of the same partition, by 1-2 ulp.
+    X, g, _ = OLD_RULE_DATA[data]
+    fit = _outcome(lambda: SHARED_FITS[method](X, g, 10, seed))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mixture, "best_of_restarts",
+                   functools.partial(every_restart, relabelled_compete=True))
+        old = _outcome(lambda: SHARED_FITS[method](X, g, 10, seed))
+    if isinstance(fit, str) or isinstance(old, str):
+        assert fit == old
+    elif method.startswith("em_gmm-") and method != "em_gmm-full":
+        assert relabels(fit.partition.assignments, old.partition.assignments)
+        assert fit.objective_trace[-1] == pytest.approx(old.objective_trace[-1],
+                                                        rel=1e-12)
+    else:
+        _assert_identical(fit, old)
+
+
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**16), model=st.sampled_from(["full", "spherical-tied"]))
+@pytest.mark.parametrize("data", list(OLD_RULE_DATA))
+def test_fit_cempca_keeps_the_fit_of_the_old_rule(data, seed, model):
+    X, _, cfg = OLD_RULE_DATA[data]
+    cfg = replace(cfg, model=model)
+    _assert_identical(
+        _outcome(lambda: core.fit_cempca(X, cfg, seed=seed)),
+        _outcome(lambda: every_joint_loop(X, cfg, seed=seed, relabelled_compete=True)))
+
+
 @pytest.mark.parametrize("model", COV_MODELS)
 def test_cem_refine_ignores_the_memory_layout_of_its_data(monkeypatch, model):
     # C-order, Fortran-order and every other column of a wider array: the
@@ -708,21 +796,32 @@ def test_a_repeated_start_runs_its_tail_once(monkeypatch, fit, module, counted):
     _assert_identical(result, once)
 
 
+def _relabelling_classes(label_vectors):
+    """The first label vector of each class of vectors that relabel each other."""
+    firsts = []
+    for labels in label_vectors:
+        if not any(relabels(labels, first) for first in firsts):
+            firsts.append(labels)
+    return firsts
+
+
 @pytest.mark.parametrize("model", ["full", "spherical-tied"])
 def test_fit_cempca_refines_a_start_and_runs_a_loop_once(monkeypatch, model):
-    # On BLOBS at fit seed 0 some of the six seeding partitions repeat, and
-    # distinct ones refine to one partition (checked below). A fit must
-    # refine each distinct seeding partition once and run the joint loop
-    # once per distinct refined partition.
+    # On BLOBS at fit seed 0 some of the six seeding partitions repeat or
+    # relabel an earlier one, and distinct ones refine to one partition up
+    # to relabelling (checked below). A fit must refine one seeding
+    # partition per relabelling class and run the joint loop once per
+    # class of refined partitions.
     cfg = core.CempcaConfig(g=2, p=1, smoothing=0, restarts=6, model=model)
     B, _ = core.pca_embed(core.prepare_features(BLOBS, cfg), cfg.p)
-    seeding = {core._seed_partition(B, 2, r, 0).tobytes(): r for r in range(cfg.restarts)}
-    refined = set()
-    for r in seeding.values():
-        part = Partition(assignments=core._seed_partition(B, 2, r, 0), g=2)
-        part = mixture.cem_refine(B, part, m_step(B, part, model))[0]
-        refined.add(part.assignments.tobytes())
-    assert len(refined) < len(seeding) < cfg.restarts
+    starts = [core._seed_partition(B, 2, r, 0) for r in range(cfg.restarts)]
+    seeding = _relabelling_classes(starts)
+    refined = []
+    for labels in seeding:
+        part = Partition(assignments=labels, g=2)
+        refined.append(mixture.cem_refine(B, part, m_step(B, part, model))[0].assignments)
+    refined = _relabelling_classes(refined)
+    assert len(refined) < len(seeding) < len({s.tobytes() for s in starts}) < cfg.restarts
 
     calls = {"update_B": 0, "cem_refine": 0}
     for module, name in ((core, "update_B"), (mixture, "cem_refine")):
@@ -741,16 +840,20 @@ def test_fit_cempca_refines_a_start_and_runs_a_loop_once(monkeypatch, model):
 def _cem_on_the_embedding(B, cfg, seed):
     """Best-of-restarts CEM on B from _seed_partition's labels: each restart
     refines them as fit_cempca's start does, and the highest complete
-    log-likelihood is kept, ties going to the lowest restart."""
+    log-likelihood is kept, ties going to the lowest restart. A restart
+    whose refined partition relabels an earlier one does not compete."""
+    def start(r):
+        part = Partition(assignments=core._seed_partition(B, cfg.g, r, seed), g=cfg.g)
+        return mixture.cem_refine(B, part, m_step(B, part, cfg.model),
+                                  tol=cfg.tol)[0].assignments
+
     def tail(labels):
         part = Partition(assignments=labels, g=cfg.g)
-        part, params, _, _ = mixture.cem_refine(B, part, m_step(B, part, cfg.model),
-                                                tol=cfg.tol)
+        params = m_step(B, part, cfg.model)
         return FitResult(partition=part, params=params,
                          objective_trace=[complete_log_likelihood(B, part, params)])
 
-    return every_restart(lambda r: core._seed_partition(B, cfg.g, r, seed), tail,
-                         cfg.restarts, operator.gt, time.perf_counter())
+    return every_restart(start, tail, cfg.restarts, operator.gt, time.perf_counter())
 
 
 @st.composite
