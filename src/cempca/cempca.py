@@ -253,8 +253,7 @@ def fit_cempca(X_raw, cfg, seed=0):
     mixture._check_ints(smoothing=cfg.smoothing, neighbors=cfg.neighbors)
     if cfg.smoothing < 0:
         raise SettingError("smoothing", "must be >= 0")
-    if not isinstance(cfg.standardize, (bool, np.bool_)):
-        raise SettingError("standardize", f"must be bool, got {cfg.standardize!r}")
+    mixture._check_bool(standardize=cfg.standardize)
     if cfg.smoothing > 0 and not 1 <= cfg.neighbors <= n - 1:
         raise SettingError("neighbors", f"must be in [1, {n - 1}], got {cfg.neighbors}")
     _embedding_dim(cfg.p, *X.shape)

@@ -30,7 +30,7 @@ from .data import (FCPS_SHAPES, gen_chang, gen_fcps, load_csv, save_csv,
 from .errors import (CempcaError, DataError, InvalidInputError, NumericalError,
                      SettingError)
 from .metrics import accuracy, ari, nmi
-from .mixture import COV_MODELS, cem, child_seed, em_gmm, kmeans
+from .mixture import COV_MODELS, _check_bool, cem, child_seed, em_gmm, kmeans
 
 # Method -> the library entry point whose keyword defaults are its settings.
 _ENTRY_POINTS = {"cempca": CempcaConfig, "em-gmm": em_gmm, "cem": cem,
@@ -73,8 +73,8 @@ def run_method(method, dataset, config, seed):
 
     config holds "g" and any of the method's SETTINGS; the rest take their
     defaults. A key the method does not read raises InvalidInputError; the
-    library checks each setting's type and range (standardize, here) and
-    raises SettingError, renamed to the SETTINGS name.
+    library checks each setting's type and range (standardize here, with
+    the library's rule) and raises SettingError, renamed to the SETTINGS name.
     settings holds every setting the fit ran with, plus "g" and "seed", so
     it replays the fit; scores holds acc, nmi and ari when the dataset has
     labels.
@@ -97,7 +97,8 @@ def run_method(method, dataset, config, seed):
             result = fit_cempca(dataset.X, CempcaConfig(g=g, **kwargs), seed=seed)
         else:
             X = np.asarray(dataset.X, dtype=float)
-            X = standardize(X) if _checked("standardize", kwargs.pop("standardize"), bool) else X
+            _check_bool(standardize=kwargs["standardize"])
+            X = standardize(X) if kwargs.pop("standardize") else X
             # by name, so a wrapper set over this module's names (bench/spans.py) runs
             fit = globals()[_ENTRY_POINTS[method].__name__]
             result = fit(X, g, seed=seed, **kwargs)
@@ -206,9 +207,9 @@ def cmd_evaluate(args):
 
 
 def _checked(name, value, kind):
-    """Return value if of a `kind` type; a bool passes only for bool."""
+    """Return value if of a `kind` type; a bool never is one."""
     kinds = kind if isinstance(kind, tuple) else (kind,)
-    if isinstance(value, bool) != (bool in kinds) or not isinstance(value, kinds):
+    if isinstance(value, bool) or not isinstance(value, kinds):
         names = " or ".join(k.__name__ for k in kinds)
         raise InvalidInputError(f"{name} must be {names}, got {value!r}")
     return value

@@ -47,10 +47,11 @@ def load_csv(path, label_column=None, has_header=True):
     label_column names another column, by header name or by zero-based
     index (an int or a string of digits). The label column is removed from
     the features and encoded by _encode_labels. has_header=None takes the
-    first row as a header when any of its cells is not a number.
+    first row as a header when any of its cells is not a number. A leading
+    UTF-8 byte-order mark, as spreadsheet exports write, is dropped.
     """
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             raw = [r for r in csv.reader(fh) if r]
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from None

@@ -4,7 +4,6 @@ import math
 import operator
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -20,14 +19,7 @@ _COV_EPS = 1e-6
 
 @dataclass
 class MixtureParams:
-    """Weights, means, and per-cluster covariances of a Gaussian mixture.
-
-    The arrays are treated as immutable once the parameters are scored:
-    the first density evaluation factors every covariance and caches the
-    result on the instance, outside repr and ==. To change a value, build a
-    new instance (dataclasses.replace does, and starts with no cache)
-    rather than writing into the arrays.
-    """
+    """Weights, means, and per-cluster covariances of a Gaussian mixture."""
 
     weights: np.ndarray          # (g,)
     means: np.ndarray            # (g, p)
@@ -42,18 +34,18 @@ class MixtureParams:
     def p(self):
         return self.means.shape[1]
 
-    @cached_property
-    def _factors(self):
-        """(log weights, inverse Cholesky factors, log determinants), per component."""
-        try:
-            L = np.linalg.cholesky(self.covariances)
-        except np.linalg.LinAlgError:
-            raise SingularMatrixError("covariance is not positive-definite") from None
-        # One batched inverse for all components; the inverse of a lower
-        # factor is lower, and tril drops the rounding above the diagonal.
-        inv_chol = np.tril(np.linalg.inv(L))
-        logdet = 2.0 * np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)
-        return np.log(self.weights), inv_chol, logdet
+
+def _factors(params):
+    """(log weights, inverse Cholesky factors, log determinants), per component."""
+    try:
+        L = np.linalg.cholesky(params.covariances)
+    except np.linalg.LinAlgError:
+        raise SingularMatrixError("covariance is not positive-definite") from None
+    # One batched inverse for all components; the inverse of a lower
+    # factor is lower, and tril drops the rounding above the diagonal.
+    inv_chol = np.tril(np.linalg.inv(L))
+    logdet = 2.0 * np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)
+    return np.log(params.weights), inv_chol, logdet
 
 
 @dataclass
@@ -207,14 +199,14 @@ def _first_best(scores, better):
     return index
 
 
-def _component_log_joint(XT, params, k):
+def _component_log_joint(XT, params, factors, k):
     """log pi_k + log phi_k(x_i) for every column x_i of the feature-major
-    (p, n) data XT, from the cached factors.
+    (p, n) data XT, with factors = _factors(params).
 
     A row far outside a near-singular component overflows to a -inf score
     (zero density) rather than warning; e_step reports such rows.
     """
-    log_w, inv_chol, logdet = params._factors
+    log_w, inv_chol, logdet = factors
     with np.errstate(over="ignore"):
         sol = inv_chol[k] @ (XT - params.means[k][:, None])
         sol *= sol
@@ -229,9 +221,10 @@ def log_joint(X, params):
     (g, n) array the components fill, one contiguous row each.
     """
     XT = _feature_major(X)
+    factors = _factors(params)
     lp = np.empty((params.g, XT.shape[1]))
     for k in range(params.g):
-        lp[k] = _component_log_joint(XT, params, k)
+        lp[k] = _component_log_joint(XT, params, factors, k)
     return lp.T
 
 
@@ -336,10 +329,11 @@ def complete_log_likelihood(X, partition, params):
     """
     XT = _feature_major(X)
     assign = partition.assignments
+    factors = _factors(params)
     own = np.empty(XT.shape[1])
     for k in range(params.g):
         rows = assign == k
-        own[rows] = _component_log_joint(XT[:, rows], params, k)
+        own[rows] = _component_log_joint(XT[:, rows], params, factors, k)
     # Summing in row order keeps the value independent of the cluster
     # labels, so restarts that reach one partition under different labels
     # tie exactly and the lowest restart index wins.
@@ -580,10 +574,13 @@ def _check_fit_args(X, g, tol, seed, restarts, max_iter, model="full", min_iter=
     """Check the settings every fit shares, before any work: a bad seed,
     restarts or max_iter would surface only at the first start, a negative
     or non-finite tol would never let _converged hold, and a non-finite cell
-    of X would spread through every sum. fit_cempca's max_iter may be 0."""
+    of X would spread through every sum. X needs a column to cluster on.
+    fit_cempca's max_iter may be 0."""
     _check_ints(g=g, restarts=restarts, max_iter=max_iter)
     if g < 1:
         raise SettingError("g", "must be >= 1")
+    if X.ndim != 2 or X.shape[1] < 1:
+        raise InvalidInputError(f"X must be 2-D with at least one column, got shape {X.shape}")
     if X.shape[0] < g:
         raise InvalidInputError(f"need at least g={g} rows, got {X.shape[0]}")
     if not np.all(np.isfinite(X)):
@@ -607,6 +604,13 @@ def _check_ints(**settings):
     for name, value in settings.items():
         if not _is_int(value):
             raise SettingError(name, f"must be an integer, got {value!r}")
+
+
+def _check_bool(**settings):
+    """SettingError naming the first setting that is not a bool (numpy's included)."""
+    for name, value in settings.items():
+        if not isinstance(value, (bool, np.bool_)):
+            raise SettingError(name, f"must be bool, got {value!r}")
 
 
 def _check_nonnegative(**settings):

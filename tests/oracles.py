@@ -27,7 +27,8 @@ def log_gaussian(x, mean, cov):
     """Log density of x under a Gaussian with the given mean and SPD covariance.
 
     Factors the covariance on every call; it is the single-point reference
-    for the cached mixture kernel behind log_joint.
+    for the batched mixture kernel behind log_joint, which factors all g
+    covariances at once.
     """
     x = np.asarray(x, dtype=float)
     cov = np.asarray(cov, dtype=float)

@@ -1,4 +1,5 @@
 import hashlib
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -492,6 +493,16 @@ def test_fit_rejects_non_finite_X(fit):
         X[7, 1] = cell
         with pytest.raises(InvalidInputError, match="X contains non-finite entries"):
             FITS[fit](X, 1e-6)
+
+
+@pytest.mark.parametrize("fit", FITS)
+@pytest.mark.parametrize("shape", [(40, 0), (40,), (2, 3, 4)])
+def test_fit_rejects_X_without_feature_columns(fit, shape):
+    # a fit has no column to cluster on, and the check names the shape
+    # rather than a setting nobody gave
+    message = f"X must be 2-D with at least one column, got shape {shape}"
+    with pytest.raises(InvalidInputError, match=re.escape(message) + "$"):
+        FITS[fit](np.zeros(shape), 1e-6)
 
 
 @pytest.mark.parametrize("field, value, message", [

@@ -791,14 +791,20 @@ def test_benchmark_cell_with_a_wrong_typed_setting_fails_alone(tmp_path, params,
 def test_run_method_checks_setting_types():
     from cempca.cli import run_method
     from cempca.data import gen_fcps
-    from cempca.errors import InvalidInputError
+    from cempca.errors import SettingError
 
     ds = gen_fcps("tetra", 60, seed=2)
     settings, _, _ = run_method("cempca", ds, {"g": 4, "delta": 1, "p": None,
                                                "restarts": 1, "smooth": 0}, 1)
     assert settings["delta"] == 1 and settings["p"] is None
-    with pytest.raises(InvalidInputError, match="standardize must be bool, got 1"):
-        run_method("kmeans", ds, {"g": 4, "standardize": 1}, 1)
+    # one rule for all six methods: numpy's bools pass, an int is refused
+    for method in cli.SETTINGS:
+        config = {"g": 4, "restarts": 1, **({"smooth": 0} if method == "cempca" else {})}
+        for flag in (np.True_, np.False_):
+            settings, _, _ = run_method(method, ds, {**config, "standardize": flag}, 1)
+            assert settings["standardize"] is flag
+        with pytest.raises(SettingError, match="^standardize must be bool, got 1$"):
+            run_method(method, ds, {**config, "standardize": 1}, 1)
 
 
 def test_benchmark_table_marks_unscored_cells(tmp_path):
@@ -868,6 +874,35 @@ def test_fit_non_finite_cell_is_a_data_error(tmp_path, capsys, method, cell):
     assert code == 3 and captured.out == ""
     assert captured.err.startswith("data error: ") and "non-finite" in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("method", list(cli.SETTINGS))
+def test_fit_label_only_csv_is_a_data_error(tmp_path, capsys, method):
+    # with the label column taken out no feature is left to cluster on
+    data = tmp_path / "labels.csv"
+    data.write_text("label\n" + "".join(f"{i % 2}\n" for i in range(40)))
+    code = run(["fit", method, data, "--g", 2, "--restarts", 2])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == ("data error: X must be 2-D with at least one column, "
+                            "got shape (40, 0)\n")
+
+
+def test_fit_reads_a_leading_label_column_after_a_byte_order_mark(tmp_path, capsys):
+    # a spreadsheet export: the label column first, and a UTF-8 BOM
+    plain = tmp_path / "t.csv"
+    run(["generate", "--shape", "tetra", "--n", 60, "--seed", 2, "--out", plain])
+    rows = [line.split(",") for line in plain.read_text().splitlines()]
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf"
+                    + "".join(",".join(r[-1:] + r[:-1]) + "\n" for r in rows).encode())
+    fits = []
+    for path in (plain, bom):
+        capsys.readouterr()
+        assert run(["fit", "kmeans", path, "--g", 4, "--restarts", 2]) == 0
+        fits.append(json.loads(capsys.readouterr().out))
+    assert fits[1]["assignments"] == fits[0]["assignments"]
+    assert fits[1]["metrics"] == fits[0]["metrics"] and fits[0]["metrics"]
 
 
 def _tetra_csv(tmp_path):

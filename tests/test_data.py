@@ -45,6 +45,19 @@ def test_load_csv_takes_a_label_header_as_labels(tmp_path):
     assert np.array_equal(ds.X, [[1, 2], [3, 4], [5, 6]])
 
 
+def test_load_csv_drops_a_byte_order_mark(tmp_path):
+    # spreadsheet exports start with one; kept, it would hide a leading
+    # label header, and the labels would be clustered as a feature
+    text = "label,x,y\n1,1,2\n0,3,4\n1,5,6\n"
+    plain = tmp_path / "plain.csv"
+    plain.write_text(text, encoding="utf-8")
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    expected, got = load_csv(plain), load_csv(bom)
+    assert np.array_equal(got.X, expected.X) and got.X.shape == (3, 2)
+    assert np.array_equal(got.labels, expected.labels)
+
+
 def test_load_csv_detects_a_header(tmp_path):
     text = tmp_path / "text.csv"
     text.write_text("x,y\n1,2\n3,4\n")

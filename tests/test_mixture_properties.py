@@ -1,4 +1,4 @@
-"""Property tests for the cached-factor mixture kernel against the
+"""Property tests for the batched-factor mixture kernel against the
 single-point log_gaussian reference and scipy's triangular solve, for the
 one log-sum-exp reduction against scipy's, for the feature-major Lloyd
 kernel and its tie rule against the row-major reference and numpy's
@@ -173,7 +173,7 @@ def test_m_step_ridge_floor_is_the_mean_feature_variance(seed, g, p):
 def test_inverse_factors_match_the_triangular_solve(seed, model, g, p, floored):
     params = (_ridge_floored(seed, model, g, p) if floored
               else _instance(seed, model, g, p)[0])
-    _, inv_chol, _ = params._factors
+    _, inv_chol, _ = mixture._factors(params)
     assert inv_chol.shape == (g, p, p)
     assert np.all(np.triu(inv_chol, 1) == 0.0)
     for k in range(g):
@@ -211,6 +211,24 @@ def test_replace_never_scores_with_stale_factors(seed, model, g, p):
                     replace(params, weights=other.weights)):
         _assert_close(log_joint(X, changed), _oracle(X, changed), p)
     assert np.array_equal(log_joint(X, params), before)
+
+
+@SETTINGS
+@given(seed=seeds, model=models, g=st.integers(1, 7), p=st.integers(1, 15))
+def test_in_place_writes_score_as_a_fresh_instance(seed, model, g, p):
+    # every scoring factors the arrays it is given, so writing into them
+    # after a first score leaves nothing stale behind
+    params, X, rng = _instance(seed, model, g, p)
+    part = Partition(assignments=np.arange(X.shape[0]) % g, g=g)
+    log_joint(X, params)
+    params.covariances *= 2.0
+    params.weights *= rng.uniform(0.05, 1.0, g)
+    params.weights /= params.weights.sum()
+    fresh = MixtureParams(weights=params.weights.copy(), means=params.means.copy(),
+                          covariances=params.covariances.copy(), model=model)
+    assert np.array_equal(log_joint(X, params), log_joint(X, fresh))
+    assert np.array_equal(e_step(X, params), e_step(X, fresh))
+    assert complete_log_likelihood(X, part, params) == complete_log_likelihood(X, part, fresh)
 
 
 @st.composite
