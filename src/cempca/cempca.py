@@ -74,6 +74,7 @@ def _principal_axes(X, p):
     """(Xc, U, s, V): column-centered X and its thin SVD cut to p columns,
     p as _embedding_dim resolves it."""
     X = np.asarray(X, dtype=float)
+    mixture._check_matrix(X)
     p = _embedding_dim(p, *X.shape)
     Xc = X - X.mean(axis=0)
     U, s, V = thin_svd(Xc)
@@ -142,11 +143,26 @@ def update_M(B, partition, params, delta):
 def objective(X, bundle, partition, params, delta):
     """Reconstruction error plus coupling penalty minus the complete-data
     log-likelihood of M."""
-    X = np.asarray(X, dtype=float)
+    return _total(_reconstruction(np.asarray(X, dtype=float), bundle), _coupling(bundle),
+                  mixture.complete_log_likelihood(bundle.M, partition, params), delta)
+
+
+def _reconstruction(X, bundle):
+    """The objective's first term, ||X - B Q^T||^2."""
     resid = X - bundle.B @ bundle.Q.T
+    return np.sum(resid * resid)
+
+
+def _coupling(bundle):
+    """The objective's coupling term before its delta, ||B - M||^2."""
     gap = bundle.B - bundle.M
-    ll = mixture.complete_log_likelihood(bundle.M, partition, params)
-    return float(np.sum(resid * resid) + delta * np.sum(gap * gap) - ll)
+    return np.sum(gap * gap)
+
+
+def _total(reconstruction, coupling, ll, delta):
+    """The objective from its three terms; ll is the complete-data
+    log-likelihood of M."""
+    return float(reconstruction + delta * coupling - ll)
 
 
 def prepare_features(X, cfg):
@@ -180,17 +196,29 @@ def _seed_partition(B, g, restart, seed):
     return mixture.kmeans_labels(B, g, mixture.child_seed(seed, restart), 0)
 
 
-def _fit_single(X, B, Q, cfg, part, params):
+def _fit_single(X, B, Q, cfg, part, params, floor, settled):
     """One restart's joint loop from the principal embedding B, its loadings
-    Q and the partition CEM refined on B, with params its m_step."""
+    Q and the partition CEM refined on B, with params its m_step. floor is
+    mixture.ridge_floor(B), and settled says whether that refinement stopped
+    at a fixed point, where a CEM step on B would return part and params
+    unchanged, so the first sweep runs none.
+
+    Each block update recomputes only the objective terms it changes: M the
+    coupling and the log-likelihood, the mixture step the log-likelihood, B
+    the reconstruction and the coupling, and Q the reconstruction.
+    """
     bundle = EmbeddingBundle(B=B, Q=Q, M=B.copy())
-    trace = [objective(X, bundle, part, params, cfg.delta)]
+    recon, coupling = _reconstruction(X, bundle), _coupling(bundle)
+    ll = mixture.complete_log_likelihood(bundle.M, part, params)
+    trace = [_total(recon, coupling, ll, cfg.delta)]
     steps = []
     for _ in range(cfg.max_iter):
         start_part, start_B = part, bundle.B
         M = update_M(bundle.B, part, params, cfg.delta)
         bundle = replace(bundle, M=M)
-        current = objective(X, bundle, part, params, cfg.delta)
+        coupling = _coupling(bundle)
+        ll = mixture.complete_log_likelihood(M, part, params)
+        current = _total(recon, coupling, ll, cfg.delta)
         steps.append(("M", current))
         # The mixture step clusters the embedding rows, continuing the
         # warm state from initialization. Refitting on M instead would be
@@ -200,17 +228,23 @@ def _fit_single(X, B, Q, cfg, part, params):
         # refinement tracks the embedding rather than M, it is not an
         # exact minimizer of the joint objective; the candidate state is
         # kept only when it does not increase that objective.
-        cand_part, cand_params, _, _ = mixture.cem_refine(
-            bundle.B, part, params, tol=cfg.tol)
-        cand = objective(X, bundle, cand_part, cand_params, cfg.delta)
-        if cand <= current:
-            part, params, current = cand_part, cand_params, cand
+        if not settled:
+            cand_part, cand_params, _, _ = mixture.cem_refine(
+                bundle.B, part, params, tol=cfg.tol, floor=floor)
+            cand_ll = mixture.complete_log_likelihood(M, cand_part, cand_params)
+            cand = _total(recon, coupling, cand_ll, cfg.delta)
+            if cand <= current:
+                part, params, ll, current = cand_part, cand_params, cand_ll, cand
         steps.append(("cem", current))
         B = update_B(X, bundle.Q, M, cfg.delta)
         bundle = replace(bundle, B=B)
-        steps.append(("B", objective(X, bundle, part, params, cfg.delta)))
+        # CEM has not run on the new B, whose floor is not known yet
+        settled, floor = False, None
+        recon, coupling = _reconstruction(X, bundle), _coupling(bundle)
+        steps.append(("B", _total(recon, coupling, ll, cfg.delta)))
         bundle = replace(bundle, Q=update_Q(X, B))
-        value = objective(X, bundle, part, params, cfg.delta)
+        recon = _reconstruction(X, bundle)
+        value = _total(recon, coupling, ll, cfg.delta)
         steps.append(("Q", value))
         trace.append(value)
         # A sweep that keeps the partition and barely moves B is at the
@@ -238,7 +272,9 @@ def fit_cempca(X_raw, cfg, seed=0):
     returns. So the loop runs once per refined partition up to relabelling,
     and a per-fit map from each seeding partition, up to relabelling, to its
     refined labels keeps a relabelled or repeated one from being refined
-    again. The kept result is the one every restart run in full would give
+    again. The loop starts from the params that refinement returned, and
+    its first sweep runs no CEM step when the refinement stopped at a fixed
+    point. The kept result is the one every restart run in full would give
     if a restart whose seeding relabels an earlier successful one did not
     compete.
     Restarts that hit a degenerate update are skipped and listed in
@@ -263,19 +299,27 @@ def fit_cempca(X_raw, cfg, seed=0):
     # every restart starts from the same pair.
     B, _ = pca_embed(X, cfg.p)
     Q = update_Q(X, B)
-    refined = {}
+    floor = mixture.ridge_floor(B)
+    refined = {}   # seeding key -> refined labels
+    fitted = {}    # refined labels' bytes -> (their m_step on B, settled)
 
     def start(r):
         labels = _seed_partition(B, cfg.g, r, seed)
         key = mixture._start_key(labels)
         if key not in refined:
             part = Partition(assignments=labels, g=cfg.g)
-            refined[key] = mixture.cem_refine(
-                B, part, mixture.m_step(B, part, cfg.model), tol=cfg.tol)[0].assignments
+            part, params, trace, _ = mixture.cem_refine(
+                B, part, mixture.m_step(B, part, cfg.model, floor=floor),
+                tol=cfg.tol, floor=floor)
+            refined[key] = part.assignments
+            # cem_refine repeats its last trace entry, the same float
+            # object, exactly when it stopped at a fixed point
+            fitted[part.assignments.tobytes()] = (params, trace[-1] is trace[-2])
         return refined[key]
 
     def tail(labels):
-        part = Partition(assignments=labels, g=cfg.g)
-        return _fit_single(X, B, Q, cfg, part, mixture.m_step(B, part, cfg.model))
+        params, settled = fitted[labels.tobytes()]
+        return _fit_single(X, B, Q, cfg, Partition(assignments=labels, g=cfg.g), params,
+                           floor, settled)
 
     return mixture.best_of_restarts(start, tail, cfg.restarts, operator.lt, t0)

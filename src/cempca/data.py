@@ -7,7 +7,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DataError, InvalidInputError, ParseError
-from .mixture import _check_ints, _check_seed, _is_int
+from .mixture import _check_ints, _check_matrix, _check_seed, _is_int
 
 FCPS_SHAPES = ("atom", "chainlink", "hepta", "lsun3d", "tetra")
 FCPS_CLASS_COUNTS = {"atom": 2, "chainlink": 2, "hepta": 7, "lsun3d": 4, "tetra": 4}
@@ -312,9 +312,11 @@ def knn_graph(X, k):
     takes its point's list without itself, or the first k of it when it is
     not in the list. Time is O(n log n) for low-dimensional X and memory is
     O(n k), however many copies a point has; no n x n array is formed.
-    Non-finite X and a k that is not an integer are rejected.
+    Non-finite X, an X that is not 2-D with a column, and a k that is not
+    an integer are rejected.
     """
     X = np.asarray(X, dtype=float)
+    _check_matrix(X)
     n = X.shape[0]
     if not _is_int(k) or not 1 <= k <= n - 1:
         raise InvalidInputError(f"k must be an integer in [1, {n - 1}], got {k!r}")

@@ -176,8 +176,19 @@ def _converged(prev, cur, tol):
 
 def _feature_major(X):
     """(p, n) contiguous copy of the rows of X. The kernels work on it, so
-    each numpy call sweeps n contiguous values rather than n rows of p."""
-    return np.ascontiguousarray(np.asarray(X, dtype=float).T)
+    each numpy call sweeps n contiguous values rather than n rows of p.
+    The transposed view of such a copy is not copied again. X must be 2-D
+    with a column; only its shape is read, since every kernel call passes
+    here."""
+    X = np.asarray(X, dtype=float)
+    _check_matrix(X)
+    return np.ascontiguousarray(X.T)
+
+
+def _check_matrix(X):
+    """InvalidInputError naming the shape unless X is 2-D with at least one column."""
+    if X.ndim != 2 or X.shape[1] < 1:
+        raise InvalidInputError(f"X must be 2-D with at least one column, got shape {X.shape}")
 
 
 def _first_best(scores, better):
@@ -204,13 +215,13 @@ def _component_log_joint(XT, params, factors, k):
     (p, n) data XT, with factors = _factors(params).
 
     A row far outside a near-singular component overflows to a -inf score
-    (zero density) rather than warning; e_step reports such rows.
+    (zero density); callers run it under np.errstate(over="ignore"), once
+    per call rather than once per component, and e_step reports such rows.
     """
     log_w, inv_chol, logdet = factors
-    with np.errstate(over="ignore"):
-        sol = inv_chol[k] @ (XT - params.means[k][:, None])
-        sol *= sol
-        maha = sol.sum(axis=0)
+    sol = inv_chol[k] @ (XT - params.means[k][:, None])
+    sol *= sol
+    maha = sol.sum(axis=0)
     return log_w[k] - 0.5 * (params.p * _LOG_2PI + logdet[k] + maha)
 
 
@@ -223,8 +234,9 @@ def log_joint(X, params):
     XT = _feature_major(X)
     factors = _factors(params)
     lp = np.empty((params.g, XT.shape[1]))
-    for k in range(params.g):
-        lp[k] = _component_log_joint(XT, params, factors, k)
+    with np.errstate(over="ignore"):
+        for k in range(params.g):
+            lp[k] = _component_log_joint(XT, params, factors, k)
     return lp.T
 
 
@@ -260,7 +272,25 @@ def c_step(resp):
     return Partition(assignments=np.argmax(resp, axis=1), g=resp.shape[1])
 
 
-def m_step(X, weights, model="full"):
+def ridge_floor(X):
+    """The floor of m_step's ridge scale for the rows X: a thousandth of
+    their mean feature variance, and at least 1e-12.
+
+    It depends on X alone, so a fit that runs many M-steps on one X
+    computes it once and passes it to each (m_step's and cem_refine's
+    floor). X needs a row and a column.
+    """
+    XT = _feature_major(X)
+    p, n = XT.shape
+    if n < 1:
+        raise InvalidInputError(f"X must have at least one row, got shape {XT.T.shape}")
+    # The mean feature variance as one centred sum of squares: np.var's
+    # per-column reductions cost more than a hard m_step.
+    centred = XT - (XT @ np.ones(n) / n)[:, None]
+    return max(1e-3 * float(np.vdot(centred, centred)) / (n * p), 1e-12)
+
+
+def m_step(X, weights, model="full", floor=None):
     """Parameter update from soft responsibilities or a hard Partition.
 
     weights is an (n, g) responsibility matrix or a Partition. A Partition
@@ -271,11 +301,13 @@ def m_step(X, weights, model="full"):
 
     Covariances are the weighted scatter divided by the column weight sum,
     ridge-regularized with eps * (trace / p) * I (eps = 1e-6), then
-    constrained to the requested family. The ridge scale is floored at a
-    thousandth of the mean feature variance of X: a cluster whose points
-    coincide (a singleton, or a representation pulled onto its centroid)
-    would otherwise shrink its covariance below floating-point resolution
-    and poison every later Mahalanobis term.
+    constrained to the requested family. The ridge scale is floored at
+    floor, ridge_floor(X) (a thousandth of the mean feature variance of X)
+    when None: a cluster whose points coincide (a singleton, or a
+    representation pulled onto its centroid) would otherwise shrink its
+    covariance below floating-point resolution and poison every later
+    Mahalanobis term. The fits compute the floor once per data matrix and
+    pass it to every M-step on that matrix.
     """
     XT = _feature_major(X)
     _check_model(model)
@@ -291,11 +323,9 @@ def m_step(X, weights, model="full"):
     for k in range(g):
         if totals[k] <= 0.0:
             raise EmptyClusterError(k)
+    if floor is None:
+        floor = ridge_floor(XT.T)
     pi = totals / n
-    # The mean feature variance as one centred sum of squares: np.var's
-    # per-column reductions cost more than the rest of a hard m_step.
-    centred = XT - (XT @ np.ones(n) / n)[:, None]
-    floor = max(1e-3 * float(np.vdot(centred, centred)) / (n * p), 1e-12)
     means = np.empty((g, p)) if hard else (XT @ W).T / totals[:, None]
     covs = np.empty((g, p, p))
     for k in range(g):
@@ -303,19 +333,20 @@ def m_step(X, weights, model="full"):
             cols = XT.take(np.flatnonzero(weights.assignments == k), axis=1)
             means[k] = cols @ np.ones(cols.shape[1]) / totals[k]
             diff = cols - means[k][:, None]
-            cov = diff @ diff.T / totals[k]
+            covs[k] = diff @ diff.T / totals[k]
         else:
             diff = XT - means[k][:, None]
-            cov = (diff * W[:, k]) @ diff.T / totals[k]
-        cov = 0.5 * (cov + cov.T)
-        t = max(float(np.trace(cov)) / p, floor)
-        covs[k] = cov + _COV_EPS * t * np.eye(p)
+            covs[k] = (diff * W[:, k]) @ diff.T / totals[k]
+    # Symmetrize, then add the ridge, for the whole (g, p, p) stack at once
+    covs = 0.5 * (covs + covs.transpose(0, 2, 1))
+    scale = np.maximum(np.trace(covs, axis1=1, axis2=2) / p, floor)
+    covs += (_COV_EPS * scale)[:, None, None] * np.eye(p)
     if model == "diagonal":
-        for k in range(g):
-            covs[k] = np.diag(np.diag(covs[k]))
+        diagonal = np.arange(p)
+        covs, full = np.zeros((g, p, p)), covs
+        covs[:, diagonal, diagonal] = full[:, diagonal, diagonal]
     elif model == "spherical":
-        for k in range(g):
-            covs[k] = (np.trace(covs[k]) / p) * np.eye(p)
+        covs = (np.trace(covs, axis1=1, axis2=2) / p)[:, None, None] * np.eye(p)
     elif model == "spherical-tied":
         lam = float(np.sum(totals * np.trace(covs, axis1=1, axis2=2) / p)) / n
         covs = np.repeat((lam * np.eye(p))[None, :, :], g, axis=0)
@@ -331,9 +362,10 @@ def complete_log_likelihood(X, partition, params):
     assign = partition.assignments
     factors = _factors(params)
     own = np.empty(XT.shape[1])
-    for k in range(params.g):
-        rows = assign == k
-        own[rows] = _component_log_joint(XT[:, rows], params, factors, k)
+    with np.errstate(over="ignore"):
+        for k in range(params.g):
+            rows = assign == k
+            own[rows] = _component_log_joint(XT[:, rows], params, factors, k)
     # Summing in row order keeps the value independent of the cluster
     # labels, so restarts that reach one partition under different labels
     # tie exactly and the lowest restart index wins.
@@ -468,18 +500,20 @@ def em_gmm(X, g, max_iter=100, tol=1e-6, restarts=20, seed=0, model="full"):
     X = np.asarray(X, dtype=float)
     _check_fit_args(X, g, tol, seed, restarts, max_iter, model)
     t0 = time.perf_counter()
-    # one feature-major copy per call, as in cem_refine; the seeding reads rows
+    # one feature-major copy and one ridge floor per call, as in cem_refine;
+    # the seeding reads rows
     XF = _feature_major(X).T
+    floor = ridge_floor(XF)
 
     def tail(labels):
-        params = m_step(XF, Partition(assignments=labels, g=g), model)
+        params = m_step(XF, Partition(assignments=labels, g=g), model, floor=floor)
         # One score matrix and one reduction of it per parameter set: they
         # give the trace entry, the next E-step and, for the last set, the
         # MAP partition.
         density, resp = _posterior(log_joint(XF, params))
         trace = [float(density.sum())]
         for _ in range(max_iter):
-            params = m_step(XF, resp, model)
+            params = m_step(XF, resp, model, floor=floor)
             density, resp = _posterior(log_joint(XF, params))
             trace.append(float(density.sum()))
             if _converged(trace[-2], trace[-1], tol):
@@ -515,18 +549,31 @@ def _repair_empty(assign, score, g):
     return moved
 
 
-def cem_refine(X, partition, params, max_iter=100, tol=1e-6):
+def cem_refine(X, partition, params, max_iter=100, tol=1e-6, floor=None):
     """Run E/C/M rounds from a warm state until the partition stabilizes.
 
-    Every M-step refits the covariance model of the given params (params.model).
-    Returns (partition, params, complete-log-likelihood trace, iterations).
-    The trace is non-decreasing up to the covariance regularization slack.
+    Every M-step refits the covariance model of the given params (params.model),
+    with floor as its ridge floor (ridge_floor(X), computed once here when
+    None). Returns (partition, params, complete-log-likelihood trace,
+    iterations). The trace is non-decreasing up to the covariance
+    regularization slack.
+
+    A partition is fitted and scored once: when the C-step returns the
+    partition the last round fitted, the round reuses that fit and its
+    scores, appends the last trace value again (the same float object) and
+    stops. The first round, which did not fit the given params itself, does
+    so only when its M-step gives them bit for bit. Every other round
+    appends a newly computed value, so trace[-1] is trace[-2] exactly when
+    the refinement stopped at a fixed point, from which CEM returns the
+    same state.
     """
     # One feature-major copy for the whole refinement: log_joint and m_step
     # get its transposed view, and their own _feature_major copies nothing.
     XT = _feature_major(X)
     X = XT.T
     n = XT.shape[1]
+    if floor is None:
+        floor = ridge_floor(X)
     rows = np.arange(n)
     # One score matrix per parameter set: it gives the trace entry for the
     # partition it was fitted to and the C-step of the next iteration. Its
@@ -534,18 +581,32 @@ def cem_refine(X, partition, params, max_iter=100, tol=1e-6):
     # flat array at assign * n + row.
     lp = log_joint(X, params)
     trace = [float(lp.T.ravel().take(np.asarray(partition.assignments) * n + rows).sum())]
-    for _ in range(max_iter):
+    for it in range(max_iter):
         assign = _first_best(lp.T, np.greater)
         _repair_empty(assign, lambda: _posterior(lp)[0], partition.g)
-        new_part = Partition(assignments=assign, g=partition.g)
-        params = m_step(X, new_part, params.model)
+        unchanged = np.array_equal(assign, partition.assignments)
+        partition = Partition(assignments=assign, g=partition.g)
+        if unchanged and it > 0:
+            trace.append(trace[-1])
+            break
+        fitted = m_step(X, partition, params.model, floor=floor)
+        if unchanged and _same_params(fitted, params):
+            trace.append(trace[-1])
+            break
+        params = fitted
         lp = log_joint(X, params)
         trace.append(float(lp.T.ravel().take(assign * n + rows).sum()))
-        unchanged = np.array_equal(new_part.assignments, partition.assignments)
-        partition = new_part
         if unchanged or _converged(trace[-2], trace[-1], tol):
             break
     return partition, params, trace, len(trace) - 1
+
+
+def _same_params(a, b):
+    """Whether two MixtureParams hold the same model and the same bytes."""
+    return a.model == b.model and all(
+        x.shape == y.shape and x.tobytes() == y.tobytes()
+        for x, y in ((a.weights, b.weights), (a.means, b.means),
+                     (a.covariances, b.covariances)))
 
 
 def cem(X, g, max_iter=100, tol=1e-6, restarts=20, seed=0, model="full"):
@@ -558,12 +619,15 @@ def cem(X, g, max_iter=100, tol=1e-6, restarts=20, seed=0, model="full"):
     X = np.asarray(X, dtype=float)
     _check_fit_args(X, g, tol, seed, restarts, max_iter, model)
     t0 = time.perf_counter()
+    # one feature-major copy and one ridge floor per call, as in em_gmm
+    XF = _feature_major(X).T
+    floor = ridge_floor(XF)
 
     def tail(labels):
         partition = Partition(assignments=labels, g=g)
-        params = m_step(X, partition, model)
+        params = m_step(XF, partition, model, floor=floor)
         partition, params, trace, _ = cem_refine(
-            X, partition, params, max_iter=max_iter, tol=tol)
+            XF, partition, params, max_iter=max_iter, tol=tol, floor=floor)
         return FitResult(partition=partition, params=params, objective_trace=trace)
 
     return best_of_restarts(lambda r: kmeans_labels(X, g, child_seed(seed, r), 0, max_iter),
@@ -579,8 +643,7 @@ def _check_fit_args(X, g, tol, seed, restarts, max_iter, model="full", min_iter=
     _check_ints(g=g, restarts=restarts, max_iter=max_iter)
     if g < 1:
         raise SettingError("g", "must be >= 1")
-    if X.ndim != 2 or X.shape[1] < 1:
-        raise InvalidInputError(f"X must be 2-D with at least one column, got shape {X.shape}")
+    _check_matrix(X)
     if X.shape[0] < g:
         raise InvalidInputError(f"need at least g={g} rows, got {X.shape[0]}")
     if not np.all(np.isfinite(X)):

@@ -7,20 +7,26 @@ one feature-major (p, n) copy. The k-means++ reference recomputes every
 row's distances to all earlier centres at each draw, where the library keeps
 a running nearest distance. The restart references run every restart in
 full and tell a relabelled start by its contingency table rather than by a
-renumbering.
+renumbering. The joint-fit references fit and score every partition anew:
+the M-step one component at a time with the ridge floor recomputed per
+call, every CEM round rescored, and every block update's objective computed
+in full.
 """
 
 import operator
 import time
+from dataclasses import replace
 
 import numpy as np
 import scipy.linalg
 
 from cempca import cempca as core
 from cempca import mixture
-from cempca.errors import NumericalError, SettingError, SingularMatrixError
+from cempca.errors import (EmptyClusterError, NumericalError, SettingError,
+                           SingularMatrixError)
 
 LOG_2PI = float(np.log(2.0 * np.pi))
+COV_EPS = 1e-6
 
 
 def log_gaussian(x, mean, cov):
@@ -93,8 +99,9 @@ def fit_cempca(X_raw, cfg, seed=0, relabelled_compete=False):
     """fit_cempca with no sharing between restarts, under best_of_restarts
     above: every restart seeds and refines by CEM on B, which gives its start
     (the refined partition), then runs the joint loop from the m_step of
-    that partition. It skips the settings checks, so it takes valid
-    settings only."""
+    that partition. The refinement, the M-step, the joint loop and the
+    objective are the references below, not the library's. It skips the
+    settings checks, so it takes valid settings only."""
     t0 = time.perf_counter()
     X = core.prepare_features(np.asarray(X_raw, dtype=float), cfg)
     B, _ = core.pca_embed(X, cfg.p)
@@ -103,14 +110,126 @@ def fit_cempca(X_raw, cfg, seed=0, relabelled_compete=False):
     def start(r):
         part = mixture.Partition(assignments=core._seed_partition(B, cfg.g, r, seed),
                                  g=cfg.g)
-        return mixture.cem_refine(B, part, mixture.m_step(B, part, cfg.model),
-                                  tol=cfg.tol)[0].assignments
+        return cem_refine(B, part, m_step(B, part, cfg.model), tol=cfg.tol)[0].assignments
 
     def tail(labels):
         part = mixture.Partition(assignments=labels, g=cfg.g)
-        return core._fit_single(X, B, Q, cfg, part, mixture.m_step(B, part, cfg.model))
+        return fit_single(X, B, Q, cfg, part, m_step(B, part, cfg.model))
 
     return best_of_restarts(start, tail, cfg.restarts, operator.lt, t0, relabelled_compete)
+
+
+def fit_single(X, B, Q, cfg, part, params):
+    """The joint loop with every block update scored in full by objective
+    below (five objective calls in a one-sweep loop) and the mixture step
+    always refined by cem_refine below, the first sweep's included."""
+    bundle = core.EmbeddingBundle(B=B, Q=Q, M=B.copy())
+    trace = [objective(X, bundle, part, params, cfg.delta)]
+    steps = []
+    for _ in range(cfg.max_iter):
+        start_part, start_B = part, bundle.B
+        M = core.update_M(bundle.B, part, params, cfg.delta)
+        bundle = replace(bundle, M=M)
+        current = objective(X, bundle, part, params, cfg.delta)
+        steps.append(("M", current))
+        cand_part, cand_params, _, _ = cem_refine(bundle.B, part, params, tol=cfg.tol)
+        cand = objective(X, bundle, cand_part, cand_params, cfg.delta)
+        if cand <= current:
+            part, params, current = cand_part, cand_params, cand
+        steps.append(("cem", current))
+        B = core.update_B(X, bundle.Q, M, cfg.delta)
+        bundle = replace(bundle, B=B)
+        steps.append(("B", objective(X, bundle, part, params, cfg.delta)))
+        bundle = replace(bundle, Q=core.update_Q(X, B))
+        value = objective(X, bundle, part, params, cfg.delta)
+        steps.append(("Q", value))
+        trace.append(value)
+        fixed = (np.array_equal(part.assignments, start_part.assignments)
+                 and np.linalg.norm(B - start_B) <= cfg.tol * np.linalg.norm(start_B))
+        if fixed or mixture._converged(trace[-2], trace[-1], cfg.tol):
+            break
+    return mixture.FitResult(partition=part, params=params, objective_trace=trace,
+                             bundle=bundle, step_trace=steps)
+
+
+def objective(X, bundle, partition, params, delta):
+    """The joint objective in one expression, every term recomputed."""
+    X = np.asarray(X, dtype=float)
+    resid = X - bundle.B @ bundle.Q.T
+    gap = bundle.B - bundle.M
+    ll = mixture.complete_log_likelihood(bundle.M, partition, params)
+    return float(np.sum(resid * resid) + delta * np.sum(gap * gap) - ll)
+
+
+def cem_refine(X, partition, params, max_iter=100, tol=1e-6):
+    """mixture.cem_refine with every round's M-step (m_step below) and
+    scoring run, the round that returns the partition it was given
+    included. It takes the same arguments but the floor and returns the
+    same (partition, params, trace, iterations)."""
+    XT = mixture._feature_major(X)
+    X = XT.T
+    n = XT.shape[1]
+    rows = np.arange(n)
+    lp = mixture.log_joint(X, params)
+    trace = [float(lp.T.ravel().take(np.asarray(partition.assignments) * n + rows).sum())]
+    for _ in range(max_iter):
+        assign = mixture._first_best(lp.T, np.greater)
+        mixture._repair_empty(assign, lambda: mixture._posterior(lp)[0], partition.g)
+        new_part = mixture.Partition(assignments=assign, g=partition.g)
+        params = m_step(X, new_part, params.model)
+        lp = mixture.log_joint(X, params)
+        trace.append(float(lp.T.ravel().take(assign * n + rows).sum()))
+        unchanged = np.array_equal(new_part.assignments, partition.assignments)
+        partition = new_part
+        if unchanged or mixture._converged(trace[-2], trace[-1], tol):
+            break
+    return partition, params, trace, len(trace) - 1
+
+
+def m_step(X, weights, model="full"):
+    """mixture.m_step one component at a time: each covariance is
+    symmetrized, ridged and constrained on its own, and X's ridge floor is
+    recomputed on every call. It takes m_step's arguments but the floor."""
+    XT = mixture._feature_major(X)
+    p, n = XT.shape
+    hard = isinstance(weights, mixture.Partition)
+    if hard:
+        g = weights.g
+        totals = np.bincount(weights.assignments, minlength=g).astype(float)
+    else:
+        W = np.asarray(weights, dtype=float)
+        g = W.shape[1]
+        totals = W.sum(axis=0)
+    for k in range(g):
+        if totals[k] <= 0.0:
+            raise EmptyClusterError(k)
+    pi = totals / n
+    centred = XT - (XT @ np.ones(n) / n)[:, None]
+    floor = max(1e-3 * float(np.vdot(centred, centred)) / (n * p), 1e-12)
+    means = np.empty((g, p)) if hard else (XT @ W).T / totals[:, None]
+    covs = np.empty((g, p, p))
+    for k in range(g):
+        if hard:
+            cols = XT.take(np.flatnonzero(weights.assignments == k), axis=1)
+            means[k] = cols @ np.ones(cols.shape[1]) / totals[k]
+            diff = cols - means[k][:, None]
+            cov = diff @ diff.T / totals[k]
+        else:
+            diff = XT - means[k][:, None]
+            cov = (diff * W[:, k]) @ diff.T / totals[k]
+        cov = 0.5 * (cov + cov.T)
+        t = max(float(np.trace(cov)) / p, floor)
+        covs[k] = cov + COV_EPS * t * np.eye(p)
+    if model == "diagonal":
+        for k in range(g):
+            covs[k] = np.diag(np.diag(covs[k]))
+    elif model == "spherical":
+        for k in range(g):
+            covs[k] = (np.trace(covs[k]) / p) * np.eye(p)
+    elif model == "spherical-tied":
+        lam = float(np.sum(totals * np.trace(covs, axis1=1, axis2=2) / p)) / n
+        covs = np.repeat((lam * np.eye(p))[None, :, :], g, axis=0)
+    return mixture.MixtureParams(weights=pi, means=means, covariances=covs, model=model)
 
 
 def lloyd(X, centers, max_iter=100, tol=1e-6):

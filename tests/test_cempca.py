@@ -12,7 +12,7 @@ from cempca.cempca import (CempcaConfig, EmbeddingBundle, fit_cempca,
                            objective, pca_embed, prepare_features, update_B,
                            update_M, update_Q)
 from cempca.data import (FCPS_CLASS_COUNTS, FCPS_SHAPES, gen_chang, gen_fcps,
-                         standardize)
+                         knn_graph, standardize)
 from cempca.errors import (DegenerateUpdateError, InvalidInputError,
                            NumericalError, SettingError)
 from cempca.linalg import thin_svd
@@ -503,6 +503,36 @@ def test_fit_rejects_X_without_feature_columns(fit, shape):
     message = f"X must be 2-D with at least one column, got shape {shape}"
     with pytest.raises(InvalidInputError, match=re.escape(message) + "$"):
         FITS[fit](np.zeros(shape), 1e-6)
+
+
+ONE_COMPONENT = MixtureParams(weights=np.ones(1), means=np.zeros((1, 1)),
+                              covariances=np.ones((1, 1, 1)))
+BUILDING_BLOCKS = {
+    "m_step": lambda X: mixture.m_step(X, Partition(assignments=np.zeros(len(X), int), g=1)),
+    "ridge_floor": mixture.ridge_floor,
+    "log_joint": lambda X: mixture.log_joint(X, ONE_COMPONENT),
+    "complete_log_likelihood": lambda X: complete_log_likelihood(
+        X, Partition(assignments=np.zeros(len(X), int), g=1), ONE_COMPONENT),
+    "lloyd": lambda X: mixture.lloyd(X, np.zeros((1, 1))),
+    "knn_graph": lambda X: knn_graph(X, 3),
+    "pca_embed": core.pca_embed,
+}
+
+
+@pytest.mark.parametrize("block", BUILDING_BLOCKS)
+@pytest.mark.parametrize("shape", [(40, 0), (40,), (2, 3, 4)])
+def test_building_blocks_reject_X_without_feature_columns(block, shape):
+    # the public building blocks check the shape themselves, outside the
+    # fits' check, and name it (pca_embed's p is not at fault)
+    message = f"X must be 2-D with at least one column, got shape {shape}"
+    with pytest.raises(InvalidInputError, match=re.escape(message) + "$"):
+        BUILDING_BLOCKS[block](np.zeros(shape))
+
+
+def test_ridge_floor_rejects_X_without_rows():
+    message = "X must have at least one row, got shape (0, 3)"
+    with pytest.raises(InvalidInputError, match=re.escape(message) + "$"):
+        mixture.ridge_floor(np.zeros((0, 3)))
 
 
 @pytest.mark.parametrize("field, value, message", [

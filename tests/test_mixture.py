@@ -348,8 +348,13 @@ def test_fits_deterministic():
         assert a.objective_trace == b.objective_trace
 
 
-@pytest.mark.parametrize("seed,max_iter", [(21, 100), (22, 100), (23, 1), (24, 3)])
-def test_cem_refine_scores_each_parameter_set_once(monkeypatch, seed, max_iter):
+# (seed, max_iter, log_joint calls). Seeds 21 and 22 stop when the C-step
+# returns the partition just fitted, whose scores are in hand: one call per
+# trace entry but the last (5 and 13 calls when that round rescored). Seeds
+# 23 and 24 stop at max_iter and score every round.
+@pytest.mark.parametrize("seed,max_iter,scored", [(21, 100, 4), (22, 100, 12), (23, 1, 2),
+                                                  (24, 3, 4)])
+def test_cem_refine_scores_each_parameter_set_once(monkeypatch, seed, max_iter, scored):
     rng = np.random.default_rng(seed)
     X, _ = _blobs(rng, 30, [(0.0, 0.0), (3.0, 0.0), (0.0, 3.0)])
     part = Partition(assignments=mixture.random_partition(len(X), 3, rng), g=3)
@@ -357,9 +362,11 @@ def test_cem_refine_scores_each_parameter_set_once(monkeypatch, seed, max_iter):
     calls = []
     real = mixture.log_joint
     monkeypatch.setattr(mixture, "log_joint",
-                        lambda X, params: calls.append(1) or real(X, params))
+                        lambda X, params: calls.append(params) or real(X, params))
     _, _, trace, iterations = cem_refine(X, part, params, max_iter=max_iter)
-    assert len(calls) == iterations + 1 == len(trace)
+    assert len(calls) == scored
+    assert iterations + 1 == len(trace)
+    assert len({(p.means.tobytes(), p.covariances.tobytes()) for p in calls}) == scored
 
 
 def test_restart_seeds_reject_negative_seed():

@@ -1,6 +1,9 @@
 """Property tests for the batched-factor mixture kernel against the
-single-point log_gaussian reference and scipy's triangular solve, for the
-one log-sum-exp reduction against scipy's, for the feature-major Lloyd
+single-point log_gaussian reference and scipy's triangular solve, for
+m_step's stacked ridge against the per-component reference, for cem_refine,
+which fits and scores each partition once, against the reference that
+rescores every round, for the one log-sum-exp reduction against scipy's,
+for the feature-major Lloyd
 kernel and its tie rule against the row-major reference and numpy's
 argmin/argmax, for the k-means++ running distance against the broadcast
 reference, for the restart engine and its sharing of repeated and
@@ -40,6 +43,7 @@ from oracles import relabels  # noqa: E402
 from oracles import centroids, log_gaussian, lloyd as row_major_lloyd  # noqa: E402
 from oracles import seed_centers as broadcast_seed_centers  # noqa: E402
 from oracles import fit_cempca as every_joint_loop  # noqa: E402
+import oracles  # noqa: E402
 
 LOG_2PI = np.log(2 * np.pi)
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -165,6 +169,51 @@ def test_m_step_ridge_floor_is_the_mean_feature_variance(seed, g, p):
     for weights in (Partition(assignments=assign, g=g + 1), np.eye(g + 1)[assign]):
         cov = m_step(X, weights).covariances[g]
         assert np.all(np.abs(cov - 1e-6 * floor * np.eye(p)) <= 1e-12 * 1e-6 * floor)
+
+
+@st.composite
+def _partitioned_rows(draw):
+    """(X, partition, rng): n rows in p = 1 to 18 dimensions, some of them
+    repeated, under a random partition into g = 1 to 9 non-empty clusters."""
+    rng = np.random.default_rng(draw(seeds))
+    g, p = draw(st.integers(1, 9)), draw(st.integers(1, 18))
+    n = draw(st.integers(g, 60))
+    X = rng.standard_normal((n, p)) * rng.uniform(0.01, 100.0)
+    if draw(st.booleans()):
+        X = X[rng.integers(0, max(g, n // 3), n)]
+    return X, Partition(assignments=mixture.random_partition(n, g, rng), g=g), rng
+
+
+@SETTINGS
+@given(case=_partitioned_rows(), model=models, soft=st.booleans(), passed=st.booleans())
+def test_m_step_matches_the_per_component_reference(case, model, soft, passed):
+    # the (g, p, p) stack is symmetrized, ridged and constrained at once,
+    # with the floor passed in or computed once; the reference does each
+    # component on its own and recomputes the floor
+    X, part, rng = case
+    weights = rng.dirichlet(np.ones(part.g), len(X)) if soft else part
+    floor = mixture.ridge_floor(X) if passed else None
+    _assert_identical(m_step(X, weights, model, floor=floor),
+                      oracles.m_step(X, weights, model))
+
+
+@SETTINGS
+@given(case=_partitioned_rows(), model=models, refit=st.booleans(),
+       max_iter=st.sampled_from([1, 2, 3, 100]), tol=st.sampled_from([0.0, 1e-6, 1e-2]))
+def test_cem_refine_matches_the_reference_that_rescores_every_round(case, model, refit,
+                                                                     max_iter, tol):
+    # params fitted to the partition on X, as a fit's start gives them, or
+    # on other rows, as a later sweep gives them after B moved
+    X, part, rng = case
+    fitted_on = X + 0.1 * rng.standard_normal(X.shape) if refit else X
+    params = m_step(fitted_on, part, model)
+    got = _outcome(lambda: mixture.cem_refine(X, part, params, max_iter, tol))
+    _assert_identical(got, _outcome(lambda: oracles.cem_refine(X, part, params, max_iter, tol)))
+    if not isinstance(got, str) and got[2][-1] is got[2][-2]:
+        # a repeated trace object marks a fixed point: the reference's
+        # refinement from the returned state returns it unchanged
+        again = oracles.cem_refine(X, got[0], got[1], max_iter, tol)
+        _assert_identical(again[:2], got[:2])
 
 
 @SETTINGS
@@ -673,23 +722,42 @@ def test_sharing_starts_changes_no_fit_on_tetra(method, seed):
     _assert_sharing_changes_nothing(lambda: SHARED_FITS[method](TETRA, 4, 10, seed))
 
 
+# A tolerance of 1e-2 stops many refinements short of a fixed point, so the
+# first sweep's CEM step runs; at 1e-6 every start on tetra ends at one
+tols = st.sampled_from([1e-6, 1e-2])
+
+
 @settings(max_examples=15, deadline=None)
-@given(case=_grid_rows(), seed=st.integers(0, 2**16), model=models)
-def test_fit_cempca_matches_every_restart_in_full_on_grid_data(case, seed, model):
-    # fit_cempca runs the joint loop once per refined partition and refines
-    # a seeding partition once; the reference runs every restart in full
+@given(case=_grid_rows(), seed=st.integers(0, 2**16), model=models, tol=tols)
+def test_fit_cempca_matches_every_restart_in_full_on_grid_data(case, seed, model, tol):
+    # fit_cempca runs the joint loop once per refined partition, refines a
+    # seeding partition once, fits and scores each partition once and
+    # skips the first sweep's CEM step after a start that ended at a fixed
+    # point; the reference runs every restart in full, rescoring all
     X, g = case
-    cfg = core.CempcaConfig(g=g, p=1, smoothing=0, restarts=6, model=model)
+    cfg = core.CempcaConfig(g=g, p=1, smoothing=0, restarts=6, model=model, tol=tol)
     _assert_identical(_outcome(lambda: core.fit_cempca(X, cfg, seed=seed)),
                       _outcome(lambda: every_joint_loop(X, cfg, seed=seed)))
 
 
 @settings(max_examples=3, deadline=None)
-@given(seed=st.integers(0, 2**16), model=st.sampled_from(["full", "spherical-tied"]))
-def test_fit_cempca_matches_every_restart_in_full_on_tetra(seed, model):
-    cfg = core.CempcaConfig(g=4, p=2, restarts=10, model=model)
+@given(seed=st.integers(0, 2**16), model=models, tol=tols)
+def test_fit_cempca_matches_every_restart_in_full_on_tetra(seed, model, tol):
+    cfg = core.CempcaConfig(g=4, p=2, restarts=10, model=model, tol=tol)
     _assert_identical(_outcome(lambda: core.fit_cempca(TETRA, cfg, seed=seed)),
                       _outcome(lambda: every_joint_loop(TETRA, cfg, seed=seed)))
+
+
+CHANG = gen_chang(300, seed=5).X
+
+
+@pytest.mark.parametrize("model, tol", [("spherical-tied", 1e-2), ("spherical", 1e-1)])
+def test_fit_cempca_matches_every_restart_in_full_on_chang(model, tol):
+    # at fit seed 3 some starts' refinements stop short of a fixed point,
+    # and the first sweep's CEM step then changes the kept fit
+    cfg = core.CempcaConfig(g=2, p=2, smoothing=0, restarts=10, model=model, tol=tol)
+    _assert_identical(core.fit_cempca(CHANG, cfg, seed=3),
+                      every_joint_loop(CHANG, cfg, seed=3))
 
 
 # Data for the old rule, under which a relabelled start competed: tetra's
@@ -736,25 +804,37 @@ def test_fit_cempca_keeps_the_fit_of_the_old_rule(data, seed, model):
         _outcome(lambda: every_joint_loop(X, cfg, seed=seed, relabelled_compete=True)))
 
 
-@pytest.mark.parametrize("model", COV_MODELS)
-def test_cem_refine_ignores_the_memory_layout_of_its_data(monkeypatch, model):
+# (start, model, log_joint and m_step calls). The K-means start is a fixed
+# point: one scoring, then one M-step that gives the given params, whose
+# scores are reused (3 calls when that round rescored). The random start
+# takes several rounds, each an M-step and a scoring, and its last round
+# returns the partition just fitted and calls neither (2 calls more when
+# that round refitted and rescored).
+@pytest.mark.parametrize("start_labels,model,calls", [
+    *[("kmeans", model, 2) for model in COV_MODELS],
+    ("random", "full", 27), ("random", "diagonal", 25), ("random", "spherical", 15),
+    ("random", "spherical-tied", 19)])
+def test_cem_refine_ignores_the_memory_layout_of_its_data(monkeypatch, start_labels, model,
+                                                          calls):
     # C-order, Fortran-order and every other column of a wider array: the
     # one feature-major copy makes them the same data, and log_joint and
     # m_step get a view of that copy, so they copy nothing more
     wide = np.zeros((TETRA.shape[0], 2 * TETRA.shape[1]))
     wide[:, ::2] = TETRA
-    start = Partition(assignments=mixture.kmeans_labels(TETRA, 4, 0, 0), g=4)
+    labels = (mixture.kmeans_labels(TETRA, 4, 0, 0) if start_labels == "kmeans"
+              else mixture.random_partition(len(TETRA), 4, np.random.default_rng(0)))
+    start = Partition(assignments=labels, g=4)
     expected = mixture.cem_refine(TETRA, start, m_step(TETRA, start, model))
     for X in (np.ascontiguousarray(TETRA), np.asfortranarray(TETRA), wide[:, ::2]):
         seen = []
         with monkeypatch.context() as mp:
             for name in ("log_joint", "m_step"):
                 real = getattr(mixture, name)
-                mp.setattr(mixture, name, lambda Y, *args, real=real: seen.append(Y)
-                           or real(Y, *args))
+                mp.setattr(mixture, name, lambda Y, *args, real=real, **kw: seen.append(Y)
+                           or real(Y, *args, **kw))
             got = mixture.cem_refine(X, start, m_step(TETRA, start, model))
         _assert_identical(got, expected)
-        assert len(seen) == 2 * got[3] + 1
+        assert len(seen) == calls
         assert all(Y.T.flags.c_contiguous and Y.base is seen[0].base for Y in seen)
 
 
@@ -849,10 +929,29 @@ def test_fit_cempca_refines_a_start_and_runs_a_loop_once(monkeypatch, model):
     # no sweep: the only refines are the starts'
     core.fit_cempca(BLOBS, replace(cfg, max_iter=0), seed=0)
     assert calls == {"update_B": 0, "cem_refine": len(seeding)}
-    # one sweep: one update_B and one more refine per loop
+    # one sweep: one update_B per loop, and no more refines, since every
+    # start's refinement stopped at a fixed point on the same B (a refine
+    # per loop, len(seeding) + len(refined) calls, when the first sweep
+    # refined again)
     calls.update(update_B=0, cem_refine=0)
     core.fit_cempca(BLOBS, replace(cfg, max_iter=1), seed=0)
-    assert calls == {"update_B": len(refined), "cem_refine": len(seeding) + len(refined)}
+    assert calls == {"update_B": len(refined), "cem_refine": len(seeding)}
+
+
+@pytest.mark.parametrize("fit", [
+    lambda: mixture.em_gmm(BLOBS, 2, restarts=3, seed=1),
+    lambda: mixture.cem(BLOBS, 2, restarts=3, seed=1),
+    lambda: core.fit_cempca(BLOBS, core.CempcaConfig(g=2, p=1, smoothing=0, restarts=6,
+                                                     max_iter=1), seed=0),
+])
+def test_a_fit_computes_the_ridge_floor_once(monkeypatch, fit):
+    # every restart's M-steps run on one data matrix (fit_cempca's B), so
+    # the fit computes its floor once and hands it to each
+    calls = []
+    real = mixture.ridge_floor
+    monkeypatch.setattr(mixture, "ridge_floor", lambda X: calls.append(1) or real(X))
+    fit()
+    assert len(calls) == 1
 
 
 def _cem_on_the_embedding(B, cfg, seed):
