@@ -123,10 +123,13 @@ def update_M(B, partition, params, delta):
     Every row assigned to cluster k solves the SPD system
     (Sigma_k^{-1} + delta I) m = delta b + Sigma_k^{-1} s_k, handled in the
     equivalent form (I + delta Sigma_k) m = s_k + delta Sigma_k b, which
-    stays well-conditioned when Sigma_k is nearly singular.
+    stays well-conditioned when Sigma_k is nearly singular. B's shape, the
+    partition and params must agree, or InvalidInputError names both sizes.
     """
     B = np.asarray(B, dtype=float)
     n, p = B.shape
+    mixture._check_columns(p, params)
+    mixture._cluster_sizes(partition, n, params.g)
     M = np.empty_like(B)
     eye = np.eye(p)
     for k in range(params.g):
@@ -196,12 +199,12 @@ def _seed_partition(B, g, restart, seed):
     return mixture.kmeans_labels(B, g, mixture.child_seed(seed, restart), 0)
 
 
-def _fit_single(X, B, Q, cfg, part, params, floor, settled):
+def _fit_single(X, B, Q, cfg, part, params, settled):
     """One restart's joint loop from the principal embedding B, its loadings
-    Q and the partition CEM refined on B, with params its m_step. floor is
-    mixture.ridge_floor(B), and settled says whether that refinement stopped
-    at a fixed point, where a CEM step on B would return part and params
-    unchanged, so the first sweep runs none.
+    Q and the partition CEM refined on B, with params its m_step. settled
+    says whether that refinement stopped at a fixed point (its trace ends
+    on a repeated entry), where a CEM step on B would return part and
+    params unchanged, so the first sweep runs none.
 
     Each block update recomputes only the objective terms it changes: M the
     coupling and the log-likelihood, the mixture step the log-likelihood, B
@@ -230,7 +233,7 @@ def _fit_single(X, B, Q, cfg, part, params, floor, settled):
         # kept only when it does not increase that objective.
         if not settled:
             cand_part, cand_params, _, _ = mixture.cem_refine(
-                bundle.B, part, params, tol=cfg.tol, floor=floor)
+                bundle.B, part, params, tol=cfg.tol)
             cand_ll = mixture.complete_log_likelihood(M, cand_part, cand_params)
             cand = _total(recon, coupling, cand_ll, cfg.delta)
             if cand <= current:
@@ -238,8 +241,7 @@ def _fit_single(X, B, Q, cfg, part, params, floor, settled):
         steps.append(("cem", current))
         B = update_B(X, bundle.Q, M, cfg.delta)
         bundle = replace(bundle, B=B)
-        # CEM has not run on the new B, whose floor is not known yet
-        settled, floor = False, None
+        settled = False   # CEM has not run on the new B
         recon, coupling = _reconstruction(X, bundle), _coupling(bundle)
         steps.append(("B", _total(recon, coupling, ll, cfg.delta)))
         bundle = replace(bundle, Q=update_Q(X, B))
@@ -274,7 +276,8 @@ def fit_cempca(X_raw, cfg, seed=0):
     refined labels keeps a relabelled or repeated one from being refined
     again. The loop starts from the params that refinement returned, and
     its first sweep runs no CEM step when the refinement stopped at a fixed
-    point. The kept result is the one every restart run in full would give
+    point (a round after its first returned the partition it had just
+    fitted). The kept result is the one every restart run in full would give
     if a restart whose seeding relabels an earlier successful one did not
     compete.
     Restarts that hit a degenerate update are skipped and listed in
@@ -299,7 +302,6 @@ def fit_cempca(X_raw, cfg, seed=0):
     # every restart starts from the same pair.
     B, _ = pca_embed(X, cfg.p)
     Q = update_Q(X, B)
-    floor = mixture.ridge_floor(B)
     refined = {}   # seeding key -> refined labels
     fitted = {}    # refined labels' bytes -> (their m_step on B, settled)
 
@@ -309,8 +311,7 @@ def fit_cempca(X_raw, cfg, seed=0):
         if key not in refined:
             part = Partition(assignments=labels, g=cfg.g)
             part, params, trace, _ = mixture.cem_refine(
-                B, part, mixture.m_step(B, part, cfg.model, floor=floor),
-                tol=cfg.tol, floor=floor)
+                B, part, mixture.m_step(B, part, cfg.model), tol=cfg.tol)
             refined[key] = part.assignments
             # cem_refine repeats its last trace entry, the same float
             # object, exactly when it stopped at a fixed point
@@ -320,6 +321,6 @@ def fit_cempca(X_raw, cfg, seed=0):
     def tail(labels):
         params, settled = fitted[labels.tobytes()]
         return _fit_single(X, B, Q, cfg, Partition(assignments=labels, g=cfg.g), params,
-                           floor, settled)
+                           settled)
 
     return mixture.best_of_restarts(start, tail, cfg.restarts, operator.lt, t0)

@@ -191,6 +191,29 @@ def _check_matrix(X):
         raise InvalidInputError(f"X must be 2-D with at least one column, got shape {X.shape}")
 
 
+def _check_columns(p, params):
+    """InvalidInputError naming both sizes unless X's p columns are params'."""
+    if p != params.p:
+        raise InvalidInputError(f"X has {p} columns, but the params have p={params.p}")
+
+
+def _cluster_sizes(partition, n, g):
+    """Rows per cluster of a partition of X's n rows into g clusters, from
+    one pass over its labels. InvalidInputError names both sizes unless it
+    has g clusters, n labels and every label in [0, g)."""
+    if partition.g != g:
+        raise InvalidInputError(f"the partition has g={partition.g}, but the params have g={g}")
+    if partition.n != n:
+        raise InvalidInputError(f"the partition labels {partition.n} rows, but X has {n}")
+    try:
+        sizes = np.bincount(partition.assignments, minlength=g)
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"labels must be integers in [0, {g})") from None
+    if sizes.size > g:
+        raise InvalidInputError(f"label {sizes.size - 1} is out of range for g={g} clusters")
+    return sizes
+
+
 def _first_best(scores, better):
     """Index of the best of the g rows of a (g, n) score array, per column:
     better is np.less for the minimum, np.greater for the maximum. The
@@ -226,12 +249,14 @@ def _component_log_joint(XT, params, factors, k):
 
 
 def log_joint(X, params):
-    """Matrix of log pi_k + log phi_k(x_i), one column per component.
+    """Matrix of log pi_k + log phi_k(x_i), one column per component; X
+    needs params.p columns (InvalidInputError otherwise).
 
     The (n, g) matrix is column-contiguous: it is the transpose of the
     (g, n) array the components fill, one contiguous row each.
     """
     XT = _feature_major(X)
+    _check_columns(XT.shape[0], params)
     factors = _factors(params)
     lp = np.empty((params.g, XT.shape[1]))
     with np.errstate(over="ignore"):
@@ -272,42 +297,26 @@ def c_step(resp):
     return Partition(assignments=np.argmax(resp, axis=1), g=resp.shape[1])
 
 
-def ridge_floor(X):
-    """The floor of m_step's ridge scale for the rows X: a thousandth of
-    their mean feature variance, and at least 1e-12.
-
-    It depends on X alone, so a fit that runs many M-steps on one X
-    computes it once and passes it to each (m_step's and cem_refine's
-    floor). X needs a row and a column.
-    """
-    XT = _feature_major(X)
-    p, n = XT.shape
-    if n < 1:
-        raise InvalidInputError(f"X must have at least one row, got shape {XT.T.shape}")
-    # The mean feature variance as one centred sum of squares: np.var's
-    # per-column reductions cost more than a hard m_step.
-    centred = XT - (XT @ np.ones(n) / n)[:, None]
-    return max(1e-3 * float(np.vdot(centred, centred)) / (n * p), 1e-12)
-
-
-def m_step(X, weights, model="full", floor=None):
+def m_step(X, weights, model="full"):
     """Parameter update from soft responsibilities or a hard Partition.
 
-    weights is an (n, g) responsibility matrix or a Partition. A Partition
-    is read as its labels: each cluster's rows are gathered once, as columns
-    of a feature-major copy of X, so no n x g one-hot matrix is formed, and
-    the result equals the one-hot matrix's up to rounding. An empty cluster
-    raises EmptyClusterError.
+    weights is an (n, g) responsibility matrix whose rows sum to one, or a
+    Partition of the n rows, read as its labels: each cluster's rows are
+    gathered once, as columns of a feature-major copy of X, so no n x g
+    one-hot matrix is formed, and the result equals the one-hot matrix's up
+    to rounding. An empty cluster raises EmptyClusterError; weights for
+    other than n rows, or a label outside [0, g), InvalidInputError.
 
     Covariances are the weighted scatter divided by the column weight sum,
     ridge-regularized with eps * (trace / p) * I (eps = 1e-6), then
-    constrained to the requested family. The ridge scale is floored at
-    floor, ridge_floor(X) (a thousandth of the mean feature variance of X)
-    when None: a cluster whose points coincide (a singleton, or a
-    representation pulled onto its centroid) would otherwise shrink its
-    covariance below floating-point resolution and poison every later
-    Mahalanobis term. The fits compute the floor once per data matrix and
-    pass it to every M-step on that matrix.
+    constrained to the requested family. The ridge scale is floored at a
+    thousandth of X's mean feature variance (and at 1e-12): a cluster whose
+    points coincide (a singleton, or a representation pulled onto its
+    centroid) would otherwise shrink its covariance below floating-point
+    resolution and poison every later Mahalanobis term. By the law of total
+    variance, n * p times that variance is sum_k n_k (tr C_k + |mu_k - mu|^2)
+    over the column weight sums n_k, scatters C_k and means mu_k, with mu
+    their weighted mean: no pass over X, and no offset in X cancels.
     """
     XT = _feature_major(X)
     _check_model(model)
@@ -315,18 +324,20 @@ def m_step(X, weights, model="full", floor=None):
     hard = isinstance(weights, Partition)
     if hard:
         g = weights.g
-        totals = np.bincount(weights.assignments, minlength=g).astype(float)
+        totals = _cluster_sizes(weights, n, g).astype(float)
     else:
         W = np.asarray(weights, dtype=float)
         g = W.shape[1]
+        if W.shape[0] != n:
+            raise InvalidInputError(f"weights are given for {W.shape[0]} rows, but X has {n}")
         totals = W.sum(axis=0)
     for k in range(g):
         if totals[k] <= 0.0:
             raise EmptyClusterError(k)
-    if floor is None:
-        floor = ridge_floor(XT.T)
     pi = totals / n
-    means = np.empty((g, p)) if hard else (XT @ W).T / totals[:, None]
+    # C-order means on both paths, so the floor's sums over a mean's p
+    # features run in one order whatever form the weights take
+    means = np.empty((g, p)) if hard else np.ascontiguousarray((XT @ W).T) / totals[:, None]
     covs = np.empty((g, p, p))
     for k in range(g):
         if hard:
@@ -339,7 +350,10 @@ def m_step(X, weights, model="full", floor=None):
             covs[k] = (diff * W[:, k]) @ diff.T / totals[k]
     # Symmetrize, then add the ridge, for the whole (g, p, p) stack at once
     covs = 0.5 * (covs + covs.transpose(0, 2, 1))
-    scale = np.maximum(np.trace(covs, axis1=1, axis2=2) / p, floor)
+    trace = np.trace(covs, axis1=1, axis2=2)
+    dev = means - totals @ means / n
+    spread = float(totals @ (trace + (dev * dev).sum(axis=1)))
+    scale = np.maximum(trace / p, max(1e-3 * spread / (n * p), 1e-12))
     covs += (_COV_EPS * scale)[:, None, None] * np.eye(p)
     if model == "diagonal":
         diagonal = np.arange(p)
@@ -356,9 +370,13 @@ def m_step(X, weights, model="full", floor=None):
 def complete_log_likelihood(X, partition, params):
     """Sum over rows of log pi_{z_i} + log phi_{z_i}(x_i).
 
-    Each row is scored only under its own cluster.
+    Each row is scored only under its own cluster. X's columns, the
+    partition's rows and labels and params must agree, or InvalidInputError
+    names both sizes.
     """
     XT = _feature_major(X)
+    _check_columns(XT.shape[0], params)
+    _cluster_sizes(partition, XT.shape[1], params.g)
     assign = partition.assignments
     factors = _factors(params)
     own = np.empty(XT.shape[1])
@@ -500,20 +518,18 @@ def em_gmm(X, g, max_iter=100, tol=1e-6, restarts=20, seed=0, model="full"):
     X = np.asarray(X, dtype=float)
     _check_fit_args(X, g, tol, seed, restarts, max_iter, model)
     t0 = time.perf_counter()
-    # one feature-major copy and one ridge floor per call, as in cem_refine;
-    # the seeding reads rows
+    # one feature-major copy per call, as in cem_refine; the seeding reads rows
     XF = _feature_major(X).T
-    floor = ridge_floor(XF)
 
     def tail(labels):
-        params = m_step(XF, Partition(assignments=labels, g=g), model, floor=floor)
+        params = m_step(XF, Partition(assignments=labels, g=g), model)
         # One score matrix and one reduction of it per parameter set: they
         # give the trace entry, the next E-step and, for the last set, the
         # MAP partition.
         density, resp = _posterior(log_joint(XF, params))
         trace = [float(density.sum())]
         for _ in range(max_iter):
-            params = m_step(XF, resp, model, floor=floor)
+            params = m_step(XF, resp, model)
             density, resp = _posterior(log_joint(XF, params))
             trace.append(float(density.sum()))
             if _converged(trace[-2], trace[-1], tol):
@@ -549,38 +565,34 @@ def _repair_empty(assign, score, g):
     return moved
 
 
-def cem_refine(X, partition, params, max_iter=100, tol=1e-6, floor=None):
+def cem_refine(X, partition, params, max_iter=100, tol=1e-6):
     """Run E/C/M rounds from a warm state until the partition stabilizes.
 
-    Every M-step refits the covariance model of the given params (params.model),
-    with floor as its ridge floor (ridge_floor(X), computed once here when
-    None). Returns (partition, params, complete-log-likelihood trace,
-    iterations). The trace is non-decreasing up to the covariance
-    regularization slack.
+    Every M-step refits the covariance model of the given params (params.model).
+    Returns (partition, params, complete-log-likelihood trace, iterations).
+    The trace is non-decreasing up to the covariance regularization slack.
+    X's columns, the partition and params must agree (InvalidInputError).
 
-    A partition is fitted and scored once: when the C-step returns the
-    partition the last round fitted, the round reuses that fit and its
-    scores, appends the last trace value again (the same float object) and
-    stops. The first round, which did not fit the given params itself, does
-    so only when its M-step gives them bit for bit. Every other round
-    appends a newly computed value, so trace[-1] is trace[-2] exactly when
-    the refinement stopped at a fixed point, from which CEM returns the
-    same state.
+    It stops when a C-step returns the partition it was given. From the
+    second round on, the last round fitted and scored that partition, so
+    the round appends the last trace value again (the same float object);
+    every other round appends a newly computed value. So trace[-1] is
+    trace[-2] exactly when the refinement stopped at such a fixed point,
+    from which CEM returns the same state.
     """
     # One feature-major copy for the whole refinement: log_joint and m_step
     # get its transposed view, and their own _feature_major copies nothing.
     XT = _feature_major(X)
     X = XT.T
     n = XT.shape[1]
-    if floor is None:
-        floor = ridge_floor(X)
+    _cluster_sizes(partition, n, params.g)
     rows = np.arange(n)
     # One score matrix per parameter set: it gives the trace entry for the
     # partition it was fitted to and the C-step of the next iteration. Its
     # (g, n) transpose is contiguous, so a row's own score is read from the
     # flat array at assign * n + row.
     lp = log_joint(X, params)
-    trace = [float(lp.T.ravel().take(np.asarray(partition.assignments) * n + rows).sum())]
+    trace = [float(lp.T.ravel().take(partition.assignments * n + rows).sum())]
     for it in range(max_iter):
         assign = _first_best(lp.T, np.greater)
         _repair_empty(assign, lambda: _posterior(lp)[0], partition.g)
@@ -589,24 +601,12 @@ def cem_refine(X, partition, params, max_iter=100, tol=1e-6, floor=None):
         if unchanged and it > 0:
             trace.append(trace[-1])
             break
-        fitted = m_step(X, partition, params.model, floor=floor)
-        if unchanged and _same_params(fitted, params):
-            trace.append(trace[-1])
-            break
-        params = fitted
+        params = m_step(X, partition, params.model)
         lp = log_joint(X, params)
         trace.append(float(lp.T.ravel().take(assign * n + rows).sum()))
         if unchanged or _converged(trace[-2], trace[-1], tol):
             break
     return partition, params, trace, len(trace) - 1
-
-
-def _same_params(a, b):
-    """Whether two MixtureParams hold the same model and the same bytes."""
-    return a.model == b.model and all(
-        x.shape == y.shape and x.tobytes() == y.tobytes()
-        for x, y in ((a.weights, b.weights), (a.means, b.means),
-                     (a.covariances, b.covariances)))
 
 
 def cem(X, g, max_iter=100, tol=1e-6, restarts=20, seed=0, model="full"):
@@ -619,15 +619,13 @@ def cem(X, g, max_iter=100, tol=1e-6, restarts=20, seed=0, model="full"):
     X = np.asarray(X, dtype=float)
     _check_fit_args(X, g, tol, seed, restarts, max_iter, model)
     t0 = time.perf_counter()
-    # one feature-major copy and one ridge floor per call, as in em_gmm
+    # one feature-major copy per call, as in em_gmm
     XF = _feature_major(X).T
-    floor = ridge_floor(XF)
 
     def tail(labels):
         partition = Partition(assignments=labels, g=g)
-        params = m_step(XF, partition, model, floor=floor)
-        partition, params, trace, _ = cem_refine(
-            XF, partition, params, max_iter=max_iter, tol=tol, floor=floor)
+        params = m_step(XF, partition, model)
+        partition, params, trace, _ = cem_refine(XF, partition, params, max_iter=max_iter, tol=tol)
         return FitResult(partition=partition, params=params, objective_trace=trace)
 
     return best_of_restarts(lambda r: kmeans_labels(X, g, child_seed(seed, r), 0, max_iter),

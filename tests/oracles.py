@@ -8,9 +8,8 @@ row's distances to all earlier centres at each draw, where the library keeps
 a running nearest distance. The restart references run every restart in
 full and tell a relabelled start by its contingency table rather than by a
 renumbering. The joint-fit references fit and score every partition anew:
-the M-step one component at a time with the ridge floor recomputed per
-call, every CEM round rescored, and every block update's objective computed
-in full.
+the M-step one component at a time, every CEM round rescored, and every
+block update's objective computed in full.
 """
 
 import operator
@@ -164,8 +163,8 @@ def objective(X, bundle, partition, params, delta):
 def cem_refine(X, partition, params, max_iter=100, tol=1e-6):
     """mixture.cem_refine with every round's M-step (m_step below) and
     scoring run, the round that returns the partition it was given
-    included. It takes the same arguments but the floor and returns the
-    same (partition, params, trace, iterations)."""
+    included. It takes the same arguments and returns the same
+    (partition, params, trace, iterations)."""
     XT = mixture._feature_major(X)
     X = XT.T
     n = XT.shape[1]
@@ -188,8 +187,11 @@ def cem_refine(X, partition, params, max_iter=100, tol=1e-6):
 
 def m_step(X, weights, model="full"):
     """mixture.m_step one component at a time: each covariance is
-    symmetrized, ridged and constrained on its own, and X's ridge floor is
-    recomputed on every call. It takes m_step's arguments but the floor."""
+    symmetrized, ridged and constrained on its own, and each component's
+    share of the ridge floor (its scatter's trace plus its mean's squared
+    distance from the weighted mean) is formed on its own. The weighted
+    sums over components are the library's dot products, so the floor
+    matches bit for bit. It takes m_step's arguments."""
     XT = mixture._feature_major(X)
     p, n = XT.shape
     hard = isinstance(weights, mixture.Partition)
@@ -204,10 +206,9 @@ def m_step(X, weights, model="full"):
         if totals[k] <= 0.0:
             raise EmptyClusterError(k)
     pi = totals / n
-    centred = XT - (XT @ np.ones(n) / n)[:, None]
-    floor = max(1e-3 * float(np.vdot(centred, centred)) / (n * p), 1e-12)
-    means = np.empty((g, p)) if hard else (XT @ W).T / totals[:, None]
+    means = np.empty((g, p)) if hard else np.ascontiguousarray((XT @ W).T) / totals[:, None]
     covs = np.empty((g, p, p))
+    traces = np.empty(g)
     for k in range(g):
         if hard:
             cols = XT.take(np.flatnonzero(weights.assignments == k), axis=1)
@@ -217,9 +218,13 @@ def m_step(X, weights, model="full"):
         else:
             diff = XT - means[k][:, None]
             cov = (diff * W[:, k]) @ diff.T / totals[k]
-        cov = 0.5 * (cov + cov.T)
-        t = max(float(np.trace(cov)) / p, floor)
-        covs[k] = cov + COV_EPS * t * np.eye(p)
+        covs[k] = 0.5 * (cov + cov.T)
+        traces[k] = np.trace(covs[k])
+    centre = totals @ means / n
+    shares = np.array([traces[k] + float(np.sum((means[k] - centre) ** 2)) for k in range(g)])
+    floor = max(1e-3 * float(totals @ shares) / (n * p), 1e-12)
+    for k in range(g):
+        covs[k] = covs[k] + COV_EPS * max(traces[k] / p, floor) * np.eye(p)
     if model == "diagonal":
         for k in range(g):
             covs[k] = np.diag(np.diag(covs[k]))

@@ -509,7 +509,6 @@ ONE_COMPONENT = MixtureParams(weights=np.ones(1), means=np.zeros((1, 1)),
                               covariances=np.ones((1, 1, 1)))
 BUILDING_BLOCKS = {
     "m_step": lambda X: mixture.m_step(X, Partition(assignments=np.zeros(len(X), int), g=1)),
-    "ridge_floor": mixture.ridge_floor,
     "log_joint": lambda X: mixture.log_joint(X, ONE_COMPONENT),
     "complete_log_likelihood": lambda X: complete_log_likelihood(
         X, Partition(assignments=np.zeros(len(X), int), g=1), ONE_COMPONENT),
@@ -527,12 +526,6 @@ def test_building_blocks_reject_X_without_feature_columns(block, shape):
     message = f"X must be 2-D with at least one column, got shape {shape}"
     with pytest.raises(InvalidInputError, match=re.escape(message) + "$"):
         BUILDING_BLOCKS[block](np.zeros(shape))
-
-
-def test_ridge_floor_rejects_X_without_rows():
-    message = "X must have at least one row, got shape (0, 3)"
-    with pytest.raises(InvalidInputError, match=re.escape(message) + "$"):
-        mixture.ridge_floor(np.zeros((0, 3)))
 
 
 @pytest.mark.parametrize("field, value, message", [

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cempca import mixture
+from cempca.cempca import update_M
 from cempca.errors import EmptyClusterError, InvalidInputError, SettingError
 from cempca.metrics import ari
 from cempca.mixture import (MixtureParams, Partition, c_step, cem, cem_refine,
@@ -421,3 +422,59 @@ def test_lloyd_rejects_max_iter_below_one(max_iter):
     for fit in (kmeans, em_gmm, cem, kmeans_pca, reduced_kmeans):
         with pytest.raises(InvalidInputError, match="max_iter must be >= 1"):
             fit(X, 2, max_iter=max_iter, restarts=1)
+
+
+# A hard-path building block checks that its arguments fit together, from
+# their shapes and at most one pass over the labels, and names both sizes.
+TWO = _params([0.5, 0.5], [[0.0, 0.0], [3.0, 3.0]], [np.eye(2), np.eye(2)])
+ROWS = np.vstack([np.zeros((10, 2)), np.full((10, 2), 3.0)]) + np.linspace(0, 1, 20)[:, None]
+HALVES = np.repeat([0, 1], 10)
+HARD_BLOCKS = {
+    "complete_log_likelihood": lambda X, part: complete_log_likelihood(X, part, TWO),
+    "update_M": lambda X, part: update_M(X, part, TWO, 1e-6),
+    "cem_refine": lambda X, part: cem_refine(X, part, TWO),
+}
+LABEL_BLOCKS = {"m_step": lambda X, part: m_step(X, part), **HARD_BLOCKS}
+
+
+@pytest.mark.parametrize("block", [*LABEL_BLOCKS, "m_step on soft weights"])
+def test_blocks_reject_weights_for_other_rows(block):
+    # unchecked, 10 labels or weight rows for 20 rows give weights summing to 0.5
+    if block in LABEL_BLOCKS:
+        fit, message = LABEL_BLOCKS[block], "the partition labels 10 rows"
+        weights = Partition(assignments=HALVES[::2], g=2)
+    else:
+        fit, message = m_step, "weights are given for 10 rows"
+        weights = np.eye(2)[HALVES[::2]]
+    with pytest.raises(InvalidInputError, match=f"^{message}, but X has 20$"):
+        fit(ROWS, weights)
+
+
+@pytest.mark.parametrize("block", LABEL_BLOCKS)
+@pytest.mark.parametrize("label, message", [
+    (2, r"^label 2 is out of range for g=2 clusters$"),
+    (5, r"^label 5 is out of range for g=2 clusters$"),
+    (-1, r"^labels must be integers in \[0, 2\)$"),
+])
+def test_blocks_reject_a_label_out_of_range(block, label, message):
+    # unchecked, a label of g gives m_step g + 1 weights beside g means,
+    # and leaves the row unscored or unsolved in the others
+    labels = HALVES.copy()
+    labels[3] = label
+    with pytest.raises(InvalidInputError, match=message):
+        LABEL_BLOCKS[block](ROWS, Partition(assignments=labels, g=2))
+
+
+@pytest.mark.parametrize("block", [*HARD_BLOCKS, "log_joint", "e_step", "log_likelihood"])
+def test_blocks_reject_X_with_other_columns_than_the_params(block):
+    fit = HARD_BLOCKS.get(block) or (lambda X, part: getattr(mixture, block)(X, TWO))
+    with pytest.raises(InvalidInputError, match="^X has 3 columns, but the params have p=2$"):
+        fit(np.hstack([ROWS, ROWS[:, :1]]), Partition(assignments=HALVES, g=2))
+
+
+@pytest.mark.parametrize("block", HARD_BLOCKS)
+@pytest.mark.parametrize("g", [1, 3])
+def test_hard_blocks_reject_a_partition_of_other_g(block, g):
+    with pytest.raises(InvalidInputError,
+                       match=f"^the partition has g={g}, but the params have g=2$"):
+        HARD_BLOCKS[block](ROWS, Partition(assignments=np.minimum(HALVES, g - 1), g=g))

@@ -157,18 +157,50 @@ def test_m_step_reports_the_empty_cluster_in_both_forms(seed, model, g, p, data)
         assert err.value.cluster == empty
 
 
-@SETTINGS
-@given(seed=seeds, g=st.integers(1, 9), p=st.integers(1, 15))
-def test_m_step_ridge_floor_is_the_mean_feature_variance(seed, g, p):
-    # a last cluster of coincident rows has zero scatter, so its covariance
-    # is the ridge alone: 1e-6 times the floor, times I
-    X, assign = _rank_deficient_clusters(seed, g, p)
+def _with_coincident_cluster(X, labels, g, rng, soft):
+    """X with three coincident rows appended as cluster g, and the weights
+    of the g + 1 clusters: the Partition of labels and g, or Dirichlet rows
+    over the first g clusters and weight one on cluster g for the three.
+    That cluster has no scatter, so its covariance is the ridge alone."""
+    n = len(X)
     X = np.vstack([X, np.repeat(X[:1] + 1.0, 3, axis=0)])
-    assign = np.append(assign, [g] * 3)
-    floor = 1e-3 * np.mean(np.var(X, axis=0))
-    for weights in (Partition(assignments=assign, g=g + 1), np.eye(g + 1)[assign]):
-        cov = m_step(X, weights).covariances[g]
-        assert np.all(np.abs(cov - 1e-6 * floor * np.eye(p)) <= 1e-12 * 1e-6 * floor)
+    if not soft:
+        return X, Partition(assignments=np.append(labels, [g] * 3), g=g + 1)
+    weights = np.zeros((n + 3, g + 1))
+    weights[:n, :g] = rng.dirichlet(np.ones(g), n)
+    weights[n:, g] = 1.0
+    return X, weights
+
+
+@SETTINGS
+@given(seed=seeds, g=st.integers(1, 9), p=st.integers(1, 15),
+       form=st.sampled_from(["one-hot", "soft", "one cluster", "shifted"]))
+def test_m_step_ridge_floor_is_the_mean_feature_variance(seed, g, p, form):
+    # a cluster of coincident rows has zero scatter, so its covariance is
+    # the ridge alone: 1e-6 times the floor, times I. The floor is a
+    # thousandth of X's mean feature variance, at least 1e-12, for hard
+    # labels, one-hot rows and soft responsibilities alike. One cluster of
+    # coincident integer rows has no variance, so its floor is 1e-12. On X
+    # shifted by 1e6 a mean rounds at about 1e-10 absolute, so the floor is
+    # held to 1e-8 relative, which one centred pass over X also meets.
+    rng = np.random.default_rng(seed)
+    if form == "one cluster":
+        # g coincident rows in a single cluster
+        X = np.repeat(rng.integers(-50, 50, (1, p)).astype(float), g, axis=0)
+        forms, k = [Partition(assignments=np.zeros(g, dtype=int), g=1), np.ones((g, 1))], 0
+    else:
+        X, assign = _rank_deficient_clusters(seed, g, p)
+        if form == "shifted":
+            X = X + 1e6
+        _, soft = _with_coincident_cluster(X, assign, g, rng, soft=True)
+        X, hard = _with_coincident_cluster(X, assign, g, rng, soft=False)
+        forms = [soft] if form == "soft" else [hard, np.eye(g + 1)[hard.assignments]]
+        k = g
+    floor = max(1e-3 * np.mean(np.var(X, axis=0)), 1e-12)
+    rel = 1e-8 if form == "shifted" else 1e-12
+    for weights in forms:
+        cov = m_step(X, weights).covariances[k]
+        assert np.all(np.abs(cov - 1e-6 * floor * np.eye(p)) <= rel * 1e-6 * floor)
 
 
 @st.composite
@@ -185,16 +217,14 @@ def _partitioned_rows(draw):
 
 
 @SETTINGS
-@given(case=_partitioned_rows(), model=models, soft=st.booleans(), passed=st.booleans())
-def test_m_step_matches_the_per_component_reference(case, model, soft, passed):
-    # the (g, p, p) stack is symmetrized, ridged and constrained at once,
-    # with the floor passed in or computed once; the reference does each
-    # component on its own and recomputes the floor
+@given(case=_partitioned_rows(), model=models, soft=st.booleans())
+def test_m_step_matches_the_per_component_reference(case, model, soft):
+    # the (g, p, p) stack is symmetrized, ridged and constrained at once;
+    # the reference does each component on its own. The appended cluster
+    # of coincident rows makes the ridge floor bind on every draw.
     X, part, rng = case
-    weights = rng.dirichlet(np.ones(part.g), len(X)) if soft else part
-    floor = mixture.ridge_floor(X) if passed else None
-    _assert_identical(m_step(X, weights, model, floor=floor),
-                      oracles.m_step(X, weights, model))
+    X, weights = _with_coincident_cluster(X, part.assignments, part.g, rng, soft)
+    _assert_identical(m_step(X, weights, model), oracles.m_step(X, weights, model))
 
 
 @SETTINGS
@@ -805,13 +835,13 @@ def test_fit_cempca_keeps_the_fit_of_the_old_rule(data, seed, model):
 
 
 # (start, model, log_joint and m_step calls). The K-means start is a fixed
-# point: one scoring, then one M-step that gives the given params, whose
-# scores are reused (3 calls when that round rescored). The random start
-# takes several rounds, each an M-step and a scoring, and its last round
-# returns the partition just fitted and calls neither (2 calls more when
-# that round refitted and rescored).
+# point: one scoring, then one round that refits and rescores the given
+# partition and stops. The random start takes several rounds, each an
+# M-step and a scoring, and its last round returns the partition just
+# fitted and calls neither (2 calls more when that round refitted and
+# rescored).
 @pytest.mark.parametrize("start_labels,model,calls", [
-    *[("kmeans", model, 2) for model in COV_MODELS],
+    *[("kmeans", model, 3) for model in COV_MODELS],
     ("random", "full", 27), ("random", "diagonal", 25), ("random", "spherical", 15),
     ("random", "spherical-tied", 19)])
 def test_cem_refine_ignores_the_memory_layout_of_its_data(monkeypatch, start_labels, model,
@@ -936,22 +966,6 @@ def test_fit_cempca_refines_a_start_and_runs_a_loop_once(monkeypatch, model):
     calls.update(update_B=0, cem_refine=0)
     core.fit_cempca(BLOBS, replace(cfg, max_iter=1), seed=0)
     assert calls == {"update_B": len(refined), "cem_refine": len(seeding)}
-
-
-@pytest.mark.parametrize("fit", [
-    lambda: mixture.em_gmm(BLOBS, 2, restarts=3, seed=1),
-    lambda: mixture.cem(BLOBS, 2, restarts=3, seed=1),
-    lambda: core.fit_cempca(BLOBS, core.CempcaConfig(g=2, p=1, smoothing=0, restarts=6,
-                                                     max_iter=1), seed=0),
-])
-def test_a_fit_computes_the_ridge_floor_once(monkeypatch, fit):
-    # every restart's M-steps run on one data matrix (fit_cempca's B), so
-    # the fit computes its floor once and hands it to each
-    calls = []
-    real = mixture.ridge_floor
-    monkeypatch.setattr(mixture, "ridge_floor", lambda X: calls.append(1) or real(X))
-    fit()
-    assert len(calls) == 1
 
 
 def _cem_on_the_embedding(B, cfg, seed):
