@@ -7,7 +7,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DataError, InvalidInputError, ParseError
-from .mixture import _check_ints, _check_matrix, _check_seed, _is_int
+from .mixture import _check_entries, _check_ints, _check_matrix, _check_seed, _is_int
 
 FCPS_SHAPES = ("atom", "chainlink", "hepta", "lsun3d", "tetra")
 FCPS_CLASS_COUNTS = {"atom": 2, "chainlink": 2, "hepta": 7, "lsun3d": 4, "tetra": 4}
@@ -152,13 +152,13 @@ def standardize(X):
     """Center each column and scale to unit sample variance (ddof=1).
 
     Zero-variance columns are centered but left unscaled. A NaN or
-    infinite cell would spread over its whole column, so it is rejected.
+    infinite cell, or one too large to square, would make its column's
+    deviation non-finite, so it is rejected (mixture._check_entries).
     """
     X = np.asarray(X, dtype=float)
     if X.shape[0] < 2:
         raise InvalidInputError("standardize needs at least 2 rows")
-    if not np.all(np.isfinite(X)):
-        raise InvalidInputError("X contains non-finite entries")
+    _check_entries(X)
     mu = X.mean(axis=0)
     sd = X.std(axis=0, ddof=1)
     sd = np.where(sd > 0, sd, 1.0)
@@ -312,16 +312,15 @@ def knn_graph(X, k):
     takes its point's list without itself, or the first k of it when it is
     not in the list. Time is O(n log n) for low-dimensional X and memory is
     O(n k), however many copies a point has; no n x n array is formed.
-    Non-finite X, an X that is not 2-D with a column, and a k that is not
-    an integer are rejected.
+    An X with a non-finite entry or one too large to square, an X that is
+    not 2-D with a column, and a k that is not an integer are rejected.
     """
     X = np.asarray(X, dtype=float)
     _check_matrix(X)
     n = X.shape[0]
     if not _is_int(k) or not 1 <= k <= n - 1:
         raise InvalidInputError(f"k must be an integer in [1, {n - 1}], got {k!r}")
-    if not np.all(np.isfinite(X)):
-        raise InvalidInputError("X contains non-finite entries")
+    _check_entries(X)
     uniq, group, size = np.unique(X + 0.0, axis=0, return_inverse=True,
                                   return_counts=True)
     group = group.ravel()

@@ -33,19 +33,13 @@ def fix_signs(U, *companions):
     """Flip factor columns so the largest-magnitude entry of each is positive.
 
     Ties break at the lowest row index. Companion matrices receive the
-    same flips, so products like U @ diag(d) @ V.T are unchanged.
+    same flips, so products like U @ diag(d) @ V.T are unchanged. The
+    results are C-ordered copies.
     """
-    U = U.copy()
-    companions = [C.copy() for C in companions]
-    for j in range(U.shape[1]):
-        i = int(np.argmax(np.abs(U[:, j])))
-        if U[i, j] < 0:
-            U[:, j] = -U[:, j]
-            for C in companions:
-                C[:, j] = -C[:, j]
-    if companions:
-        return (U, *companions)
-    return U
+    top = np.argmax(np.abs(U), axis=0)
+    sign = np.where(U[top, np.arange(U.shape[1])] < 0, -1.0, 1.0)
+    flipped = [np.multiply(A, sign, order="C") for A in (U, *companions)]
+    return tuple(flipped) if companions else flipped[0]
 
 
 def thin_svd(A):
@@ -62,9 +56,11 @@ def thin_svd(A):
 
 def polar(A):
     """(U V^T, d) for the thin SVD A = U diag(d) V^T: the polar factor of A,
-    which maximizes Tr(A^T P) over orthonormal-column P, and A's singular values."""
-    U, d, V = thin_svd(A)
-    return U @ V.T, d
+    which maximizes Tr(A^T P) over orthonormal-column P, and A's singular values.
+    Flipping a column of U and of V together leaves U V^T as it is, so no
+    sign rule runs; V stays C-ordered, as BLAS rounds U @ Vt differently."""
+    U, d, Vt = np.linalg.svd(_as_matrix(A, "A"), full_matrices=False)
+    return U @ np.ascontiguousarray(Vt.T).T, d
 
 
 def spd_solve(A, Y):

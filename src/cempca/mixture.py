@@ -191,6 +191,19 @@ def _check_matrix(X):
         raise InvalidInputError(f"X must be 2-D with at least one column, got shape {X.shape}")
 
 
+def _check_entries(X):
+    """InvalidInputError unless every entry of X is finite and small enough
+    to square: any sum of squares of entries or of their differences stays
+    finite when |x| <= sqrt(max / (4 * X.size)). Nothing is squared here."""
+    if not np.all(np.isfinite(X)):
+        raise InvalidInputError("X contains non-finite entries")
+    top = float(np.abs(X).max(initial=0.0))
+    bound = math.sqrt(np.finfo(float).max / (4 * max(X.size, 1)))
+    if top > bound:
+        raise InvalidInputError(f"X has an entry of magnitude {top:.3g}, above {bound:.3g}: a "
+                                f"sum of squares over its {X.shape[0]} rows would overflow float64")
+
+
 def _check_columns(p, params):
     """InvalidInputError naming both sizes unless X's p columns are params'."""
     if p != params.p:
@@ -233,36 +246,34 @@ def _first_best(scores, better):
     return index
 
 
-def _component_log_joint(XT, params, factors, k):
-    """log pi_k + log phi_k(x_i) for every column x_i of the feature-major
-    (p, n) data XT, with factors = _factors(params).
-
-    A row far outside a near-singular component overflows to a -inf score
-    (zero density); callers run it under np.errstate(over="ignore"), once
-    per call rather than once per component, and e_step reports such rows.
-    """
-    log_w, inv_chol, logdet = factors
-    sol = inv_chol[k] @ (XT - params.means[k][:, None])
-    sol *= sol
-    maha = sol.sum(axis=0)
-    return log_w[k] - 0.5 * (params.p * _LOG_2PI + logdet[k] + maha)
-
-
 def log_joint(X, params):
     """Matrix of log pi_k + log phi_k(x_i), one column per component; X
-    needs params.p columns (InvalidInputError otherwise).
+    needs params.p columns (InvalidInputError otherwise). Every score of
+    the package, the complete log-likelihood's included, is read off it.
 
     The (n, g) matrix is column-contiguous: it is the transpose of the
-    (g, n) array the components fill, one contiguous row each.
+    (g, n) array the components fill, one contiguous row each. A row far
+    outside a near-singular component overflows, unwarned, to a -inf score
+    (zero density); e_step reports a row that all components score so.
     """
     XT = _feature_major(X)
     _check_columns(XT.shape[0], params)
-    factors = _factors(params)
+    log_w, inv_chol, logdet = _factors(params)
     lp = np.empty((params.g, XT.shape[1]))
     with np.errstate(over="ignore"):
         for k in range(params.g):
-            lp[k] = _component_log_joint(XT, params, factors, k)
+            sol = inv_chol[k] @ (XT - params.means[k][:, None])
+            sol *= sol
+            lp[k] = log_w[k] - 0.5 * (params.p * _LOG_2PI + logdet[k] + sol.sum(axis=0))
     return lp.T
+
+
+def _own_sum(lp, assign):
+    """Sum of each row's own entry lp[i, assign[i]] of a log_joint matrix,
+    read off its contiguous (g, n) transpose at assign * n + i. The row-order
+    sum does not depend on the labels, so relabelled restarts tie exactly."""
+    n = lp.shape[0]
+    return float(lp.T.ravel().take(np.asarray(assign, dtype=np.intp) * n + np.arange(n)).sum())
 
 
 def e_step(X, params):
@@ -368,26 +379,14 @@ def m_step(X, weights, model="full"):
 
 
 def complete_log_likelihood(X, partition, params):
-    """Sum over rows of log pi_{z_i} + log phi_{z_i}(x_i).
-
-    Each row is scored only under its own cluster. X's columns, the
-    partition's rows and labels and params must agree, or InvalidInputError
-    names both sizes.
+    """Sum over rows of log pi_{z_i} + log phi_{z_i}(x_i): each row's own
+    entry of log_joint, summed in row order (_own_sum), as cem_refine
+    scores its trace. X's columns, the partition's rows and labels and
+    params must agree, or InvalidInputError names both sizes.
     """
     XT = _feature_major(X)
-    _check_columns(XT.shape[0], params)
     _cluster_sizes(partition, XT.shape[1], params.g)
-    assign = partition.assignments
-    factors = _factors(params)
-    own = np.empty(XT.shape[1])
-    with np.errstate(over="ignore"):
-        for k in range(params.g):
-            rows = assign == k
-            own[rows] = _component_log_joint(XT[:, rows], params, factors, k)
-    # Summing in row order keeps the value independent of the cluster
-    # labels, so restarts that reach one partition under different labels
-    # tie exactly and the lowest restart index wins.
-    return float(own.sum())
+    return _own_sum(log_joint(XT.T, params), partition.assignments)
 
 
 def log_likelihood(X, params):
@@ -570,7 +569,9 @@ def cem_refine(X, partition, params, max_iter=100, tol=1e-6):
 
     Every M-step refits the covariance model of the given params (params.model).
     Returns (partition, params, complete-log-likelihood trace, iterations).
-    The trace is non-decreasing up to the covariance regularization slack.
+    Each entry is read off the round's log_joint matrix by _own_sum, so it
+    equals complete_log_likelihood of that state bit for bit. The trace is
+    non-decreasing up to the covariance regularization slack.
     X's columns, the partition and params must agree (InvalidInputError).
 
     It stops when a C-step returns the partition it was given. From the
@@ -584,15 +585,11 @@ def cem_refine(X, partition, params, max_iter=100, tol=1e-6):
     # get its transposed view, and their own _feature_major copies nothing.
     XT = _feature_major(X)
     X = XT.T
-    n = XT.shape[1]
-    _cluster_sizes(partition, n, params.g)
-    rows = np.arange(n)
+    _cluster_sizes(partition, XT.shape[1], params.g)
     # One score matrix per parameter set: it gives the trace entry for the
-    # partition it was fitted to and the C-step of the next iteration. Its
-    # (g, n) transpose is contiguous, so a row's own score is read from the
-    # flat array at assign * n + row.
+    # partition it was fitted to and the C-step of the next iteration.
     lp = log_joint(X, params)
-    trace = [float(lp.T.ravel().take(partition.assignments * n + rows).sum())]
+    trace = [_own_sum(lp, partition.assignments)]
     for it in range(max_iter):
         assign = _first_best(lp.T, np.greater)
         _repair_empty(assign, lambda: _posterior(lp)[0], partition.g)
@@ -603,7 +600,7 @@ def cem_refine(X, partition, params, max_iter=100, tol=1e-6):
             break
         params = m_step(X, partition, params.model)
         lp = log_joint(X, params)
-        trace.append(float(lp.T.ravel().take(assign * n + rows).sum()))
+        trace.append(_own_sum(lp, assign))
         if unchanged or _converged(trace[-2], trace[-1], tol):
             break
     return partition, params, trace, len(trace) - 1
@@ -636,7 +633,8 @@ def _check_fit_args(X, g, tol, seed, restarts, max_iter, model="full", min_iter=
     """Check the settings every fit shares, before any work: a bad seed,
     restarts or max_iter would surface only at the first start, a negative
     or non-finite tol would never let _converged hold, and a non-finite cell
-    of X would spread through every sum. X needs a column to cluster on.
+    of X, or one too large to square, would spread through or overflow a
+    sum. X needs a column to cluster on.
     fit_cempca's max_iter may be 0."""
     _check_ints(g=g, restarts=restarts, max_iter=max_iter)
     if g < 1:
@@ -644,8 +642,7 @@ def _check_fit_args(X, g, tol, seed, restarts, max_iter, model="full", min_iter=
     _check_matrix(X)
     if X.shape[0] < g:
         raise InvalidInputError(f"need at least g={g} rows, got {X.shape[0]}")
-    if not np.all(np.isfinite(X)):
-        raise InvalidInputError("X contains non-finite entries")
+    _check_entries(X)
     _check_nonnegative(tol=tol)
     _check_seed(seed)
     if restarts < 1:

@@ -9,7 +9,8 @@ a running nearest distance. The restart references run every restart in
 full and tell a relabelled start by its contingency table rather than by a
 renumbering. The joint-fit references fit and score every partition anew:
 the M-step one component at a time, every CEM round rescored, and every
-block update's objective computed in full.
+block update's objective computed in full. The sign rule flips one factor
+column at a time, where the library flips all columns at once.
 """
 
 import operator
@@ -44,6 +45,22 @@ def log_gaussian(x, mean, cov):
     sol = scipy.linalg.solve_triangular(L, x - np.asarray(mean, dtype=float), lower=True)
     logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
     return float(-0.5 * (x.size * LOG_2PI + logdet + sol @ sol))
+
+
+def fix_signs(U, *companions):
+    """linalg.fix_signs one column at a time: a column whose first
+    largest-magnitude entry is negative flips, in U and in every companion."""
+    U = U.copy()
+    companions = [C.copy() for C in companions]
+    for j in range(U.shape[1]):
+        i = int(np.argmax(np.abs(U[:, j])))
+        if U[i, j] < 0:
+            U[:, j] = -U[:, j]
+            for C in companions:
+                C[:, j] = -C[:, j]
+    if companions:
+        return (U, *companions)
+    return U
 
 
 def relabels(a, b):

@@ -1,5 +1,7 @@
 import hashlib
+import math
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -179,21 +181,6 @@ def test_objective_vanishing_first_terms():
     bundle = EmbeddingBundle(B=B, Q=Q, M=B.copy())
     val = objective(X, bundle, part, params, 0.7)
     assert np.isclose(val, -complete_log_likelihood(B, part, params), atol=1e-9)
-
-
-def test_objective_scores_rows_only_under_their_own_cluster(monkeypatch):
-    rng = np.random.default_rng(15)
-    B, _ = np.linalg.qr(rng.standard_normal((12, 2)))
-    part = Partition(assignments=np.arange(12) % 3, g=3)
-    params = m_step(B, part)
-    bundle = EmbeddingBundle(B=B, Q=rng.standard_normal((4, 2)), M=B.copy())
-    expected = objective(B @ bundle.Q.T, bundle, part, params, 0.5)
-
-    def no_full_scoring(X, params):
-        raise AssertionError("objective built the full score matrix")
-
-    monkeypatch.setattr(mixture, "log_joint", no_full_scoring)
-    assert objective(B @ bundle.Q.T, bundle, part, params, 0.5) == expected
 
 
 def test_objective_delta_zero_ignores_gap():
@@ -493,6 +480,38 @@ def test_fit_rejects_non_finite_X(fit):
         X[7, 1] = cell
         with pytest.raises(InvalidInputError, match="X contains non-finite entries"):
             FITS[fit](X, 1e-6)
+
+
+def _two_blobs(scale):
+    """Two 25-row 3-d blobs 8 apart, times scale."""
+    rng = np.random.default_rng(7)
+    return scale * np.vstack([rng.standard_normal((25, 3)), rng.standard_normal((25, 3)) + 8.0])
+
+
+# the fits above, and the joint fit on raw data through the neighbor graph
+RAW_FITS = {**FITS, "fit_cempca raw": lambda X, tol: fit_cempca(
+    X, CempcaConfig(g=2, restarts=1, standardize=False, tol=tol), seed=0)}
+
+
+@pytest.mark.parametrize("fit", RAW_FITS)
+def test_fit_rejects_X_too_large_to_square(fit):
+    # at 1e200 a sum of squares overflows float64: standardize would divide
+    # by an infinite deviation and fit all-zero features, and a raw fit
+    # would draw k-means++ centres from NaN probabilities
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="would overflow float64"):
+            RAW_FITS[fit](_two_blobs(1e200), 1e-6)
+
+
+@pytest.mark.parametrize("fit", RAW_FITS)
+def test_fit_just_inside_the_magnitude_bound_warns_about_nothing(fit):
+    # the check's bound leaves room for every sum of squares a fit forms
+    X = _two_blobs(1.0)
+    X *= 0.999 * math.sqrt(np.finfo(float).max / (4 * X.size)) / np.abs(X).max()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert RAW_FITS[fit](X, 1e-6).partition.n == 50
 
 
 @pytest.mark.parametrize("fit", FITS)

@@ -877,6 +877,26 @@ def test_fit_non_finite_cell_is_a_data_error(tmp_path, capsys, method, cell):
 
 
 @pytest.mark.parametrize("method", list(cli.SETTINGS))
+@pytest.mark.parametrize("flag", ["--standardize", "--no-standardize"])
+def test_fit_data_too_large_to_square_is_a_data_error(tmp_path, capsys, method, flag):
+    # two blobs 8 apart, times 1e200: standardizing divided by an infinite
+    # deviation and fitted a coin-flip partition on all-zero features, and
+    # the raw fits raised from k-means++ or the neighbor graph
+    rng = np.random.default_rng(0)
+    X = 1e200 * np.vstack([rng.standard_normal((25, 3)), rng.standard_normal((25, 3)) + 8.0])
+    data = tmp_path / "huge.csv"
+    data.write_text("x0,x1,x2,label\n" + "".join(
+        ",".join(map(repr, row)) + f",{i // 25}\n" for i, row in enumerate(X.tolist())))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run(["fit", method, data, "--g", 2, "--restarts", 2, flag])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("data error: X has an entry of magnitude ")
+    assert "would overflow float64" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("method", list(cli.SETTINGS))
 def test_fit_label_only_csv_is_a_data_error(tmp_path, capsys, method):
     # with the label column taken out no feature is left to cluster on
     data = tmp_path / "labels.csv"

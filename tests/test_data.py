@@ -1,4 +1,6 @@
+import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -318,6 +320,24 @@ def test_knn_graph_rejects_non_finite(bad):
     X[3, 1] = bad
     with pytest.raises(InvalidInputError, match="non-finite"):
         knn_graph(X, 2)
+
+
+@pytest.mark.parametrize("make", [standardize, lambda X: knn_graph(X, 3)],
+                         ids=["standardize", "knn_graph"])
+def test_data_too_large_to_square_is_rejected_before_any_work(make):
+    # the bound is sqrt(max / (4 n d)); an entry at it passes, and one just
+    # above it is refused without a RuntimeWarning
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((20, 3))
+    bound = math.sqrt(np.finfo(float).max / (4 * X.size))
+    X *= 0.5 * bound / np.abs(X).max()
+    X[4, 1] = -bound
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        make(X)
+        X[4, 1] = np.nextafter(-bound, -np.inf)
+        with pytest.raises(InvalidInputError, match="over its 20 rows would overflow float64"):
+            make(X)
 
 
 def test_knn_graph_memory_is_not_quadratic():

@@ -10,7 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 import cempca
 from cempca.errors import InvalidInputError, SingularMatrixError
-from cempca.linalg import spd_solve, thin_svd
+from cempca.linalg import fix_signs, polar, spd_solve, thin_svd
+
+import oracles
 
 
 def test_thin_svd_identity():
@@ -61,6 +63,45 @@ def test_thin_svd_sign_convention_deterministic():
     for j in range(U1.shape[1]):
         i = np.argmax(np.abs(U1[:, j]))
         assert U1[i, j] > 0
+
+
+@st.composite
+def _factor_pairs(draw):
+    """(U, V): an (n, k) factor and a (m, k) companion. Integer entries in
+    [-2, 2] tie in magnitude within a column, and some columns are all
+    zero, of either sign."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, m, k = (draw(st.integers(1, 12)) for _ in range(3))
+    if draw(st.booleans()):
+        U = rng.integers(-2, 3, (n, k)).astype(float)
+    else:
+        U = rng.standard_normal((n, k))
+    for j in rng.choice(k, int(rng.integers(0, k + 1)), replace=False):
+        U[:, j] = rng.choice([0.0, -0.0])
+    return U, rng.standard_normal((m, k))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_factor_pairs())
+def test_fix_signs_matches_the_column_loop(pair):
+    U, V = pair
+    for got, expected in ((fix_signs(U, V), oracles.fix_signs(U, V)),
+                          ((fix_signs(U),), (oracles.fix_signs(U),))):
+        for a, b in zip(got, expected, strict=True):
+            assert a.tobytes() == b.tobytes() and a.flags.c_contiguous
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), k=st.integers(1, 20),
+       ties=st.booleans())
+def test_polar_is_the_product_of_the_sign_fixed_svd(seed, n, k, ties):
+    # the product is unchanged when a column of U and of V both flip, so
+    # polar skips the sign rule and still matches to the bit
+    rng = np.random.default_rng(seed)
+    A = rng.integers(-2, 3, (n, k)).astype(float) if ties else rng.standard_normal((n, k))
+    U, d, V = thin_svd(A)
+    P, s = polar(A)
+    assert P.tobytes() == (U @ V.T).tobytes() and s.tobytes() == d.tobytes()
 
 
 def test_thin_svd_rejects_non_finite():

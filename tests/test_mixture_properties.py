@@ -1,6 +1,7 @@
 """Property tests for the batched-factor mixture kernel against the
 single-point log_gaussian reference and scipy's triangular solve, for
-m_step's stacked ridge against the per-component reference, for cem_refine,
+complete_log_likelihood against cem_refine's trace entry, for m_step's
+stacked ridge against the per-component reference, for cem_refine,
 which fits and scores each partition once, against the reference that
 rescores every round, for the one log-sum-exp reduction against scipy's,
 for the feature-major Lloyd
@@ -102,6 +103,35 @@ def test_complete_log_likelihood_matches_log_gaussian(seed, model, g, p):
     terms = _oracle(X, params)[np.arange(X.shape[0]), assign]
     got = complete_log_likelihood(X, Partition(assignments=assign, g=g), params)
     assert abs(got - terms.sum()) <= 1e-12 * (np.abs(terms).sum() + X.shape[0] * p * LOG_2PI)
+
+
+@SETTINGS
+@given(seed=seeds, model=models, g=st.integers(1, 9), p=st.integers(1, 15),
+       repeated=st.booleans(), refit=st.booleans(),
+       dtype=st.sampled_from([np.uint8, np.int32, np.int64]))
+def test_complete_log_likelihood_is_the_cem_refine_trace_entry(seed, model, g, p,
+                                                               repeated, refit, dtype):
+    # one path scores a partition: complete_log_likelihood equals the trace
+    # entry cem_refine computes for the same state bit for bit, whatever
+    # the labels' integer type, and the same partition under other labels,
+    # its components permuted to match, ties exactly
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(g, 60))
+    X = rng.standard_normal((n, p)) * rng.uniform(0.01, 100.0)
+    if repeated:
+        X = X[rng.integers(0, max(g, n // 3), n)]
+    part = Partition(assignments=mixture.random_partition(n, g, rng), g=g)
+    params = m_step(X + 0.1 * rng.standard_normal(X.shape) if refit else X, part, model)
+    last, last_params, trace, _ = mixture.cem_refine(X, part, params)
+    labels = Partition(assignments=part.assignments.astype(dtype), g=g)
+    assert complete_log_likelihood(X, labels, params) == trace[0]
+    assert complete_log_likelihood(X, last, last_params) == trace[-1]
+    new = rng.permutation(g)          # label k becomes new[k]
+    old = np.argsort(new)             # component j was component old[j]
+    relabelled = MixtureParams(weights=params.weights[old], means=params.means[old],
+                               covariances=params.covariances[old], model=model)
+    assert complete_log_likelihood(
+        X, Partition(assignments=new[part.assignments], g=g), relabelled) == trace[0]
 
 
 def _rank_deficient_clusters(seed, g, p):
