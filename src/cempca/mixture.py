@@ -564,44 +564,42 @@ def _repair_empty(assign, score, g):
     return moved
 
 
-def cem_refine(X, partition, params, max_iter=100, tol=1e-6):
-    """Run E/C/M rounds from a warm state until the partition stabilizes.
+def cem_refine(X, partition, model, max_iter=100, tol=1e-6):
+    """Run C and M rounds from a partition until it stabilizes.
 
-    Every M-step refits the covariance model of the given params (params.model).
-    Returns (partition, params, complete-log-likelihood trace, iterations).
-    Each entry is read off the round's log_joint matrix by _own_sum, so it
-    equals complete_log_likelihood of that state bit for bit. The trace is
-    non-decreasing up to the covariance regularization slack.
-    X's columns, the partition and params must agree (InvalidInputError).
+    Round 0 fits the covariance model to the partition (m_step) and scores
+    it; each later round takes the C-step of the last fit, then fits and
+    scores the partition it returns. Returns (partition, params,
+    complete-log-likelihood trace, iterations), params the m_step of the
+    returned partition. Each entry is read off the round's log_joint matrix
+    by _own_sum, so it equals complete_log_likelihood of that state bit for
+    bit; the trace is non-decreasing up to the covariance regularization
+    slack. m_step raises InvalidInputError unless the partition labels X.
 
-    It stops when a C-step returns the partition it was given. From the
-    second round on, the last round fitted and scored that partition, so
-    the round appends the last trace value again (the same float object);
-    every other round appends a newly computed value. So trace[-1] is
-    trace[-2] exactly when the refinement stopped at such a fixed point,
-    from which CEM returns the same state.
+    It stops when a C-step returns the partition the last round fitted, the
+    given one included, and appends the last trace value again (the same
+    float object); every other round appends a new value. So trace[-1] is
+    trace[-2] exactly when it stopped at such a fixed point.
     """
     # One feature-major copy for the whole refinement: log_joint and m_step
     # get its transposed view, and their own _feature_major copies nothing.
-    XT = _feature_major(X)
-    X = XT.T
-    _cluster_sizes(partition, XT.shape[1], params.g)
+    X = _feature_major(X).T
+    params = m_step(X, partition, model)
     # One score matrix per parameter set: it gives the trace entry for the
     # partition it was fitted to and the C-step of the next iteration.
     lp = log_joint(X, params)
     trace = [_own_sum(lp, partition.assignments)]
-    for it in range(max_iter):
+    for _ in range(max_iter):
         assign = _first_best(lp.T, np.greater)
         _repair_empty(assign, lambda: _posterior(lp)[0], partition.g)
-        unchanged = np.array_equal(assign, partition.assignments)
-        partition = Partition(assignments=assign, g=partition.g)
-        if unchanged and it > 0:
+        if np.array_equal(assign, partition.assignments):
             trace.append(trace[-1])
             break
-        params = m_step(X, partition, params.model)
+        partition = Partition(assignments=assign, g=partition.g)
+        params = m_step(X, partition, model)
         lp = log_joint(X, params)
         trace.append(_own_sum(lp, assign))
-        if unchanged or _converged(trace[-2], trace[-1], tol):
+        if _converged(trace[-2], trace[-1], tol):
             break
     return partition, params, trace, len(trace) - 1
 
@@ -609,9 +607,10 @@ def cem_refine(X, partition, params, max_iter=100, tol=1e-6):
 def cem(X, g, max_iter=100, tol=1e-6, restarts=20, seed=0, model="full"):
     """Hard-assignment EM: a classification step between E and M.
 
-    Maximizes the complete-data log-likelihood. A cluster left empty by the
-    C-step is refilled by _repair_empty, lowest mixture density first. Best
-    restart by final complete-data log-likelihood.
+    Maximizes the complete-data log-likelihood. Each restart is cem_refine
+    from a K-means partition, whose round 0 fits that partition. A cluster
+    left empty by the C-step is refilled by _repair_empty, lowest mixture
+    density first. Best restart by final complete-data log-likelihood.
     """
     X = np.asarray(X, dtype=float)
     _check_fit_args(X, g, tol, seed, restarts, max_iter, model)
@@ -620,9 +619,8 @@ def cem(X, g, max_iter=100, tol=1e-6, restarts=20, seed=0, model="full"):
     XF = _feature_major(X).T
 
     def tail(labels):
-        partition = Partition(assignments=labels, g=g)
-        params = m_step(XF, partition, model)
-        partition, params, trace, _ = cem_refine(XF, partition, params, max_iter=max_iter, tol=tol)
+        partition, params, trace, _ = cem_refine(XF, Partition(assignments=labels, g=g), model,
+                                                 max_iter=max_iter, tol=tol)
         return FitResult(partition=partition, params=params, objective_trace=trace)
 
     return best_of_restarts(lambda r: kmeans_labels(X, g, child_seed(seed, r), 0, max_iter),

@@ -138,7 +138,8 @@ def fit_cempca(X_raw, cfg, seed=0, relabelled_compete=False):
 def fit_single(X, B, Q, cfg, part, params):
     """The joint loop with every block update scored in full by objective
     below (five objective calls in a one-sweep loop) and the mixture step
-    always refined by cem_refine below, the first sweep's included."""
+    always refined by cem_refine below, the first sweep's included, from
+    the m_step of the partition on the current B."""
     bundle = core.EmbeddingBundle(B=B, Q=Q, M=B.copy())
     trace = [objective(X, bundle, part, params, cfg.delta)]
     steps = []
@@ -148,7 +149,8 @@ def fit_single(X, B, Q, cfg, part, params):
         bundle = replace(bundle, M=M)
         current = objective(X, bundle, part, params, cfg.delta)
         steps.append(("M", current))
-        cand_part, cand_params, _, _ = cem_refine(bundle.B, part, params, tol=cfg.tol)
+        cand_part, cand_params, _, _ = cem_refine(
+            bundle.B, part, m_step(bundle.B, part, cfg.model), tol=cfg.tol)
         cand = objective(X, bundle, cand_part, cand_params, cfg.delta)
         if cand <= current:
             part, params, current = cand_part, cand_params, cand
@@ -178,10 +180,12 @@ def objective(X, bundle, partition, params, delta):
 
 
 def cem_refine(X, partition, params, max_iter=100, tol=1e-6):
-    """mixture.cem_refine with every round's M-step (m_step below) and
-    scoring run, the round that returns the partition it was given
-    included. It takes the same arguments and returns the same
-    (partition, params, trace, iterations)."""
+    """mixture.cem_refine from params fitted to the partition, with every
+    round's M-step (m_step below) and scoring run, the round that returns
+    the partition it was given included. It returns the same (partition,
+    params, trace, iterations) as mixture.cem_refine(X, partition,
+    params.model, max_iter, tol) when params is the m_step of the
+    partition on X."""
     XT = mixture._feature_major(X)
     X = XT.T
     n = XT.shape[1]

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from cempca.baselines import kmeans_pca, reduced_kmeans
-from cempca.cempca import CempcaConfig, fit_cempca, update_B, update_M
+from cempca.cempca import (CempcaConfig, fit_cempca, pca_embed, prepare_features, update_B,
+                           update_M)
 from cempca.data import FCPS_CLASS_COUNTS, FCPS_DEFAULT_SIZES, gen_chang, gen_fcps, standardize
 from cempca.metrics import accuracy, ari, nmi
-from cempca.mixture import MixtureParams, Partition, c_step, e_step
+from cempca.mixture import MixtureParams, Partition, c_step, cem, e_step
 
 
 def report(criterion, ok, detail):
@@ -39,10 +40,13 @@ def test_criterion_1_chang_phenomenon():
     seq = kmeans_pca(standardize(ds.X), 2, 2, restarts=20, seed=3)
     seq_acc = accuracy(ds.labels, seq.partition.assignments)
     elapsed = time.perf_counter() - start
+    # information only: plain CEM on the fit's whitened p = 15 basis
+    B, _ = pca_embed(prepare_features(ds.X, cfg), cfg.p)
+    basis_acc = accuracy(ds.labels, cem(B, 2, restarts=20, seed=3).partition.assignments)
     ok = joint_acc >= 0.99 and seq_acc <= 0.85 and elapsed <= 60.0
     report(1, ok, f"joint acc={joint_acc:.4f} (>=0.99), "
                   f"leading-2-component k-means acc={seq_acc:.4f} (<=0.85), "
-                  f"{elapsed:.1f}s (<=60s)")
+                  f"{elapsed:.1f}s (<=60s); CEM on the p=15 basis acc={basis_acc:.4f}")
 
 
 def test_criterion_2_fcps_replicas(fcps_results):

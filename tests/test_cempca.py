@@ -238,6 +238,24 @@ def test_fit_embeds_once_for_all_restarts(monkeypatch, restarts):
     assert calls == [3]
 
 
+def test_no_tail_on_the_gate_hepta_refines_again_in_its_first_sweep(monkeypatch):
+    # On the gate's hepta at fit seed 1, every start's refinement stops at
+    # a C-step fixed point on B, so a one-sweep fit runs only the starts'
+    # refinements. Two tails refined again when a start that was already
+    # a fixed point got refitted and rescored rather than marked settled.
+    X = gen_fcps("hepta", seed=11).X
+    calls = []
+    real = mixture.cem_refine
+    monkeypatch.setattr(mixture, "cem_refine",
+                        lambda *args, **kw: calls.append(1) or real(*args, **kw))
+    counts = []
+    for max_iter in (0, 1):
+        calls.clear()
+        fit_cempca(X, CempcaConfig(g=7, max_iter=max_iter), seed=1)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
 def _failing_update_B(monkeypatch, failures):
     """Make the first `failures` calls of update_B raise, as a degenerate
     polar factor would; restart r makes its first call before restart r+1."""
@@ -311,7 +329,7 @@ def test_full_cem_on_the_whitened_scores_matches_cem_on_the_data(X, g):
         parts = []
         for Y in (B, Xc):
             part = Partition(assignments=start.copy(), g=g)
-            parts.append(mixture.cem_refine(Y, part, m_step(Y, part, "full"))[0])
+            parts.append(mixture.cem_refine(Y, part, "full")[0])
         assert np.array_equal(parts[0].assignments, parts[1].assignments), seed
 
 
@@ -342,7 +360,8 @@ def test_spherical_tied_c_step_with_equal_proportions_is_kmeans(shape):
         fitted = np.argmax(mixture.log_joint(B, params), axis=1)
         if shape == "atom":
             assert not np.array_equal(fitted, labels), seed
-        kept += np.array_equal(mixture.cem_refine(B, part, params)[0].assignments, labels)
+        kept += np.array_equal(mixture.cem_refine(B, part, "spherical-tied")[0].assignments,
+                               labels)
     assert kept == KMEANS_PARTITIONS_KEPT.get(shape, kept)
 
 

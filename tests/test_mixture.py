@@ -262,17 +262,17 @@ def test_cem_refine_fixed_point():
     rng = np.random.default_rng(13)
     X, _ = _blobs(rng, 30, [(0.0, 0.0), (10.0, 0.0)])
     fit = cem(X, 2, restarts=1, seed=1)
-    part, params, trace, iterations = cem_refine(X, fit.partition, fit.params)
+    part, params, trace, iterations = cem_refine(X, fit.partition, "full")
     assert iterations == 1
     assert np.array_equal(part.assignments, fit.partition.assignments)
 
 
 @pytest.mark.parametrize("model", mixture.COV_MODELS)
-def test_cem_refine_keeps_the_covariance_model_of_its_params(model):
+def test_cem_refine_fits_the_covariance_model_it_is_given(model):
     rng = np.random.default_rng(15)
     X, _ = _blobs(rng, 30, [(0.0, 0.0), (4.0, 0.0), (0.0, 4.0)])
     part = Partition(assignments=mixture.random_partition(len(X), 3, rng), g=3)
-    part, params, _, _ = cem_refine(X, part, m_step(X, part, model))
+    part, params, _, _ = cem_refine(X, part, model)
     assert params.model == model
     expected = m_step(X, part, model)
     assert np.array_equal(params.covariances, expected.covariances)
@@ -349,25 +349,36 @@ def test_fits_deterministic():
         assert a.objective_trace == b.objective_trace
 
 
-# (seed, max_iter, log_joint calls). Seeds 21 and 22 stop when the C-step
-# returns the partition just fitted, whose scores are in hand: one call per
-# trace entry but the last (5 and 13 calls when that round rescored). Seeds
-# 23 and 24 stop at max_iter and score every round.
-@pytest.mark.parametrize("seed,max_iter,scored", [(21, 100, 4), (22, 100, 12), (23, 1, 2),
-                                                  (24, 3, 4)])
-def test_cem_refine_scores_each_parameter_set_once(monkeypatch, seed, max_iter, scored):
+# (seed, max_iter, settled, m_step and log_joint calls each). Seeds 21 and
+# 22 stop when the C-step returns the partition just fitted, whose scores
+# are in hand: one fit and one scoring per trace entry but the last. Seeds
+# 23 and 24 stop at max_iter and fit every round. A settled start, where
+# the refinement from seeds 21 and 22 stopped, is a C-step fixed point:
+# round 0 fits and scores it, and the first C-step ends the refinement.
+@pytest.mark.parametrize("seed,max_iter,settled,fitted", [
+    (21, 100, False, 4), (22, 100, False, 12), (23, 1, False, 2), (24, 3, False, 4),
+    (21, 100, True, 1), (22, 100, True, 1)])
+def test_cem_refine_scores_each_parameter_set_once(monkeypatch, seed, max_iter, settled,
+                                                   fitted):
     rng = np.random.default_rng(seed)
     X, _ = _blobs(rng, 30, [(0.0, 0.0), (3.0, 0.0), (0.0, 3.0)])
     part = Partition(assignments=mixture.random_partition(len(X), 3, rng), g=3)
-    params = m_step(X, part)
-    calls = []
-    real = mixture.log_joint
-    monkeypatch.setattr(mixture, "log_joint",
-                        lambda X, params: calls.append(params) or real(X, params))
-    _, _, trace, iterations = cem_refine(X, part, params, max_iter=max_iter)
-    assert len(calls) == scored
+    if settled:
+        part, _, trace, _ = cem_refine(X, part, "full")
+        assert trace[-1] is trace[-2]
+    calls = {"m_step": [], "log_joint": []}
+    for name, seen in calls.items():
+        real = getattr(mixture, name)
+        monkeypatch.setattr(mixture, name, lambda X, arg, *rest, real=real, seen=seen: (
+            seen.append(arg) or real(X, arg, *rest)))
+    _, _, trace, iterations = cem_refine(X, part, "full", max_iter=max_iter)
+    assert len(calls["m_step"]) == len(calls["log_joint"]) == fitted
     assert iterations + 1 == len(trace)
-    assert len({(p.means.tobytes(), p.covariances.tobytes()) for p in calls}) == scored
+    assert len({p.assignments.tobytes() for p in calls["m_step"]}) == fitted
+    assert len({(p.means.tobytes(), p.covariances.tobytes())
+                for p in calls["log_joint"]}) == fitted
+    if settled:
+        assert iterations == 1 and trace[1] is trace[0]
 
 
 def test_restart_seeds_reject_negative_seed():
@@ -432,9 +443,10 @@ HALVES = np.repeat([0, 1], 10)
 HARD_BLOCKS = {
     "complete_log_likelihood": lambda X, part: complete_log_likelihood(X, part, TWO),
     "update_M": lambda X, part: update_M(X, part, TWO, 1e-6),
-    "cem_refine": lambda X, part: cem_refine(X, part, TWO),
 }
-LABEL_BLOCKS = {"m_step": lambda X, part: m_step(X, part), **HARD_BLOCKS}
+# cem_refine takes no params: its m_step checks the partition
+LABEL_BLOCKS = {"m_step": lambda X, part: m_step(X, part),
+                "cem_refine": lambda X, part: cem_refine(X, part, "full"), **HARD_BLOCKS}
 
 
 @pytest.mark.parametrize("block", [*LABEL_BLOCKS, "m_step on soft weights"])
