@@ -7,8 +7,8 @@ log-likelihood of M under a Gaussian mixture:
     || X - B Q^T ||^2  +  delta || B - M ||^2  -  sum_ik z_ik log(pi_k phi(m_i | s_k, Sigma_k))
 
 Each sweep updates M row-wise in closed form, refines the partition and
-mixture parameters with hard-assignment EM on M, recomputes B as the polar
-factor of X Q + delta M, and sets Q = X^T B.
+mixture parameters with hard-assignment EM (CEM) on the embedding B,
+recomputes B as the polar factor of X Q + delta M, and sets Q = X^T B.
 """
 
 import operator
@@ -200,24 +200,23 @@ def _seed_partition(B, g, restart, seed):
     return mixture.kmeans_labels(B, g, mixture.child_seed(seed, restart), 0)
 
 
-def _fit_single(X, B, Q, cfg, part, params, settled):
+def _fit_single(X, B, Q, cfg, part):
     """One restart's joint loop from the principal embedding B, its loadings
-    Q and the partition CEM refined on B, with params its m_step. settled
-    says whether that refinement stopped at a fixed point (its trace ends
-    on a repeated entry), where a CEM step on B would return part and
-    params unchanged, so the first sweep runs none; any other sweep's
-    cem_refine fits part on the current B before its first C-step.
+    Q and the partition CEM refined on B. That refinement is the mixture
+    step for B, so the first sweep runs no CEM step; every later sweep's
+    cem_refine refines the partition on the B the sweep before computed.
 
     Each block update recomputes only the objective terms it changes: M the
     coupling and the log-likelihood, the mixture step the log-likelihood, B
     the reconstruction and the coupling, and Q the reconstruction.
     """
+    params = mixture.m_step(B, part, cfg.model)
     bundle = EmbeddingBundle(B=B, Q=Q, M=B.copy())
     recon, coupling = _reconstruction(X, bundle), _coupling(bundle)
     ll = mixture.complete_log_likelihood(bundle.M, part, params)
     trace = [_total(recon, coupling, ll, cfg.delta)]
     steps = []
-    for _ in range(cfg.max_iter):
+    for sweep in range(cfg.max_iter):
         start_part, start_B = part, bundle.B
         M = update_M(bundle.B, part, params, cfg.delta)
         bundle = replace(bundle, M=M)
@@ -225,15 +224,16 @@ def _fit_single(X, B, Q, cfg, part, params, settled):
         ll = mixture.complete_log_likelihood(M, part, params)
         current = _total(recon, coupling, ll, cfg.delta)
         steps.append(("M", current))
-        # The mixture step clusters the embedding rows, from the current
-        # partition fitted on the current B. Refitting on M instead would be
+        # The mixture step clusters the embedding rows: the first sweep's is
+        # the start's refinement on B, and a later one refines the current
+        # partition on the current B. Refitting on M instead would be
         # degenerate at small delta: the closed-form M sits numerically on
         # the centroids, so the covariances collapse to the ridge floor
         # and the objective stops seeing cluster geometry. Because the
         # refinement tracks the embedding rather than M, it is not an
         # exact minimizer of the joint objective; the candidate state is
         # kept only when it does not increase that objective.
-        if not settled:
+        if sweep:
             cand_part, cand_params, _, _ = mixture.cem_refine(
                 bundle.B, part, cfg.model, tol=cfg.tol)
             cand_ll = mixture.complete_log_likelihood(M, cand_part, cand_params)
@@ -243,7 +243,6 @@ def _fit_single(X, B, Q, cfg, part, params, settled):
         steps.append(("cem", current))
         B = update_B(X, bundle.Q, M, cfg.delta)
         bundle = replace(bundle, B=B)
-        settled = False   # CEM has not run on the new B
         recon, coupling = _reconstruction(X, bundle), _coupling(bundle)
         steps.append(("B", _total(recon, coupling, ll, cfg.delta)))
         bundle = replace(bundle, Q=update_Q(X, B))
@@ -272,16 +271,13 @@ def fit_cempca(X_raw, cfg, seed=0):
     tol relative. step_trace holds the objective after every block update,
     as ("M" | "cem" | "B" | "Q", value), four per sweep.
     A restart's start is its refined partition: the loop after it depends
-    on nothing else, since cem_refine returns the m_step of the partition it
-    returns. So the loop runs once per refined partition up to relabelling,
-    and a per-fit map from each seeding partition, up to relabelling, to its
-    refined labels keeps a relabelled or repeated one from being refined
-    again. The loop starts from the params that refinement returned, and
-    its first sweep runs no CEM step when the refinement stopped at a fixed
-    point (a C-step returned the partition just fitted, the seeding
-    partition included). The kept result is the one every restart run in
-    full would give if a restart whose seeding relabels an earlier
-    successful one did not compete.
+    on nothing else, since that refinement is the mixture step for the
+    first sweep's B and the loop fits its own params to it. So the loop
+    runs once per refined partition up to relabelling, and a per-fit map
+    from each seeding partition, up to relabelling, to its refined labels
+    keeps a relabelled or repeated one from being refined again. The kept
+    result is the one every restart run in full would give if a restart
+    whose seeding relabels an earlier successful one did not compete.
     Restarts that hit a degenerate update are skipped and listed in
     failed_restarts; the fit fails only if every restart does. A setting of
     a wrong type or range raises SettingError, naming it, before any work.
@@ -305,23 +301,17 @@ def fit_cempca(X_raw, cfg, seed=0):
     B, _ = pca_embed(X, cfg.p)
     Q = update_Q(X, B)
     refined = {}   # seeding key -> refined labels
-    fitted = {}    # refined labels' bytes -> (their m_step on B, settled)
 
     def start(r):
         labels = _seed_partition(B, cfg.g, r, seed)
         key = mixture._start_key(labels)
         if key not in refined:
-            part, params, trace, _ = mixture.cem_refine(
-                B, Partition(assignments=labels, g=cfg.g), cfg.model, tol=cfg.tol)
-            refined[key] = part.assignments
-            # cem_refine repeats its last trace entry, the same float
-            # object, exactly when it stopped at a fixed point
-            fitted[part.assignments.tobytes()] = (params, trace[-1] is trace[-2])
+            refined[key] = mixture.cem_refine(
+                B, Partition(assignments=labels, g=cfg.g), cfg.model,
+                tol=cfg.tol)[0].assignments
         return refined[key]
 
     def tail(labels):
-        params, settled = fitted[labels.tobytes()]
-        return _fit_single(X, B, Q, cfg, Partition(assignments=labels, g=cfg.g), params,
-                           settled)
+        return _fit_single(X, B, Q, cfg, Partition(assignments=labels, g=cfg.g))
 
     return mixture.best_of_restarts(start, tail, cfg.restarts, operator.lt, t0)

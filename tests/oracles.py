@@ -129,31 +129,34 @@ def fit_cempca(X_raw, cfg, seed=0, relabelled_compete=False):
         return cem_refine(B, part, m_step(B, part, cfg.model), tol=cfg.tol)[0].assignments
 
     def tail(labels):
-        part = mixture.Partition(assignments=labels, g=cfg.g)
-        return fit_single(X, B, Q, cfg, part, m_step(B, part, cfg.model))
+        return fit_single(X, B, Q, cfg, mixture.Partition(assignments=labels, g=cfg.g))
 
     return best_of_restarts(start, tail, cfg.restarts, operator.lt, t0, relabelled_compete)
 
 
-def fit_single(X, B, Q, cfg, part, params):
-    """The joint loop with every block update scored in full by objective
-    below (five objective calls in a one-sweep loop) and the mixture step
-    always refined by cem_refine below, the first sweep's included, from
-    the m_step of the partition on the current B."""
+def fit_single(X, B, Q, cfg, part):
+    """The joint loop from the m_step below of the partition on B, with
+    every block update scored in full by objective below (four objective
+    calls in a one-sweep loop). The first sweep's mixture step is the
+    refinement that gave the partition, so it runs none; every later one
+    refines by cem_refine below, from the m_step of the partition on the
+    current B."""
+    params = m_step(B, part, cfg.model)
     bundle = core.EmbeddingBundle(B=B, Q=Q, M=B.copy())
     trace = [objective(X, bundle, part, params, cfg.delta)]
     steps = []
-    for _ in range(cfg.max_iter):
+    for sweep in range(cfg.max_iter):
         start_part, start_B = part, bundle.B
         M = core.update_M(bundle.B, part, params, cfg.delta)
         bundle = replace(bundle, M=M)
         current = objective(X, bundle, part, params, cfg.delta)
         steps.append(("M", current))
-        cand_part, cand_params, _, _ = cem_refine(
-            bundle.B, part, m_step(bundle.B, part, cfg.model), tol=cfg.tol)
-        cand = objective(X, bundle, cand_part, cand_params, cfg.delta)
-        if cand <= current:
-            part, params, current = cand_part, cand_params, cand
+        if sweep > 0:
+            cand_part, cand_params, _, _ = cem_refine(
+                bundle.B, part, m_step(bundle.B, part, cfg.model), tol=cfg.tol)
+            cand = objective(X, bundle, cand_part, cand_params, cfg.delta)
+            if cand <= current:
+                part, params, current = cand_part, cand_params, cand
         steps.append(("cem", current))
         B = core.update_B(X, bundle.Q, M, cfg.delta)
         bundle = replace(bundle, B=B)

@@ -239,10 +239,9 @@ def test_fit_embeds_once_for_all_restarts(monkeypatch, restarts):
 
 
 def test_no_tail_on_the_gate_hepta_refines_again_in_its_first_sweep(monkeypatch):
-    # On the gate's hepta at fit seed 1, every start's refinement stops at
-    # a C-step fixed point on B, so a one-sweep fit runs only the starts'
-    # refinements. Two tails refined again when a start that was already
-    # a fixed point got refitted and rescored rather than marked settled.
+    # A start's refinement is the mixture step for the first sweep's B, so
+    # a one-sweep fit on the gate's hepta runs only the starts'
+    # refinements, as a fit with no sweep does.
     X = gen_fcps("hepta", seed=11).X
     calls = []
     real = mixture.cem_refine

@@ -12,8 +12,8 @@ relabelled starts, for the start key against a contingency table, for
 fit_cempca's one joint loop per refined partition against the reference
 that runs every restart in full, for both against the rule under which a
 relabelled start competed, for fit_cempca at max_iter=0 against CEM
-on the embedding, and for the one empty-cluster repair that Lloyd and CEM
-share."""
+on the embedding and at max_iter=1, whose first sweep refines no start
+again, and for the one empty-cluster repair that Lloyd and CEM share."""
 
 import dataclasses
 import functools
@@ -27,7 +27,7 @@ import scipy.linalg
 import scipy.special
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from cempca import baselines, mixture  # noqa: E402
 from cempca import cempca as core  # noqa: E402
@@ -782,8 +782,9 @@ def test_sharing_starts_changes_no_fit_on_tetra(method, seed):
     _assert_sharing_changes_nothing(lambda: SHARED_FITS[method](TETRA, 4, 10, seed))
 
 
-# A tolerance of 1e-2 stops many refinements short of a fixed point, so the
-# first sweep's CEM step runs; at 1e-6 every start on tetra ends at one
+# A tolerance of 1e-2 stops many refinements on tol, short of a fixed point;
+# at 1e-6 every start on tetra ends at one. Either way the start's refinement
+# is the first sweep's mixture step, and that sweep runs no CEM step.
 tols = st.sampled_from([1e-6, 1e-2])
 
 
@@ -791,9 +792,9 @@ tols = st.sampled_from([1e-6, 1e-2])
 @given(case=_grid_rows(), seed=st.integers(0, 2**16), model=models, tol=tols)
 def test_fit_cempca_matches_every_restart_in_full_on_grid_data(case, seed, model, tol):
     # fit_cempca runs the joint loop once per refined partition, refines a
-    # seeding partition once, fits and scores each partition once and
-    # skips the first sweep's CEM step after a start that ended at a fixed
-    # point; the reference runs every restart in full, rescoring all
+    # seeding partition once and fits and scores each partition once; the
+    # reference runs every restart in full, rescoring all. Neither runs a
+    # CEM step in the first sweep.
     X, g = case
     cfg = core.CempcaConfig(g=g, p=1, smoothing=0, restarts=6, model=model, tol=tol)
     _assert_identical(_outcome(lambda: core.fit_cempca(X, cfg, seed=seed)),
@@ -813,8 +814,8 @@ CHANG = gen_chang(300, seed=5).X
 
 @pytest.mark.parametrize("model, tol", [("spherical-tied", 1e-2), ("spherical", 1e-1)])
 def test_fit_cempca_matches_every_restart_in_full_on_chang(model, tol):
-    # at fit seed 3 some starts' refinements stop short of a fixed point,
-    # and the first sweep's CEM step then changes the kept fit
+    # at fit seed 3 some starts' refinements stop on tol, short of a fixed
+    # point, and the first sweep still refines none of them again
     cfg = core.CempcaConfig(g=2, p=2, smoothing=0, restarts=10, model=model, tol=tol)
     _assert_identical(core.fit_cempca(CHANG, cfg, seed=3),
                       every_joint_loop(CHANG, cfg, seed=3))
@@ -987,20 +988,25 @@ def test_fit_cempca_refines_a_start_and_runs_a_loop_once(monkeypatch, model):
     # no sweep: the only refines are the starts'
     core.fit_cempca(BLOBS, replace(cfg, max_iter=0), seed=0)
     assert calls == {"update_B": 0, "cem_refine": len(seeding)}
-    # one sweep: one update_B per loop, and no more refines, since every
-    # start's refinement stopped at a fixed point on the same B (a refine
-    # per loop, len(seeding) + len(refined) calls, when the first sweep
-    # refined again)
+    # one sweep: one update_B per loop, and no more refines, since a
+    # start's refinement is the mixture step for the first sweep's B
     calls.update(update_B=0, cem_refine=0)
     core.fit_cempca(BLOBS, replace(cfg, max_iter=1), seed=0)
     assert calls == {"update_B": len(refined), "cem_refine": len(seeding)}
 
 
-def _cem_on_the_embedding(B, cfg, seed):
-    """Best-of-restarts CEM on B from _seed_partition's labels: each restart
-    refines them as fit_cempca's start does, and the highest complete
-    log-likelihood is kept, ties going to the lowest restart. A restart
-    whose refined partition relabels an earlier one does not compete."""
+def _cem_on_the_embedding(X, cfg, seed):
+    """Best-of-restarts CEM on the principal embedding B of X's features
+    from _seed_partition's labels: each restart refines them as
+    fit_cempca's start does. The kept restart has the lowest
+    ||X - B Q^T||^2 minus the complete log-likelihood of B, summed as
+    fit_cempca sums its objective, ties going to the lowest restart. A
+    restart whose refined partition relabels an earlier one does not
+    compete."""
+    X = core.prepare_features(X, cfg)
+    B, _ = core.pca_embed(X, cfg.p)
+    recon = core._reconstruction(X, core.EmbeddingBundle(B=B, Q=core.update_Q(X, B), M=B))
+
     def start(r):
         part = Partition(assignments=core._seed_partition(B, cfg.g, r, seed), g=cfg.g)
         return mixture.cem_refine(B, part, cfg.model, tol=cfg.tol)[0].assignments
@@ -1008,10 +1014,11 @@ def _cem_on_the_embedding(B, cfg, seed):
     def tail(labels):
         part = Partition(assignments=labels, g=cfg.g)
         params = m_step(B, part, cfg.model)
+        ll = complete_log_likelihood(B, part, params)
         return FitResult(partition=part, params=params,
-                         objective_trace=[complete_log_likelihood(B, part, params)])
+                         objective_trace=[core._total(recon, 0.0, ll, cfg.delta)])
 
-    return every_restart(start, tail, cfg.restarts, operator.gt, time.perf_counter())
+    return every_restart(start, tail, cfg.restarts, operator.lt, time.perf_counter())
 
 
 @st.composite
@@ -1024,22 +1031,49 @@ def _small_blobs(draw):
     return X, g, draw(st.integers(1, d))
 
 
+_fits_data = st.one_of(_small_blobs(), _grid_rows().map(lambda case: (*case, 1)))
+
+
 @settings(max_examples=40, deadline=None)
-@given(case=st.one_of(_small_blobs(), _grid_rows().map(lambda case: (*case, 1))),
-       seed=st.integers(0, 2**16), model=models)
+@given(case=_fits_data, seed=st.integers(0, 2**16), model=models)
+# two refined partitions whose log-likelihoods differ in the last bit
+# tie once ||X - B Q^T||^2 is added: the lowest restart is kept
+@example(case=(np.array([[1, 0], [2, 0], [1, 1], [1, 2], [0, 0], [0, 1], [1, 2], [1, 2]],
+                        dtype=float), 2, 1), seed=0, model="full")
 def test_fit_cempca_without_sweeps_keeps_the_cem_restart_on_the_embedding(case, seed,
                                                                           model):
     # At max_iter=0 the objective is ||X - B Q^T||^2, the same for every
     # restart, minus the complete log-likelihood of B (M = B), so the kept
-    # restart is the one CEM on B keeps
+    # restart is the one CEM on B keeps when it ranks restarts by that sum
     X, g, p = case
     cfg = core.CempcaConfig(g=g, p=p, smoothing=0, restarts=6, max_iter=0, model=model)
-    B, _ = core.pca_embed(core.prepare_features(X, cfg), cfg.p)
     fit = _outcome(lambda: core.fit_cempca(X, cfg, seed=seed))
-    cem_fit = _outcome(lambda: _cem_on_the_embedding(B, cfg, seed))
+    cem_fit = _outcome(lambda: _cem_on_the_embedding(X, cfg, seed))
     if isinstance(fit, str) or isinstance(cem_fit, str):
         assert fit == cem_fit
         return
     assert fit.restart_index == cem_fit.restart_index
     assert np.array_equal(fit.partition.assignments, cem_fit.partition.assignments)
     assert fit.failed_restarts == cem_fit.failed_restarts
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=_fits_data, seed=st.integers(0, 2**16), model=models, tol=tols)
+def test_fit_cempca_first_sweep_refines_no_start_again(case, seed, model, tol):
+    # a start's refinement is the mixture step for the first sweep's B, so
+    # a one-sweep fit calls cem_refine only for the starts, as a fit with no
+    # sweep does, whether the refinements stopped at a fixed point or on tol
+    X, g, p = case
+    calls = []
+    real = mixture.cem_refine
+    counts = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mixture, "cem_refine",
+                   lambda *args, **kw: calls.append(1) or real(*args, **kw))
+        for max_iter in (0, 1):
+            calls.clear()
+            cfg = core.CempcaConfig(g=g, p=p, smoothing=0, restarts=6, max_iter=max_iter,
+                                    model=model, tol=tol)
+            _outcome(lambda: core.fit_cempca(X, cfg, seed=seed))
+            counts.append(len(calls))
+    assert counts[0] == counts[1]
