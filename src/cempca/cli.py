@@ -9,9 +9,10 @@ data.load_csv is the one CSV reader and _read_json the one JSON reader.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical failure.
 A benchmark checks its whole suite, names included (no two method or dataset
-entries may share one), then runs its cells in suite order; each cell is one
-row keyed by RESULT_COLUMNS, and results.csv and results.txt are both written
-from those rows.
+entries may share one), then runs its cells, in one forked worker per
+available CPU, and keeps their rows in suite order; each cell is one row keyed
+by RESULT_COLUMNS, and results.csv and results.txt are both written from
+those rows.
 """
 
 import argparse
@@ -243,6 +244,40 @@ def _result_row(dataset, g, name, entry, seed):
             "failed_restarts": len(result.failed_restarts)}
 
 
+def _cell_row(cell):
+    """_result_row(*cell). The pool sends this function by name, and it looks
+    _result_row up when it runs, so a worker runs the one the parent's module
+    held at the fork, a wrapped or patched one included."""
+    return _result_row(*cell)
+
+
+def _run_cells(cells):
+    """The cells' rows, in suite order: one forked worker per CPU this
+    process may run on, or one cell after another in this process on one
+    CPU or where the platform has no fork. Each cell depends on its own seed
+    alone, so both ways give the same rows but for wall_time. No worker
+    outlives the call: an exception cancels the cells not started, waits for
+    the running ones and reaches the caller as the cell raised it."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # macOS and Windows have no affinity call
+        cpus = os.cpu_count() or 1
+    workers = min(len(cells), cpus)
+    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        return [_result_row(*cell) for cell in cells]
+    # fork, not spawn: a worker starts with numpy and this package loaded. The
+    # pool forks before it starts its own threads, and OpenBLAS stops its
+    # threads across a fork (pthread_atfork).
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        return list(pool.map(_cell_row, cells, chunksize=1))
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def cmd_benchmark(args):
     suite = _checked(f"the suite in {args.suite}", _read_json(args.suite), dict)
     base_seed = _field(suite, "seed", int, "the suite", 0)
@@ -284,9 +319,10 @@ def cmd_benchmark(args):
 
     # before the first cell, so an OUT_DIR that cannot be written wastes none
     os.makedirs(args.out_dir, exist_ok=True)
-    rows = [_result_row(ds, g, name, entry, child_seed(base_seed, i, j))
-            for i, (ds, g) in enumerate(datasets)
-            for j, (name, entry) in enumerate(zip(names, methods))]
+    cells = [(ds, g, name, entry, child_seed(base_seed, i, j))
+             for i, (ds, g) in enumerate(datasets)
+             for j, (name, entry) in enumerate(zip(names, methods))]
+    rows = _run_cells(cells)
 
     csv_path = os.path.join(args.out_dir, "results.csv")
     txt_path = os.path.join(args.out_dir, "results.txt")

@@ -1,7 +1,12 @@
 import csv
 import json
+import multiprocessing
 import os
+import subprocess
+import sys
+import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1114,3 +1119,148 @@ def test_benchmark_repeated_name_is_a_data_error(tmp_path, capsys, monkeypatch, 
     assert code == 3 and captured.out == ""
     assert captured.err == f"data error: {message}\n"
     assert not out_dir.exists()
+
+
+# A suite of 2 datasets x 4 methods, the last a cell that fails on its cov.
+POOL_SUITE = {
+    "seed": 3,
+    "datasets": [{"name": "tetra", "shape": "tetra", "n": 60, "seed": 1},
+                 {"name": "hepta", "shape": "hepta", "n": 70, "seed": 2}],
+    "methods": [{"name": "kmeans", "method": "kmeans", "params": {"restarts": 2}},
+                {"name": "cem", "method": "cem", "params": {"restarts": 2}},
+                {"name": "cempca", "method": "cempca",
+                 "params": {"restarts": 2, "neighbors": 5}},
+                {"name": "bad", "method": "cem", "params": {"cov": "bogus"}}],
+}
+POOL_CELLS = [(d["name"], m["name"]) for d in POOL_SUITE["datasets"]
+              for m in POOL_SUITE["methods"]]
+
+
+def _set_cpus(monkeypatch, cpus):
+    """Make cmd_benchmark see `cpus` CPUs, on any platform."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+
+
+def _mark_pids(monkeypatch, tmp_path):
+    """Patch _result_row to leave a file named for the pid that ran each cell;
+    returns a function that reads and clears those pids."""
+    pids = tmp_path / "pids"
+    pids.mkdir()
+    real = cli._result_row
+
+    def marked(*cell):
+        (pids / f"{os.getpid()}-{cell[2]}-{cell[0].name}").touch()
+        return real(*cell)
+
+    monkeypatch.setattr(cli, "_result_row", marked)
+
+    def ran_in():
+        names = [path.name for path in pids.iterdir()]
+        for path in pids.iterdir():
+            path.unlink()
+        assert len(names) == len(POOL_CELLS)
+        return {int(name.split("-")[0]) for name in names}
+
+    return ran_in
+
+
+def _results_without_wall_time(out_dir):
+    with open(out_dir / "results.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    keep = [i for i, column in enumerate(rows[0]) if column != "wall_time"]
+    return [[row[i] for i in keep] for row in rows], (out_dir / "results.txt").read_bytes()
+
+
+def test_benchmark_pool_writes_what_one_cpu_writes(tmp_path, monkeypatch):
+    suite = _suite_path(tmp_path, POOL_SUITE)
+    ran_in = _mark_pids(monkeypatch, tmp_path)
+    written = {}
+    for cpus in (2, 1):
+        _set_cpus(monkeypatch, cpus)
+        assert run(["benchmark", suite, tmp_path / str(cpus)]) == 0
+        written[cpus] = _results_without_wall_time(tmp_path / str(cpus))
+        # every cell in this process, or every cell in a worker
+        pids = ran_in()
+        assert (pids == {os.getpid()}) if cpus == 1 else (os.getpid() not in pids)
+        assert multiprocessing.active_children() == []
+    assert written[2] == written[1]
+    rows = written[1][0]
+    assert [tuple(row[:2]) for row in rows[1:]] == POOL_CELLS
+    assert [row[3] for row in rows[1:]] == ["ok", "ok", "ok", "failed"] * 2
+
+
+def test_benchmark_without_fork_runs_its_cells_in_this_process(tmp_path, monkeypatch):
+    ran_in = _mark_pids(monkeypatch, tmp_path)
+    _set_cpus(monkeypatch, 2)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert run(["benchmark", _suite_path(tmp_path, POOL_SUITE), tmp_path / "results"]) == 0
+    assert ran_in() == {os.getpid()}
+
+
+def test_benchmark_rows_keep_suite_order_when_the_first_cell_ends_last(tmp_path,
+                                                                       monkeypatch):
+    # the first cell waits until every other cell has ended, in the other worker
+    done = tmp_path / "done"
+    done.mkdir()
+    real = cli._result_row
+    first = POOL_CELLS[0]
+
+    def slow_first(*cell):
+        if (cell[0].name, cell[2]) == first:
+            deadline = time.monotonic() + 30
+            while len(list(done.iterdir())) < len(POOL_CELLS) - 1:
+                assert time.monotonic() < deadline, "the other cells did not end"
+                time.sleep(0.01)
+            (done / "first").touch()
+        row = real(*cell)
+        (done / f"{cell[0].name}-{cell[2]}").touch()
+        return row
+
+    monkeypatch.setattr(cli, "_result_row", slow_first)
+    _set_cpus(monkeypatch, 2)
+    out_dir = tmp_path / "results"
+    assert run(["benchmark", _suite_path(tmp_path, POOL_SUITE), out_dir]) == 0
+    assert (done / "first").exists()
+    rows, _ = _results_without_wall_time(out_dir)
+    assert [tuple(row[:2]) for row in rows[1:]] == POOL_CELLS
+
+
+@pytest.mark.parametrize("cpus", [2, 1])
+def test_benchmark_cell_that_raises_leaves_no_worker(tmp_path, monkeypatch, cpus):
+    # an error that is no CempcaError is not a failed cell: it stops the suite
+    real = cli._result_row
+
+    def broken_second(*cell):
+        if (cell[0].name, cell[2]) == POOL_CELLS[1]:
+            raise RuntimeError("cell broke")
+        return real(*cell)
+
+    monkeypatch.setattr(cli, "_result_row", broken_second)
+    _set_cpus(monkeypatch, cpus)
+    with pytest.raises(RuntimeError, match="cell broke"):
+        run(["benchmark", _suite_path(tmp_path, POOL_SUITE), tmp_path / "results"])
+    assert multiprocessing.active_children() == []
+    assert not (tmp_path / "results" / "results.csv").exists()
+
+
+def test_import_and_fit_load_no_process_pool(tmp_path):
+    # only `cempca benchmark` runs cells in worker processes; the fit's
+    # accuracy imports scipy.optimize, which loads concurrent.futures' base
+    # module (through numpy.testing), but not its process pool
+    data = tmp_path / "d.csv"
+    run(["generate", "--shape", "tetra", "--n", 40, "--seed", 2, "--out", data])
+    fit = ("from cempca.cli import main; "
+           f"main(['fit', 'kmeans', {str(data)!r}, '--g', '4', '--out', "
+           f"{str(tmp_path / 'fit.json')!r}])")
+    loaded = {}
+    for name, action in (("import", "import cempca"), ("fit", fit)):
+        code = (f"import sys; sys.path.insert(0, {str(Path(cli.__file__).parents[1])!r}); "
+                f"{action}; print(' '.join(sorted(sys.modules)))")
+        loaded[name] = set(subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                          text=True, check=True).stdout.split())
+    assert not {m for m in loaded["import"]
+                if m.split(".")[0] in ("concurrent", "multiprocessing")}
+    assert not {m for m in loaded["fit"]
+                if m.split(".")[0] == "multiprocessing" or m == "concurrent.futures.process"}
+    assert "scipy.optimize" in loaded["fit"]
