@@ -106,8 +106,10 @@ def update_B(X, Q, M, delta):
     """Orthonormal embedding update: the polar factor of X Q + delta M.
 
     With U D V^T the thin SVD of that matrix, B = U V^T maximizes
-    Tr((X Q + delta M) B^T) over orthonormal-column B.
+    Tr((X Q + delta M) B^T) over orthonormal-column B. delta follows the
+    tolerance rule (SettingError).
     """
+    mixture._check_nonnegative(delta=delta)
     X = np.asarray(X, dtype=float)
     Q = np.asarray(Q, dtype=float)
     M = np.asarray(M, dtype=float)
@@ -118,29 +120,26 @@ def update_B(X, Q, M, delta):
 
 
 def update_M(B, partition, params, delta):
-    """Closed-form update of the clustered representation, one cluster at a time.
+    """Closed-form update of the clustered representation, all rows at once.
 
-    Every row assigned to cluster k solves the SPD system
-    (Sigma_k^{-1} + delta I) m = delta b + Sigma_k^{-1} s_k, handled in the
-    equivalent form (I + delta Sigma_k) m = s_k + delta Sigma_k b, which
-    stays well-conditioned when Sigma_k is nearly singular. B's shape, the
-    partition and params must agree, or InvalidInputError names both sizes.
+    A row b of cluster k solves (Sigma_k^{-1} + delta I) m = delta b +
+    Sigma_k^{-1} s_k, so m = b - (I + delta Sigma_k)^{-1} (b - s_k), which
+    stays well-conditioned when Sigma_k is nearly singular. One batched
+    product applies each component's inverse (spd_solve) to every residual:
+    O(g p n) temporaries. delta follows the tolerance rule; a non-finite B or
+    mean, or a B, partition or params of other sizes, raise InvalidInputError.
     """
+    mixture._check_nonnegative(delta=delta)
     B = np.asarray(B, dtype=float)
     n, p = B.shape
     mixture._check_columns(p, params)
     mixture._cluster_sizes(partition, n, params.g)
-    M = np.empty_like(B)
+    if not (np.all(np.isfinite(B)) and np.all(np.isfinite(params.means))):
+        raise InvalidInputError("B and the means must be finite")
     eye = np.eye(p)
-    for k in range(params.g):
-        rows = np.where(partition.assignments == k)[0]
-        if rows.size == 0:
-            continue
-        cov = params.covariances[k]
-        rhs = B[rows] @ (delta * cov) + params.means[k][None, :]
-        sol = spd_solve(eye + delta * cov, rhs.T)
-        M[rows] = sol.T
-    return M
+    inv = np.stack([spd_solve(eye + delta * cov, eye) for cov in params.covariances])
+    sol = inv @ (B - params.means[:, None, :]).transpose(0, 2, 1)
+    return B - sol[partition.assignments, :, np.arange(n)]
 
 
 def objective(X, bundle, partition, params, delta):

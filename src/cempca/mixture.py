@@ -251,20 +251,18 @@ def log_joint(X, params):
     needs params.p columns (InvalidInputError otherwise). Every score of
     the package, the complete log-likelihood's included, is read off it.
 
-    The (n, g) matrix is column-contiguous: it is the transpose of the
-    (g, n) array the components fill, one contiguous row each. A row far
-    outside a near-singular component overflows, unwarned, to a -inf score
-    (zero density); e_step reports a row that all components score so.
+    The (n, g) matrix is column-contiguous: the transpose of the (g, n)
+    array one product over the (g, p, n) residuals fills. A row far outside
+    a near-singular component overflows, unwarned, to a -inf score (zero
+    density); e_step reports a row that all components score so.
     """
     XT = _feature_major(X)
     _check_columns(XT.shape[0], params)
     log_w, inv_chol, logdet = _factors(params)
-    lp = np.empty((params.g, XT.shape[1]))
     with np.errstate(over="ignore"):
-        for k in range(params.g):
-            sol = inv_chol[k] @ (XT - params.means[k][:, None])
-            sol *= sol
-            lp[k] = log_w[k] - 0.5 * (params.p * _LOG_2PI + logdet[k] + sol.sum(axis=0))
+        sol = inv_chol @ (XT - params.means[:, :, None])
+        sol *= sol
+        lp = log_w[:, None] - 0.5 * (params.p * _LOG_2PI + logdet[:, None] + sol.sum(axis=1))
     return lp.T
 
 
@@ -311,9 +309,10 @@ def c_step(resp):
 def m_step(X, weights, model="full"):
     """Parameter update from soft responsibilities or a hard Partition.
 
-    weights is an (n, g) responsibility matrix whose rows sum to one, or a
-    Partition of the n rows, read as its labels: each cluster's rows are
-    gathered once, as columns of a feature-major copy of X, so no n x g
+    weights is an (n, g) responsibility matrix whose rows sum to one, its
+    scatters formed over the whole (g, p, n) stack at once, or a Partition
+    of the n rows, read as its labels: each cluster's ragged set of rows is
+    gathered in turn, as columns of a feature-major copy of X, so no n x g
     one-hot matrix is formed, and the result equals the one-hot matrix's up
     to rounding. An empty cluster raises EmptyClusterError; weights for
     other than n rows, or a label outside [0, g), InvalidInputError.
@@ -332,33 +331,27 @@ def m_step(X, weights, model="full"):
     XT = _feature_major(X)
     _check_model(model)
     p, n = XT.shape
-    hard = isinstance(weights, Partition)
-    if hard:
+    # C-order means on both paths, so the floor's sums over a mean's p
+    # features run in one order whatever form the weights take
+    if isinstance(weights, Partition):
         g = weights.g
-        totals = _cluster_sizes(weights, n, g).astype(float)
+        totals = _nonempty(_cluster_sizes(weights, n, g).astype(float))
+        means, covs = np.empty((g, p)), np.empty((g, p, p))
+        for k in range(g):
+            cols = XT.take(np.flatnonzero(weights.assignments == k), axis=1)
+            means[k] = cols @ np.ones(cols.shape[1]) / totals[k]
+            diff = cols - means[k][:, None]
+            covs[k] = diff @ diff.T / totals[k]
     else:
         W = np.asarray(weights, dtype=float)
         g = W.shape[1]
         if W.shape[0] != n:
             raise InvalidInputError(f"weights are given for {W.shape[0]} rows, but X has {n}")
-        totals = W.sum(axis=0)
-    for k in range(g):
-        if totals[k] <= 0.0:
-            raise EmptyClusterError(k)
+        totals = _nonempty(W.sum(axis=0))
+        means = np.ascontiguousarray((XT @ W).T) / totals[:, None]
+        diff = XT - means[:, :, None]
+        covs = (diff * W.T[:, None, :]) @ diff.transpose(0, 2, 1) / totals[:, None, None]
     pi = totals / n
-    # C-order means on both paths, so the floor's sums over a mean's p
-    # features run in one order whatever form the weights take
-    means = np.empty((g, p)) if hard else np.ascontiguousarray((XT @ W).T) / totals[:, None]
-    covs = np.empty((g, p, p))
-    for k in range(g):
-        if hard:
-            cols = XT.take(np.flatnonzero(weights.assignments == k), axis=1)
-            means[k] = cols @ np.ones(cols.shape[1]) / totals[k]
-            diff = cols - means[k][:, None]
-            covs[k] = diff @ diff.T / totals[k]
-        else:
-            diff = XT - means[k][:, None]
-            covs[k] = (diff * W[:, k]) @ diff.T / totals[k]
     # Symmetrize, then add the ridge, for the whole (g, p, p) stack at once
     covs = 0.5 * (covs + covs.transpose(0, 2, 1))
     trace = np.trace(covs, axis1=1, axis2=2)
@@ -376,6 +369,14 @@ def m_step(X, weights, model="full"):
         lam = float(np.sum(totals * np.trace(covs, axis1=1, axis2=2) / p)) / n
         covs = np.repeat((lam * np.eye(p))[None, :, :], g, axis=0)
     return MixtureParams(weights=pi, means=means, covariances=covs, model=model)
+
+
+def _nonempty(totals):
+    """totals, or EmptyClusterError naming the first cluster whose weight sum is not positive."""
+    empty = np.flatnonzero(totals <= 0.0)
+    if empty.size:
+        raise EmptyClusterError(int(empty[0]))
+    return totals
 
 
 def complete_log_likelihood(X, partition, params):

@@ -10,7 +10,11 @@ full and tell a relabelled start by its contingency table rather than by a
 renumbering. The joint-fit references fit and score every partition anew:
 the M-step one component at a time, every CEM round rescored, and every
 block update's objective computed in full. The sign rule flips one factor
-column at a time, where the library flips all columns at once.
+column at a time, where the library flips all columns at once. The scoring
+and M-row references loop over the components, where the library works on
+the (g, p, n) stack: log_joint one component's rows at a time, update_M one
+cluster's rows at a time, in the solve's (I + delta Sigma_k) m = s_k +
+delta Sigma_k b form.
 """
 
 import operator
@@ -24,6 +28,7 @@ from cempca import cempca as core
 from cempca import mixture
 from cempca.errors import (EmptyClusterError, NumericalError, SettingError,
                            SingularMatrixError)
+from cempca.linalg import spd_solve
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 COV_EPS = 1e-6
@@ -45,6 +50,37 @@ def log_gaussian(x, mean, cov):
     sol = scipy.linalg.solve_triangular(L, x - np.asarray(mean, dtype=float), lower=True)
     logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
     return float(-0.5 * (x.size * LOG_2PI + logdet + sol @ sol))
+
+
+def log_joint(X, params):
+    """mixture.log_joint one component at a time, on the library's batched
+    factors: each fills its own contiguous row of the (g, n) array."""
+    XT = mixture._feature_major(X)
+    log_w, inv_chol, logdet = mixture._factors(params)
+    lp = np.empty((params.g, XT.shape[1]))
+    with np.errstate(over="ignore"):
+        for k in range(params.g):
+            sol = inv_chol[k] @ (XT - params.means[k][:, None])
+            sol *= sol
+            lp[k] = log_w[k] - 0.5 * (params.p * LOG_2PI + logdet[k] + sol.sum(axis=0))
+    return lp.T
+
+
+def update_M(B, partition, params, delta):
+    """cempca.update_M one cluster at a time: each non-empty cluster's rows
+    are gathered and solve (I + delta Sigma_k) m = s_k + delta Sigma_k b
+    through spd_solve, and are scattered back."""
+    B = np.asarray(B, dtype=float)
+    M = np.empty_like(B)
+    eye = np.eye(B.shape[1])
+    for k in range(params.g):
+        rows = np.where(partition.assignments == k)[0]
+        if rows.size == 0:
+            continue
+        cov = params.covariances[k]
+        rhs = B[rows] @ (delta * cov) + params.means[k][None, :]
+        M[rows] = spd_solve(eye + delta * cov, rhs.T).T
+    return M
 
 
 def fix_signs(U, *companions):

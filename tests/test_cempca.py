@@ -16,7 +16,7 @@ from cempca.cempca import (CempcaConfig, EmbeddingBundle, fit_cempca,
 from cempca.data import (FCPS_CLASS_COUNTS, FCPS_SHAPES, gen_chang, gen_fcps,
                          knn_graph, standardize)
 from cempca.errors import (DegenerateUpdateError, InvalidInputError,
-                           NumericalError, SettingError)
+                           NumericalError, SettingError, SingularMatrixError)
 from cempca.linalg import thin_svd
 from cempca.metrics import ari
 from cempca.mixture import (MixtureParams, Partition, complete_log_likelihood,
@@ -168,6 +168,59 @@ def test_update_M_linear_system_oracle():
             lhs = inv + delta * np.eye(p)
             rhs = delta * B[i] + inv @ means[k]
             assert np.allclose(M[i], np.linalg.solve(lhs, rhs), atol=1e-9)
+
+
+def _update_M_case():
+    """(B, partition, params) of two clusters of three rows each in p = 2."""
+    rng = np.random.default_rng(12)
+    params = _hard_params(rng.standard_normal((2, 2)), [_random_spd(rng, 2)] * 2, 2)
+    return rng.standard_normal((6, 2)), Partition(assignments=np.arange(6) % 2, g=2), params
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["B", "mean"])
+@pytest.mark.parametrize("delta", [0.0, 1.0])
+def test_update_M_rejects_a_non_finite_B_or_mean(bad, where, delta):
+    B, part, params = _update_M_case()
+    if where == "B":
+        B[4, 1] = bad
+    else:
+        params.means[1, 0] = bad
+    # a solve that multiplies an infinite entry by zero warns first; the
+    # refusal is the InvalidInputError
+    with pytest.raises(InvalidInputError), np.errstate(invalid="ignore"):
+        update_M(B, part, params, delta)
+
+
+@pytest.mark.parametrize("bad", ["asymmetric", "nan", "inf"])
+def test_update_M_rejects_a_covariance_that_is_not_finite_and_symmetric(bad):
+    B, part, params = _update_M_case()
+    covs = params.covariances.copy()
+    covs[1, 0, 1] += {"asymmetric": 1.0, "nan": np.nan, "inf": np.inf}[bad]
+    with pytest.raises(InvalidInputError):
+        update_M(B, part, replace(params, covariances=covs), 1.0)
+
+
+def test_update_M_rejects_a_system_that_is_not_positive_definite():
+    # I + delta Sigma_1 = I - 2 I at delta = 1
+    B, part, params = _update_M_case()
+    covs = params.covariances.copy()
+    covs[1] = -2.0 * np.eye(2)
+    with pytest.raises(SingularMatrixError):
+        update_M(B, part, replace(params, covariances=covs), 1.0)
+
+
+@pytest.mark.parametrize("update", ["update_M", "update_B"])
+@pytest.mark.parametrize("delta", [np.nan, np.inf, -np.inf, -1.0])
+def test_block_updates_check_delta_by_the_tolerance_rule(update, delta):
+    # as fit_cempca does: a NaN delta used to surface as a non-finite
+    # matrix the caller never passed, and a negative one went through
+    B, part, params = _update_M_case()
+    call = {"update_M": lambda: update_M(B, part, params, delta),
+            "update_B": lambda: update_B(B, np.eye(2), B, delta)}[update]
+    with pytest.raises(SettingError, match="^delta must be finite and >= 0") as err:
+        call()
+    assert err.value.setting == "delta"
 
 
 def test_objective_vanishing_first_terms():

@@ -1,5 +1,7 @@
 """Property tests for the batched-factor mixture kernel against the
 single-point log_gaussian reference and scipy's triangular solve, for
+log_joint's product over the (g, p, n) stack and update_M's closed form
+against the per-component loops they replaced, for
 complete_log_likelihood against cem_refine's trace entry, for m_step's
 stacked ridge against the per-component reference, for cem_refine,
 which fits and scores each partition once, against the reference that
@@ -93,6 +95,39 @@ seeds = st.integers(0, 2**32 - 1)
 def test_log_joint_matches_log_gaussian(seed, model, g, p):
     params, X, _ = _instance(seed, model, g, p)
     _assert_close(log_joint(X, params), _oracle(X, params), p)
+
+
+@SETTINGS
+@given(seed=seeds, model=models, g=st.integers(1, 9), p=st.integers(1, 15),
+       repeated=st.booleans())
+def test_log_joint_matches_the_per_component_reference(seed, model, g, p, repeated):
+    # one product over the (g, p, n) stack scores as the per-component
+    # loop does, byte for byte; the last row lies so far out that its
+    # squared whitened residual overflows, unwarned, to a -inf score
+    params, X, rng = _instance(seed, model, g, p)
+    if repeated:
+        X = X[rng.integers(0, 4, len(X))]
+    X = np.vstack([X, np.full((1, p), 1e200)])
+    got = log_joint(X, params)
+    _assert_identical(got, oracles.log_joint(X, params))
+    assert np.all(got[-1] == -np.inf)
+
+
+@SETTINGS
+@given(seed=seeds, model=models, g=st.integers(1, 9), p=st.integers(1, 15),
+       delta=st.floats(0.0, 10.0), unused=st.booleans())
+def test_update_M_matches_the_per_cluster_reference(seed, model, g, p, delta, unused):
+    # m = b - (I + delta Sigma_k)^{-1} (b - s_k) for all rows at once, against
+    # the per-cluster solve of (I + delta Sigma_k) m = s_k + delta Sigma_k b;
+    # with unused, label 0 labels no row, and the reference skips it
+    params, B, rng = _instance(seed, model, g, p, n=30)
+    assign = rng.integers(0, g, len(B))
+    if unused and g > 1:
+        assign[assign == 0] = 1
+    part = Partition(assignments=assign, g=g)
+    got = core.update_M(B, part, params, delta)
+    expected = oracles.update_M(B, part, params, delta)
+    _assert_rel_close(got, expected)
 
 
 @SETTINGS
