@@ -13,7 +13,7 @@ recomputes B as the polar factor of X Q + delta M, and sets Q = X^T B.
 
 import operator
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -145,20 +145,14 @@ def update_M(B, partition, params, delta):
 def objective(X, bundle, partition, params, delta):
     """Reconstruction error plus coupling penalty minus the complete-data
     log-likelihood of M."""
-    return _total(_reconstruction(np.asarray(X, dtype=float), bundle), _coupling(bundle),
+    return _total(_sq(np.asarray(X, dtype=float) - bundle.B @ bundle.Q.T),
+                  _sq(bundle.B - bundle.M),
                   mixture.complete_log_likelihood(bundle.M, partition, params), delta)
 
 
-def _reconstruction(X, bundle):
-    """The objective's first term, ||X - B Q^T||^2."""
-    resid = X - bundle.B @ bundle.Q.T
-    return np.sum(resid * resid)
-
-
-def _coupling(bundle):
-    """The objective's coupling term before its delta, ||B - M||^2."""
-    gap = bundle.B - bundle.M
-    return np.sum(gap * gap)
+def _sq(A):
+    """Squared Frobenius norm of A."""
+    return np.sum(A * A)
 
 
 def _total(reconstruction, coupling, ll, delta):
@@ -210,16 +204,15 @@ def _fit_single(X, B, Q, cfg, part):
     the reconstruction and the coupling, and Q the reconstruction.
     """
     params = mixture.m_step(B, part, cfg.model)
-    bundle = EmbeddingBundle(B=B, Q=Q, M=B.copy())
-    recon, coupling = _reconstruction(X, bundle), _coupling(bundle)
-    ll = mixture.complete_log_likelihood(bundle.M, part, params)
+    M = B.copy()
+    recon, coupling = _sq(X - B @ Q.T), _sq(B - M)
+    ll = mixture.complete_log_likelihood(M, part, params)
     trace = [_total(recon, coupling, ll, cfg.delta)]
     steps = []
     for sweep in range(cfg.max_iter):
-        start_part, start_B = part, bundle.B
-        M = update_M(bundle.B, part, params, cfg.delta)
-        bundle = replace(bundle, M=M)
-        coupling = _coupling(bundle)
+        start_part, start_B = part, B
+        M = update_M(B, part, params, cfg.delta)
+        coupling = _sq(B - M)
         ll = mixture.complete_log_likelihood(M, part, params)
         current = _total(recon, coupling, ll, cfg.delta)
         steps.append(("M", current))
@@ -233,19 +226,17 @@ def _fit_single(X, B, Q, cfg, part):
         # exact minimizer of the joint objective; the candidate state is
         # kept only when it does not increase that objective.
         if sweep:
-            cand_part, cand_params, _, _ = mixture.cem_refine(
-                bundle.B, part, cfg.model, tol=cfg.tol)
+            cand_part, cand_params, _, _ = mixture.cem_refine(B, part, cfg.model, tol=cfg.tol)
             cand_ll = mixture.complete_log_likelihood(M, cand_part, cand_params)
             cand = _total(recon, coupling, cand_ll, cfg.delta)
             if cand <= current:
                 part, params, ll, current = cand_part, cand_params, cand_ll, cand
         steps.append(("cem", current))
-        B = update_B(X, bundle.Q, M, cfg.delta)
-        bundle = replace(bundle, B=B)
-        recon, coupling = _reconstruction(X, bundle), _coupling(bundle)
+        B = update_B(X, Q, M, cfg.delta)
+        recon, coupling = _sq(X - B @ Q.T), _sq(B - M)
         steps.append(("B", _total(recon, coupling, ll, cfg.delta)))
-        bundle = replace(bundle, Q=update_Q(X, B))
-        recon = _reconstruction(X, bundle)
+        Q = update_Q(X, B)
+        recon = _sq(X - B @ Q.T)
         value = _total(recon, coupling, ll, cfg.delta)
         steps.append(("Q", value))
         trace.append(value)
@@ -256,7 +247,7 @@ def _fit_single(X, B, Q, cfg, part):
         if fixed or mixture._converged(trace[-2], trace[-1], cfg.tol):
             break
     return FitResult(partition=part, params=params, objective_trace=trace,
-                     bundle=bundle, step_trace=steps)
+                     bundle=EmbeddingBundle(B=B, Q=Q, M=M), step_trace=steps)
 
 
 def fit_cempca(X_raw, cfg, seed=0):

@@ -310,7 +310,7 @@ def cmd_benchmark(args):
                                    _field(entry, "n", int, where),
                                    _field(entry, "seed", int, where, 0))
         ds.name = _field(entry, "name", str, where, ds.name)
-        g = entry.get("g")
+        g = _field(entry, "g", int, where)
         if ds.labels is None and g is None:
             raise InvalidInputError(f"dataset {ds.name!r} has no labels, "
                                     'so its entry must give "g"')

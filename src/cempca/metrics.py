@@ -8,7 +8,10 @@ from .mixture import Partition
 
 def _labels(partition):
     if isinstance(partition, Partition):
-        return np.asarray(partition.assignments, dtype=int), partition.g
+        arr = np.asarray(partition.assignments, dtype=int)
+        if arr.size and not 0 <= arr.min() <= arr.max() < partition.g:
+            raise InvalidInputError(f"a Partition's labels must be in [0, {partition.g})")
+        return arr, partition.g
     arr = np.asarray(partition, dtype=int)
     if arr.size and arr.min() < 0:
         raise InvalidInputError(f"labels must be >= 0, got {arr.min()}")
@@ -23,9 +26,7 @@ def contingency(truth, pred):
     if t.shape[0] != p.shape[0]:
         raise InvalidInputError(
             f"partitions have different lengths: {t.shape[0]} vs {p.shape[0]}")
-    counts = np.zeros((gt, gp), dtype=np.int64)
-    np.add.at(counts, (t, p), 1)
-    return counts
+    return np.bincount(t * gp + p, minlength=gt * gp).reshape(gt, gp)
 
 
 def accuracy(truth, pred):

@@ -578,9 +578,9 @@ def cem_refine(X, partition, model, max_iter=100, tol=1e-6):
     slack. m_step raises InvalidInputError unless the partition labels X.
 
     It stops when a C-step returns the partition the last round fitted, the
-    given one included, and appends the last trace value again (the same
-    float object); every other round appends a new value. So trace[-1] is
-    trace[-2] exactly when it stopped at such a fixed point.
+    given one included: that round reuses the last score without refitting
+    or rescoring and appends the last trace value again; every other round
+    appends a new value.
     """
     # One feature-major copy for the whole refinement: log_joint and m_step
     # get its transposed view, and their own _feature_major copies nothing.

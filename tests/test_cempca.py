@@ -84,6 +84,11 @@ def test_update_Q_product_oracle():
     assert np.allclose(update_Q(X, B), expected, atol=1e-12)
 
 
+def test_update_Q_rejects_mismatched_rows():
+    with pytest.raises(InvalidInputError, match="^X has 4 rows but B has 3$"):
+        update_Q(np.zeros((4, 2)), np.zeros((3, 2)))
+
+
 def test_update_B_polar_identity():
     rng = np.random.default_rng(5)
     T, _ = np.linalg.qr(rng.standard_normal((12, 3)))
@@ -706,6 +711,7 @@ SETTING_FITS = {
 
 @pytest.mark.parametrize("fit, field, value, message", [
     *((fit, "restarts", 0, "restarts must be >= 1") for fit in SETTING_FITS),
+    *((fit, "g", 0, "g must be >= 1") for fit in SETTING_FITS),
     *((fit, "max_iter", 0, "max_iter must be >= 1") for fit in SETTING_FITS
       if fit != "fit_cempca"),  # fit_cempca's max_iter=0 skips the sweeps
     # a count that is not an integer, numpy's float and a bool included

@@ -143,6 +143,25 @@ def test_fit_cempca_atom_small(tmp_path):
     assert header == ["b0", "b1", "b2", "m0", "m1", "m2"]
 
 
+@pytest.mark.parametrize("max_iter", [40, 0])
+def test_fit_emit_embedding_writes_the_fits_bundle(tmp_path, max_iter):
+    from cempca.cempca import CempcaConfig, fit_cempca
+
+    data = tmp_path / "atom.csv"
+    run(["generate", "--shape", "atom", "--n", 300, "--seed", 5, "--out", data])
+    emb = tmp_path / "emb.csv"
+    assert run(["fit", "cempca", data, "--g", 2, "--p", 3, "--delta", 1, "--restarts", 4,
+                "--max-iter", max_iter, "--seed", 1, "--emit-embedding", emb]) == 0
+    cfg = CempcaConfig(g=2, p=3, delta=1.0, restarts=4, max_iter=max_iter)
+    bundle = fit_cempca(load_csv(data).X, cfg, seed=1).bundle
+    # the writer uses repr, so the values read back exactly
+    written = np.loadtxt(emb, delimiter=",", skiprows=1)
+    assert written[:, :3].tobytes() == bundle.B.tobytes()
+    assert written[:, 3:].tobytes() == bundle.M.tobytes()
+    if max_iter == 0:  # no sweep ran: M is still its copy of B
+        assert np.array_equal(written[:, 3:], written[:, :3])
+
+
 def test_fit_label_column_autodetect_absent(tmp_path):
     data = tmp_path / "plain.csv"
     data.write_text("x0,x1\n" + "\n".join(f"{i},{i % 3}" for i in range(20)) + "\n")
@@ -541,6 +560,15 @@ def test_benchmark_unlabeled_csv_without_g_is_a_data_error(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_run_method_rejects_an_unknown_method():
+    from cempca.cli import run_method
+    from cempca.data import gen_fcps
+    from cempca.errors import InvalidInputError
+
+    with pytest.raises(InvalidInputError, match="^unknown method 'nope'$"):
+        run_method("nope", gen_fcps("tetra", 60, seed=2), {"g": 4}, 1)
+
+
 def test_run_method_rejects_settings_the_method_does_not_read(tmp_path):
     from cempca.cli import run_method
     from cempca.data import gen_fcps
@@ -617,6 +645,16 @@ def _evaluate(argv, capsys):
     code = run(["evaluate", *argv])
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_evaluate_rows_that_differ_in_number_is_a_data_error(tmp_path, capsys):
+    pred = tmp_path / "pred.csv"
+    pred.write_text("label\n0\n1\n1\n")
+    truth = tmp_path / "truth.csv"
+    truth.write_text("label\n0\n1\n")
+    code, out, err = _evaluate([pred, truth], capsys)
+    assert code == 3 and out == ""
+    assert err == "data error: prediction has 3 rows but truth has 2\n"
 
 
 def test_evaluate_headerless_single_column_of_floats(tmp_path, capsys):
@@ -724,6 +762,12 @@ def test_benchmark_entry_without_a_required_key_is_a_data_error(tmp_path, capsys
     ({"seed": 1.7, "datasets": [], "methods": []}, "\"seed\" in the suite must be int"),
     ({"datasets": [{"shape": "tetra", "n": "x"}], "methods": []},
      "\"n\" in dataset entry {'shape': 'tetra', 'n': 'x'} must be int, got 'x'"),
+    ({"datasets": [{"shape": "tetra", "g": "4"}], "methods": [{"method": "kmeans"}]},
+     "\"g\" in dataset entry {'shape': 'tetra', 'g': '4'} must be int, got '4'"),
+    ({"datasets": [{"shape": "tetra", "g": True}], "methods": [{"method": "kmeans"}]},
+     "\"g\" in dataset entry {'shape': 'tetra', 'g': True} must be int, got True"),
+    ({"datasets": [{"shape": "tetra", "g": 1.7}], "methods": [{"method": "kmeans"}]},
+     "\"g\" in dataset entry {'shape': 'tetra', 'g': 1.7} must be int, got 1.7"),
     ({"datasets": [{"path": "d.csv", "label_column": 1.5}], "methods": []},
      '"label_column" in dataset entry {\'path\': \'d.csv\', \'label_column\': 1.5} '
      "must be str or int, got 1.5"),
@@ -767,22 +811,19 @@ def test_benchmark_null_entry_value_means_absent(tmp_path):
     assert all(row[3] == "ok" for row in outputs[0][0][1:])
 
 
-@pytest.mark.parametrize("params, g, message", [
+@pytest.mark.parametrize("params, message", [
     # the library checks each setting and names it; the CLI checks no type
-    ({"restarts": "2"}, None, "restarts must be an integer, got '2'"),
-    ({"restarts": 2.5}, None, "restarts must be an integer, got 2.5"),
-    ({"restarts": True}, None, "restarts must be an integer, got True"),
-    ({"restarts": 2}, "3", "g must be an integer, got '3'"),
-    ({"restarts": 2, "tol": "x"}, None, "tol must be finite and >= 0, got 'x'"),
+    ({"restarts": "2"}, "restarts must be an integer, got '2'"),
+    ({"restarts": 2.5}, "restarts must be an integer, got 2.5"),
+    ({"restarts": True}, "restarts must be an integer, got True"),
+    # a method's "g" overrides the dataset's in its own cells
+    ({"restarts": 2, "g": "3"}, "g must be an integer, got '3'"),
+    ({"restarts": 2, "tol": "x"}, "tol must be finite and >= 0, got 'x'"),
 ])
-def test_benchmark_cell_with_a_wrong_typed_setting_fails_alone(tmp_path, params, g,
-                                                               message):
-    dataset = {"name": "tetra", "shape": "tetra", "n": 60, "seed": 2}
+def test_benchmark_cell_with_a_wrong_typed_setting_fails_alone(tmp_path, params, message):
+    dataset = {"name": "tetra", "shape": "tetra", "n": 60, "seed": 2, "g": 4}
     bad = {"name": "bad", "method": "kmeans", "params": params}
     methods = [{"name": "kmeans", "method": "kmeans", "params": {"restarts": 2}}]
-    if g is not None:
-        # a dataset "g" reaches every cell; the good entry overrides it
-        dataset["g"], methods[0]["params"]["g"] = g, 4
     suite = tmp_path / "suite.json"
     suite.write_text(json.dumps({"seed": 1, "datasets": [dataset],
                                  "methods": [bad] + methods}))

@@ -26,7 +26,7 @@ def test_load_csv_header_no_label(tmp_path):
     path = tmp_path / "toy.csv"
     path.write_text("x,y\n1,2\n3,4\n")
     ds = load_csv(path)
-    assert ds.labels is None
+    assert ds.labels is None and ds.n_classes == 0
     assert ds.n == 2
 
 
@@ -91,6 +91,19 @@ def test_csv_round_trip(tmp_path):
 def test_load_csv_missing_file(tmp_path):
     with pytest.raises(DataError):
         load_csv(tmp_path / "absent.csv")
+
+
+@pytest.mark.parametrize("text, kwargs, error, message", [
+    ("", {}, ParseError, "is empty$"),
+    ("x,y\n", {}, ParseError, "has a header but no data rows$"),
+    ("1,2\n3,4\n", {"label_column": 2, "has_header": False}, InvalidInputError,
+     "^label column index 2 out of range$"),
+], ids=["empty", "header-only", "label-index-out-of-range"])
+def test_load_csv_refusals(tmp_path, text, kwargs, error, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(error, match=message):
+        load_csv(path, **kwargs)
 
 
 def test_load_csv_ragged_row_reports_location(tmp_path):
@@ -231,8 +244,9 @@ def test_generators_deterministic_per_seed():
     (lambda: gen_chang(n=100.0), "n must be an integer, got 100.0"),
     (lambda: gen_fcps("tetra", n=100.5), "n must be an integer, got 100.5"),
     (lambda: gen_fcps("tetra", seed=True), "seed must be an integer, got True"),
+    (lambda: gen_fcps("tetra", n=30), "tetra needs n >= 40, got 30"),
 ], ids=["chang", "fcps", "chang-float-seed", "fcps-float-seed", "chang-float-n",
-        "fcps-float-n", "fcps-bool-seed"])
+        "fcps-float-n", "fcps-bool-seed", "fcps-small-n"])
 def test_generators_reject_negative_seed(make, message):
     with pytest.raises(InvalidInputError, match=message):
         make()

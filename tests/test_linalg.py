@@ -109,6 +109,11 @@ def test_thin_svd_rejects_non_finite():
         thin_svd(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
 
+def test_thin_svd_rejects_a_vector():
+    with pytest.raises(InvalidInputError, match=r"must be 2-dimensional, got shape \(3,\)"):
+        thin_svd(np.ones(3))
+
+
 def test_spd_solve_identity():
     Y = np.arange(6.0).reshape(3, 2)
     Z = spd_solve(np.eye(3), Y)
@@ -137,6 +142,11 @@ def test_spd_solve_rejects_indefinite():
 def test_spd_solve_rejects_asymmetric():
     with pytest.raises(InvalidInputError):
         spd_solve(np.array([[1.0, 0.5], [0.0, 1.0]]), np.ones((2, 1)))
+
+
+def test_spd_solve_rejects_a_non_square_matrix():
+    with pytest.raises(InvalidInputError, match=r"must be square, got shape \(2, 3\)"):
+        spd_solve(np.ones((2, 3)), np.ones((2, 1)))
 
 
 def test_spd_solve_rejects_non_finite():

@@ -5,6 +5,7 @@ import pytest
 
 from cempca.errors import InvalidInputError
 from cempca.metrics import accuracy, ari, contingency, nmi
+from cempca.mixture import Partition
 
 
 def test_contingency_identical():
@@ -45,6 +46,21 @@ def test_accuracy_relabeled_perfect():
 
 def test_accuracy_half():
     assert accuracy([0, 0, 1, 1], [0, 1, 0, 1]) == 0.5
+
+
+def test_accuracy_of_partitions():
+    truth = Partition(assignments=np.array([0, 0, 1, 1]), g=2)
+    # a Partition's g sizes the table, so an unused label still counts
+    pred = Partition(assignments=np.array([1, 1, 0, 0]), g=3)
+    assert accuracy(truth, pred) == 1.0
+    assert contingency(truth, pred).shape == (2, 3)
+
+
+def test_contingency_rejects_a_partition_label_outside_its_g():
+    # such a label would fall into another cell of the table
+    for labels in ([2, 0, 1], [-1, 0, 1]):
+        with pytest.raises(InvalidInputError, match=r"must be in \[0, 2\)"):
+            contingency([0, 1, 1], Partition(assignments=np.array(labels), g=2))
 
 
 def test_accuracy_rectangular_padding():

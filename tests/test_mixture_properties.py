@@ -1040,7 +1040,7 @@ def _cem_on_the_embedding(X, cfg, seed):
     compete."""
     X = core.prepare_features(X, cfg)
     B, _ = core.pca_embed(X, cfg.p)
-    recon = core._reconstruction(X, core.EmbeddingBundle(B=B, Q=core.update_Q(X, B), M=B))
+    recon = core._sq(X - B @ core.update_Q(X, B).T)
 
     def start(r):
         part = Partition(assignments=core._seed_partition(B, cfg.g, r, seed), g=cfg.g)
