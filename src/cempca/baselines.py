@@ -43,7 +43,7 @@ def reduced_kmeans(X, g, p=None, restarts=20, seed=0, max_iter=100, tol=1e-6):
     _, _, _, Q0 = _principal_axes(X, p)
     scores0 = X @ Q0
 
-    def tail(assign):
+    def tail(assign, incumbent=None):
         S = mixture._centroids(scores0, assign, g)
         Q = Q0
         trace = [_rkm_objective(X, assign, S, Q)]

@@ -193,17 +193,114 @@ def _seed_partition(B, g, restart, seed):
     return mixture.kmeans_labels(B, g, mixture.child_seed(seed, restart), 0)
 
 
-def _fit_single(X, B, Q, cfg, part):
+def _objective_floor(X, B, Q, cfg):
+    """floor(part, params): a number that the final objective of the joint
+    loop from the partition part, params its m_step on B, provably exceeds,
+    or -inf when the guard below cannot prove that the loop ends after its
+    first sweep. X is the prepared data, B its principal embedding and
+    Q = X^T B; the terms every restart shares are formed here, once per fit.
+
+    1. Ceiling. A row's log_joint entry is c_k - m/2 with c_k = log w_k -
+       (p log 2 pi + log det Sigma_k) / 2 and m >= 0 its Mahalanobis term,
+       so for any M, complete_log_likelihood(M, part, params) <= ceiling =
+       sum_k n_k c_k. (In floating point too: the entry is computed as
+       log w_k - (p log 2 pi + log det + m) / 2, which is monotone in m.)
+    2. Reconstruction. For any orthonormal B1 and Q1 = X^T B1,
+       ||X - B1 Q1^T||^2 = ||X||^2 - ||X^T B1||^2 >= ||X||^2 - sum_{i<=p}
+       s_i^2 (Ky Fan), which is the start's recon0 = ||X - B Q^T||^2
+       (Eckart-Young). The coupling is >= 0. So a loop that stops after
+       sweep 0, which keeps part and params, ends at or above recon0 -
+       ceiling. With max_iter = 0 the loop ends at its start, whose M is B,
+       and this holds with no guard.
+    3. Guard. Sweep 0 keeps the partition, so the loop stops after it when
+       B1 = polar(X Q + delta M) moves by at most tol ||B||. Lemma: if A =
+       U H with U orthonormal and H symmetric with least eigenvalue
+       lambda > 0, then ||polar(A + E) - U||_F <= 2 ||E||_F / lambda.
+       Proof: P = polar(A + E) maximizes Tr(W^T (A + E)) over orthonormal
+       W, so Tr((I - P^T U) H) <= Tr((P - U)^T E) <= ||P - U|| ||E||. The
+       left side is Tr(S H) for S the symmetric part of I - P^T U, which is
+       positive semidefinite since ||P^T U||_2 <= 1, so it is at least
+       lambda Tr(S) = lambda ||P - U||^2 / 2. Here A = B diag(s_i^2) and E
+       = delta M + (X Q - A). A row m of cluster k is s_k + delta Sigma_k
+       (I + delta Sigma_k)^{-1} (b - s_k) (update_M), whose matrix has
+       eigenvalues below min(1, delta lambda_max(Sigma_k)), and lambda_max
+       <= trace. So, with S_z the rows' cluster means, ||M||_F <= ||S_z||_F
+       + min(1, delta max_k tr Sigma_k) ||B - S_z||_F, and M is never
+       formed. By Weyl, X Q + delta M has singular values in [s_p^2 - ||E||,
+       s_1^2 + ||E||], so update_B's rank check cannot fire when s_p^2 -
+       ||E|| > 2e-12 (s_1^2 + ||E||) (twice its 1e-12, for the SVD's
+       rounding).
+
+    Rounding is measured or allowed for, never assumed away: X Q - B diag(
+    s_i^2) is computed, not taken as zero, so a small gap s_p^2 - s_{p+1}^2
+    (p < d), which tilts the computed B off the exact singular vectors,
+    shows up in E; ||B^T B - I||_F bounds B's distance from an orthonormal
+    factor; 64 (d + p) eps ||X|| ||Q|| covers recomputing X Q + delta M in
+    update_B; 1e3 p eps (s_1^2 + ||E||) / (s_p^2 - ||E||) covers the SVD
+    that forms the polar factor; the move must be at most half of tol ||B||;
+    and the floor is recon0 - ceiling less 1e3 p eps (||X||^2 + sum_k n_k
+    |c_k|), for the sums that form recon0, ceiling and the loop's terms.
+    At tol = 0, or at delta = 1 with the default tol (where the kept fits
+    run 2 sweeps), the guard never holds; at the defaults the predicted move is 6% of tol ||B||
+    on chang at p = 15 (s_p^2 = 38.5) and 0.04-1.7% on the FCPS shapes.
+
+    Such a loop would have succeeded: update_M solves systems I + delta
+    Sigma_k, SPD with eigenvalues >= 1; the log-likelihoods factor the
+    covariances that floor factors first, so a failure raises here the
+    error the loop would raise; and update_B's rank check cannot fire.
+    """
+    p = B.shape[1]
+    eps = np.finfo(float).eps
+    XQ = X @ Q
+    s2 = np.sum(Q * Q, axis=0)
+    lo, hi = s2.min(), s2.max()
+    defect = np.linalg.norm(B.T @ B - np.eye(p))
+    # XQ's entries reach s_1^2, so its residual's squares are taken at the
+    # scale of its largest entry, as BLAS's nrm2 does
+    R = XQ - B * s2
+    top = np.abs(R).max()
+    shared = ((top * np.linalg.norm(R / top) if top else 0.0) + defect * hi
+              + 64 * (X.shape[1] + p) * eps * np.linalg.norm(X) * np.linalg.norm(Q))
+    recon0, scale = _sq(X - B @ Q.T), _sq(X)
+    reach = cfg.tol * np.linalg.norm(B) / 2
+
+    def floor(part, params):
+        log_w, _, logdet = mixture._factors(params)
+        own = log_w - 0.5 * (p * mixture._LOG_2PI + logdet)
+        counts = np.bincount(part.assignments, minlength=part.g)
+        if cfg.max_iter:
+            S = params.means[part.assignments]
+            pull = min(1.0, cfg.delta * np.trace(params.covariances, axis1=1, axis2=2).max())
+            E = shared + cfg.delta * (np.sqrt(_sq(S)) + pull * np.sqrt(_sq(B - S)))
+            if not lo - E > 2e-12 * (hi + E):
+                return -np.inf
+            move = 2 * E / lo + defect + 1e3 * p * eps * (hi + E) / (lo - E)
+            if not move <= reach:
+                return -np.inf
+        margin = 1e3 * p * eps * (scale + counts @ np.abs(own))
+        return float(recon0 - counts @ own - margin)
+
+    return floor
+
+
+def _fit_single(X, B, Q, cfg, part, floor, incumbent):
     """One restart's joint loop from the principal embedding B, its loadings
     Q and the partition CEM refined on B. That refinement is the mixture
     step for B, so the first sweep runs no CEM step; every later sweep's
     cem_refine refines the partition on the B the sweep before computed.
+
+    Given an incumbent objective (None before a restart has succeeded), the
+    loop returns None, having run no block update, when floor
+    (_objective_floor) proves from the start's m_step that it would end
+    strictly above the incumbent.
 
     Each block update recomputes only the objective terms it changes: M the
     coupling and the log-likelihood, the mixture step the log-likelihood, B
     the reconstruction and the coupling, and Q the reconstruction.
     """
     params = mixture.m_step(B, part, cfg.model)
+    if incumbent is not None and floor(part, params) > incumbent:
+        return None
     M = B.copy()
     recon, coupling = _sq(X - B @ Q.T), _sq(B - M)
     ll = mixture.complete_log_likelihood(M, part, params)
@@ -263,11 +360,22 @@ def fit_cempca(X_raw, cfg, seed=0):
     A restart's start is its refined partition: the loop after it depends
     on nothing else, since that refinement is the mixture step for the
     first sweep's B and the loop fits its own params to it. So the loop
-    runs once per refined partition up to relabelling, and a per-fit map
-    from each seeding partition, up to relabelling, to its refined labels
-    keeps a relabelled or repeated one from being refined again. The kept
-    result is the one every restart run in full would give if a restart
-    whose seeding relabels an earlier successful one did not compete.
+    runs at most once per refined partition up to relabelling, and a
+    per-fit map from each seeding partition, up to relabelling, to its
+    refined labels keeps a relabelled or repeated one from being refined
+    again. The kept result is the one every restart run in full would give
+    if a restart whose seeding relabels an earlier successful one did not
+    compete.
+    A loop that cannot win is not run: once a restart has succeeded, the
+    start's m_step gives a lower bound on the loop's final objective,
+    recon0 - ceiling (the start's reconstruction error less the
+    log-likelihood with every Mahalanobis term zero), valid when a one-sweep
+    guard proves the loop would stop after its first sweep (or at
+    max_iter = 0). When that bound, less a rounding margin, is above the
+    kept objective, the loop would have succeeded and ended strictly above
+    it, so it is skipped and, like a repeat, appears nowhere; the outputs
+    are those of every loop run in full (_objective_floor has the proofs).
+    At workload seed 0, 11 of the 65 joint loops of the acceptance fits run.
     Restarts that hit a degenerate update are skipped and listed in
     failed_restarts; the fit fails only if every restart does. A setting of
     a wrong type or range raises SettingError, naming it, before any work.
@@ -301,7 +409,10 @@ def fit_cempca(X_raw, cfg, seed=0):
                 tol=cfg.tol)[0].assignments
         return refined[key]
 
-    def tail(labels):
-        return _fit_single(X, B, Q, cfg, Partition(assignments=labels, g=cfg.g))
+    floor = _objective_floor(X, B, Q, cfg)
+
+    def tail(labels, incumbent=None):
+        return _fit_single(X, B, Q, cfg, Partition(assignments=labels, g=cfg.g), floor,
+                           incumbent)
 
     return mixture.best_of_restarts(start, tail, cfg.restarts, operator.lt, t0)

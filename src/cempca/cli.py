@@ -314,7 +314,10 @@ def cmd_benchmark(args):
         if ds.labels is None and g is None:
             raise InvalidInputError(f"dataset {ds.name!r} has no labels, "
                                     'so its entry must give "g"')
-        datasets.append((ds, ds.n_classes if g is None else g))
+        g = ds.n_classes if g is None else g
+        if not 1 <= g <= ds.n:  # every cell would fail on it
+            raise InvalidInputError(f"dataset {ds.name!r} has g = {g}, outside [1, n = {ds.n}]")
+        datasets.append((ds, g))
     _check_unique("dataset", [ds.name for ds, _ in datasets])
 
     # before the first cell, so an OUT_DIR that cannot be written wastes none

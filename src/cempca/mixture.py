@@ -75,7 +75,12 @@ class FitResult:
     start repeats an earlier successful start, up to relabelling for label
     starts, is skipped and appears nowhere. fit_cempca's start is the
     partition CEM refines from the seeding labels, so a restart whose
-    refined partition relabels an earlier one is skipped too.
+    refined partition relabels an earlier one is skipped too. So is a
+    fit_cempca restart whose joint loop provably cannot win: once a
+    restart has succeeded, a lower bound on the loop's final objective,
+    recon0 - ceiling, formed from the start's m_step and valid when a
+    one-sweep guard holds, above the kept objective skips the loop. It
+    appears nowhere, as a repeat does, and it could not have failed.
     """
 
     partition: Partition
@@ -115,12 +120,20 @@ def best_of_restarts(start, tail, restarts, better, t0):
 
     Each fit's one restart loop, run once restarts >= 1 is checked. start(r)
     gives restart r's starting array (integer labels, or K-means centres)
-    and tail(array) the fit from it, which must depend on the start alone.
-    So a restart whose start repeats one whose tail succeeded is skipped
-    without being recorded: labels repeat up to relabelling, centres byte
-    for byte (_start_key). A relabelled start would only tie with the
-    earlier run, and ties keep the lowest restart index. Only the starts'
-    keys are kept; no result is cached or copied.
+    and tail(array, incumbent) the fit from it, which must depend on the
+    start alone. So a restart whose start repeats one whose tail succeeded
+    is skipped without being recorded: labels repeat up to relabelling,
+    centres byte for byte (_start_key). A relabelled start would only tie
+    with the earlier run, and ties keep the lowest restart index. Only the
+    starts' keys are kept; no result is cached or copied.
+
+    incumbent is the kept result's final objective so far, None before the
+    first success. It is a decision input, not a fitted value: a tail may
+    return None when it proves that its fit would succeed and end strictly
+    worse than the incumbent (fit_cempca's lower bound), and the other fits'
+    tails ignore it. Such a start counts as done, so its repeats are
+    skipped, and it is recorded nowhere, as a repeat is not; the kept
+    result is the one the full run would keep.
 
     better(a, b) compares final objectives (operator.lt to minimize,
     operator.gt to maximize); a restart replaces the kept one only when it
@@ -139,12 +152,14 @@ def best_of_restarts(start, tail, restarts, better, t0):
             key = _start_key(init)
             if key in done:
                 continue
-            result = tail(init)
+            result = tail(init, None if best is None else best.objective_trace[-1])
         except NumericalError as exc:
             failed.append((r, f"{type(exc).__name__}: {exc}"))
             last_error = exc
             continue
         done.add(key)
+        if result is None:
+            continue
         if best is None or better(result.objective_trace[-1], best.objective_trace[-1]):
             best, kept = result, r
     if best is None:
@@ -488,7 +503,7 @@ def kmeans(X, g, max_iter=100, tol=1e-6, restarts=20, seed=0):
     _check_fit_args(X, g, tol, seed, restarts, max_iter)
     t0 = time.perf_counter()
 
-    def tail(centers):
+    def tail(centers, incumbent=None):
         assign, _, trace, _ = lloyd(X, centers, max_iter=max_iter, tol=tol)
         return FitResult(partition=Partition(assignments=assign, g=g), params=None,
                          objective_trace=trace)
@@ -521,7 +536,7 @@ def em_gmm(X, g, max_iter=100, tol=1e-6, restarts=20, seed=0, model="full"):
     # one feature-major copy per call, as in cem_refine; the seeding reads rows
     XF = _feature_major(X).T
 
-    def tail(labels):
+    def tail(labels, incumbent=None):
         params = m_step(XF, Partition(assignments=labels, g=g), model)
         # One score matrix and one reduction of it per parameter set: they
         # give the trace entry, the next E-step and, for the last set, the
@@ -619,7 +634,7 @@ def cem(X, g, max_iter=100, tol=1e-6, restarts=20, seed=0, model="full"):
     # one feature-major copy per call, as in em_gmm
     XF = _feature_major(X).T
 
-    def tail(labels):
+    def tail(labels, incumbent=None):
         partition, params, trace, _ = cem_refine(XF, Partition(assignments=labels, g=g), model,
                                                  max_iter=max_iter, tol=tol)
         return FitResult(partition=partition, params=params, objective_trace=trace)

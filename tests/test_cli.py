@@ -773,6 +773,10 @@ def test_benchmark_entry_without_a_required_key_is_a_data_error(tmp_path, capsys
      "must be str or int, got 1.5"),
     ({"datasets": [{"path": "d.csv", "label_column": True}], "methods": []},
      "must be str or int, got True"),
+    # a g outside [1, n] would fail every cell
+    *[({"datasets": [{"name": "t", "shape": "tetra", "n": 60, "g": g}],
+        "methods": [{"method": "kmeans"}]},
+       f"dataset 't' has g = {g}, outside [1, n = 60]") for g in (0, -2, 61, 100)],
 ])
 def test_benchmark_malformed_suite_is_a_data_error(tmp_path, capsys, suite, message):
     path = tmp_path / "suite.json"

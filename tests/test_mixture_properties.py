@@ -12,7 +12,8 @@ argmin/argmax, for the k-means++ running distance against the broadcast
 reference, for the restart engine and its sharing of repeated and
 relabelled starts, for the start key against a contingency table, for
 fit_cempca's one joint loop per refined partition against the reference
-that runs every restart in full, for both against the rule under which a
+that runs every restart in full, also when it skips the loops whose lower
+bound the kept objective beats, for both against the rule under which a
 relabelled start competed, for fit_cempca at max_iter=0 against CEM
 on the embedding and at max_iter=1, whose first sweep refines no start
 again, and for the one empty-cluster repair that Lloyd and CEM share."""
@@ -525,14 +526,18 @@ def test_best_of_restarts_keeps_first_strict_optimum(outcomes, keys, better):
     keys = [key % len(outcomes) for key in keys]
     tails = []
     raised = []
+    kept = []        # the kept final objective after each success
 
-    def tail(init):
+    def tail(init, incumbent=None):
+        # the incumbent is the kept objective so far, None before a success
+        assert incumbent == (kept[-1] if kept else None)
         key = _key(init)
         tails.append(key)
         value, fails = outcomes[key]
         if fails:
             raised.append(SKIPPABLE[key % len(SKIPPABLE)](key))
             raise raised[-1]
+        kept.append(value if not kept or better(value, kept[-1]) else kept[-1])
         return _restart_result(value)
 
     def start(r):
@@ -562,7 +567,7 @@ def test_best_of_restarts_stamps_the_kept_restart():
     # only the kept result gets restart_index: the others keep the default
     results = []
 
-    def tail(init):
+    def tail(init, incumbent=None):
         results.append(_restart_result(abs(_key(init) - 2)))
         return results[-1]
 
@@ -579,10 +584,30 @@ def test_best_of_restarts_lists_a_failing_start():
             raise NumericalError("no seed for restart 1")
         return _labels(r)
 
-    result = best_of_restarts(start, lambda init: _restart_result(-_key(init)), 3,
+    result = best_of_restarts(start, lambda init, incumbent: _restart_result(-_key(init)), 3,
                               operator.lt, time.perf_counter())
     assert result.restart_index == 2
     assert result.failed_restarts == [(1, "NumericalError: no seed for restart 1")]
+
+
+def test_best_of_restarts_counts_a_declined_tail_as_done():
+    # a tail that returns None, as fit_cempca's does when its bound is
+    # beaten, is recorded nowhere and its repeats are skipped; the kept
+    # result and the incumbents the later tails see are those of the
+    # restarts that ran
+    seen = []
+
+    def tail(init, incumbent=None):
+        key = _key(init)
+        seen.append((key, incumbent))
+        return None if key == 2 else _restart_result(key)
+
+    keys = [3, 2, 2, 1, 2, 4]
+    result = best_of_restarts(lambda r: _labels(keys[r]), tail, len(keys), operator.lt,
+                              time.perf_counter())
+    assert seen == [(3, None), (2, 3.0), (1, 3.0), (4, 1.0)]
+    assert result.restart_index == 3 and result.objective_trace == [1.0]
+    assert result.failed_restarts == []
 
 
 @st.composite
@@ -616,7 +641,7 @@ def test_start_keys_of_centres_are_their_bytes():
 
 
 def test_best_of_restarts_lets_other_errors_through():
-    def tail(init):
+    def tail(init, incumbent=None):
         raise InvalidInputError("bad argument")
 
     with pytest.raises(InvalidInputError, match="bad argument"):
@@ -898,6 +923,91 @@ def test_fit_cempca_keeps_the_fit_of_the_old_rule(data, seed, model):
     _assert_identical(
         _outcome(lambda: core.fit_cempca(X, cfg, seed=seed)),
         _outcome(lambda: every_joint_loop(X, cfg, seed=seed, relabelled_compete=True)))
+
+
+def _near_degenerate(n=100, gap=1e-12):
+    """n centred rows whose singular values are sqrt(n) (3, 2, 2 (1 - gap),
+    1): at p = 2 the second and third nearly tie, so the computed
+    principal axes tilt within their plane."""
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((n, 4))
+    U, _ = np.linalg.qr(A - A.mean(axis=0))
+    V, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    return (U * (np.sqrt(n) * np.array([3.0, 2.0, 2.0 * (1.0 - gap), 1.0]))) @ V.T
+
+
+SMALL_TETRA = gen_fcps("tetra", n=100, seed=11).X
+# Data for the pruning bound: tetra, where it prunes; tetra with a copied
+# column at p = d, where s_p = 0 and the guard must refuse; and p < d with
+# s_p and s_{p+1} nearly tied
+PRUNING_DATA = {
+    "tetra": (SMALL_TETRA, core.CempcaConfig(g=4, restarts=8)),
+    "copied-column": (np.column_stack([SMALL_TETRA, SMALL_TETRA[:, 0]]),
+                      core.CempcaConfig(g=4, p=4, restarts=8)),
+    "near-degenerate": (_near_degenerate(),
+                        core.CempcaConfig(g=3, p=2, smoothing=0, standardize=False,
+                                          restarts=8)),
+}
+
+
+@settings(max_examples=2, deadline=None)
+@given(seed=st.integers(0, 2**16))
+@pytest.mark.parametrize("max_iter", [0, 1, 40])
+@pytest.mark.parametrize("tol", [0.0, 1e-6, 1e-2])
+@pytest.mark.parametrize("delta", [1e-6, 1e-2, 1.0])
+@pytest.mark.parametrize("data", list(PRUNING_DATA))
+def test_fit_cempca_prunes_only_loops_that_cannot_win(data, delta, tol, max_iter, seed):
+    # fit_cempca skips a joint loop whose lower bound beats the kept
+    # objective; the reference runs every loop in full, so the partition,
+    # restart_index, both traces, the bundle and failed_restarts agree
+    X, cfg = PRUNING_DATA[data]
+    cfg = replace(cfg, delta=delta, tol=tol, max_iter=max_iter)
+    _assert_identical(_outcome(lambda: core.fit_cempca(X, cfg, seed=seed)),
+                      _outcome(lambda: every_joint_loop(X, cfg, seed=seed)))
+
+
+def _start_floor(X, cfg):
+    """The floor of the joint loop from restart 0's refined partition."""
+    X = core.prepare_features(X, cfg)
+    B, _ = core.pca_embed(X, cfg.p)
+    part = mixture.cem_refine(B, Partition(assignments=core._seed_partition(B, cfg.g, 0, 0),
+                                           g=cfg.g), cfg.model)[0]
+    floor = core._objective_floor(X, B, core.update_Q(X, B), cfg)
+    return floor(part, m_step(B, part, cfg.model))
+
+
+@pytest.mark.parametrize("data, max_iter, finite", [
+    ("copied-column", 0, True), ("copied-column", 1, False),
+    ("near-degenerate", 1, True), ("tetra", 1, True)])
+def test_objective_floor_guard(data, max_iter, finite):
+    # s_p = 0 leaves the guard nothing to prove the first sweep's move with,
+    # while max_iter = 0 needs no guard; a near tie of s_p and s_{p+1}
+    # still lets it hold at the defaults
+    X, cfg = PRUNING_DATA[data]
+    assert np.isfinite(_start_floor(X, replace(cfg, max_iter=max_iter))) == finite
+
+
+def test_fit_cempca_runs_update_B_only_in_loops_that_can_win(monkeypatch):
+    # one entry per joint loop, the number of update_B calls it made: at
+    # the defaults some loops are pruned before any block update; at
+    # delta = 1 the guard never holds and every loop runs
+    loops = []
+    real_single, real_update_B = core._fit_single, core.update_B
+    monkeypatch.setattr(core, "_fit_single",
+                        lambda *args: loops.append(0) or real_single(*args))
+
+    def update_B(*args):
+        loops[-1] += 1
+        return real_update_B(*args)
+
+    monkeypatch.setattr(core, "update_B", update_B)
+    ran = {}
+    for delta in (1e-6, 1.0):
+        loops.clear()
+        core.fit_cempca(TETRA, core.CempcaConfig(g=4, delta=delta), seed=1)
+        ran[delta] = (sum(1 for calls in loops if calls), len(loops))
+    assert 0 < ran[1e-6][0] < ran[1e-6][1]
+    assert ran[1.0][0] == ran[1.0][1] > 1
 
 
 # (start, model, log_joint and m_step calls). The K-means start is a fixed
